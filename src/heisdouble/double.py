@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .hopf import (GradedElement, coeff_prefix, degrees_up_to, element_str,
-                   multiply, scalar_term_str)
+from .hopf import (Element, _acc, coeff_prefix, degrees_up_to, element_str,
+                   multiply, scalar_term_str, shifted_presentation)
 from .linalg import sparse_rank
 from .pairing import TwistedPairing
 from .report import failing, passing
-from .scalars import ONE, ZERO, RatFunc, q_power
+from .scalars import ONE, ZERO, q_power
 from .twisting import (BiadditiveMap, TwistingDatum, compatibility_check,
                        deg_sub, deg_total)
 
@@ -33,83 +33,6 @@ class IncompatiblePairError(ValueError):
 
 GenToken = namedtuple("GenToken", ["name", "args", "power"])
 GenToken.__new__.__defaults__ = ((), 1)
-
-
-def _acc(d, k, c):
-    s = d.get(k)
-    s = c if s is None else s + c
-    if s.is_zero:
-        d.pop(k, None)
-    else:
-        d[k] = s
-
-
-class DoubleElement:
-    """Linear combination of normal-form pairs (plus label, minus label)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for p, c in terms.items():
-                if not c.is_zero:
-                    t[p] = c
-        self.terms = t
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, pair):
-        return self.terms.get(pair, ZERO)
-
-    def __add__(self, other):
-        if not isinstance(other, DoubleElement):
-            return NotImplemented
-        t = dict(self.terms)
-        for p, c in other.terms.items():
-            _acc(t, p, c)
-        return DoubleElement._raw(t)
-
-    def __neg__(self):
-        return DoubleElement._raw({p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DoubleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        if c.is_zero:
-            return DoubleElement._raw({})
-        return DoubleElement._raw({p: c * v for p, v in self.terms.items()})
-
-    def max_term_degree(self):
-        """Largest signed total degree |a| - |x| in the support; 0 if zero."""
-        if not self.terms:
-            return 0
-        return max(deg_total(a.degree) - deg_total(x.degree) for a, x in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DoubleElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return "DoubleElement(%r)" % (self.terms,)
 
 
 def left_regular_action(P, x, a):
@@ -128,7 +51,7 @@ def left_regular_action(P, x, a):
                 if v.is_zero:
                     continue
                 _acc(out, b1, ac * c * xc * v * q_power(gp.evaluate(b1.degree, b2.degree)))
-    return GradedElement._raw(out)
+    return Element._raw(out)
 
 
 class HeisenbergDouble:
@@ -164,19 +87,19 @@ class HeisenbergDouble:
     # -- basic elements --------------------------------------------------
 
     def unit(self):
-        return DoubleElement._raw(
+        return Element._raw(
             {(self.plus.unit_label, self.minus.unit_label): ONE})
 
     def embed_plus(self, a):
         u = self.minus.unit_label
-        return DoubleElement._raw({(l, u): c for l, c in a.terms.items()})
+        return Element._raw({(l, u): c for l, c in a.terms.items()})
 
     def embed_minus(self, x):
         u = self.plus.unit_label
-        return DoubleElement._raw({(u, l): c for l, c in x.terms.items()})
+        return Element._raw({(u, l): c for l, c in x.terms.items()})
 
     def register_generator(self, name, builder):
-        """builder(args) -> ("plus"|"minus", GradedElement); context-free so
+        """builder(args) -> ("plus"|"minus", Element); context-free so
         shifted copies of the context can reuse it."""
         self._generators[name] = builder
 
@@ -197,8 +120,8 @@ class HeisenbergDouble:
         hit = self._action.get(key)
         if hit is None:
             val = left_regular_action(self.pairing,
-                                      GradedElement.from_label(x_label),
-                                      GradedElement.from_label(a_label))
+                                      Element.from_label(x_label),
+                                      Element.from_label(a_label))
             hit = self._action.setdefault(key, val)
         return hit
 
@@ -208,7 +131,7 @@ class HeisenbergDouble:
         for bl, bc in b.terms.items():
             for l, c in self.action_label(x_label, bl).terms.items():
                 _acc(out, l, bc * c)
-        return GradedElement._raw(out)
+        return Element._raw(out)
 
     def smash_labels(self, a, x, b, y):
         """(a#x)(b#y) on basis labels, cached."""
@@ -235,20 +158,24 @@ class HeisenbergDouble:
                     k1 = k0 * ca
                     for lx, cx in right.terms.items():
                         _acc(out, (la, lx), k1 * cx)
-        return self._smash.setdefault(key, DoubleElement._raw(out))
+        return self._smash.setdefault(key, Element._raw(out))
 
     # -- derived contexts ------------------------------------------------
 
-    def shifted(self, alpha):
-        """The double with both coproducts shifted by alpha and the pairing
-        twisting moved to (gamma' - alpha, gamma'' - alpha); compatibility is
-        preserved and the normal-form basis is unchanged."""
-        from .hopf import shifted_presentation
-        zero = BiadditiveMap.zero(self.rank)
-        plus_s = shifted_presentation(self.plus, alpha, zero)
-        minus_s = shifted_presentation(self.minus, alpha, zero)
-        gamma_s = TwistingDatum(self.gamma.prime - alpha,
-                                self.gamma.doubleprime - alpha)
+    def shifted(self, alpha, beta=None):
+        """The double with both coproducts shifted by alpha and both products
+        by beta (zero when omitted); the pairing twisting moves to
+        (gamma' - alpha + beta, gamma'' - alpha + beta) and the normal-form
+        basis is unchanged.
+
+        Compatibility is re-checked, and holds exactly when beta is
+        antisymmetric; otherwise IncompatiblePairError is raised."""
+        if beta is None:
+            beta = BiadditiveMap.zero(self.rank)
+        plus_s = shifted_presentation(self.plus, alpha, beta)
+        minus_s = shifted_presentation(self.minus, alpha, beta)
+        gamma_s = TwistingDatum(self.gamma.prime - alpha + beta,
+                                self.gamma.doubleprime - alpha + beta)
         pairing_s = TwistedPairing(minus_s, plus_s, gamma_s,
                                    self.pairing._gram_fn,
                                    name=self.pairing.name + "~shifted")
@@ -313,7 +240,7 @@ def smash_multiply(D, u, v):
             cd = c * d
             for p, k in D.smash_labels(a, x, b, y).terms.items():
                 _acc(out, p, cd * k)
-    return DoubleElement._raw(out)
+    return Element._raw(out)
 
 
 def normal_order(D, word):
@@ -338,13 +265,21 @@ def normal_order(D, word):
 def fock_apply(D, u, b):
     """Action of the double element u on the plus element b:
     (a#x)(b) = a * x(b)."""
-    out = GradedElement.zero()
+    out = Element.zero()
     for (a, x), c in u.terms.items():
         img = D.action(x, b)
         if img.is_zero:
             continue
-        out = out + multiply(D.plus, GradedElement.from_label(a), img).scale(c)
+        out = out + multiply(D.plus, Element.from_label(a), img).scale(c)
     return out
+
+
+def max_term_degree(u):
+    """Largest signed total degree |a| - |x| over the normal-form pairs of a
+    double element; 0 for the zero element."""
+    if not u.terms:
+        return 0
+    return max(deg_total(a.degree) - deg_total(x.degree) for a, x in u.terms)
 
 
 def fock_matrix(D, u, Nin, Nout=None):
@@ -355,9 +290,9 @@ def fock_matrix(D, u, Nin, Nout=None):
     explicit window that cannot hold the image is an error.
     """
     cols = D.plus.labels_up_to(Nin)
-    images = [fock_apply(D, u, GradedElement.from_label(b)) for b in cols]
+    images = [fock_apply(D, u, Element.from_label(b)) for b in cols]
     if Nout is None:
-        Nout = max(0, Nin + u.max_term_degree())
+        Nout = max(0, Nin + max_term_degree(u))
     rows = D.plus.labels_up_to(Nout)
     index = {l: i for i, l in enumerate(rows)}
     matrix = [[ZERO] * len(cols) for _ in rows]
@@ -393,15 +328,14 @@ def verify_commutation(D, N):
     minus_gens = _gen_labels(D.minus, D.minus_gen_fn, N)
     inputs = D.plus.labels_up_to(N)
     for a in plus_gens:
-        ea = GradedElement.from_label(a)
         for x in minus_gens:
             cop = D.minus.coproduct(x).terms
             for b in inputs:
                 ab = D.plus.product(a, b)
-                lhs = GradedElement.zero()
+                lhs = Element.zero()
                 for l, c in ab.terms.items():
                     lhs = lhs + D.action_label(x, l).scale(c)
-                rhs = GradedElement.zero()
+                rhs = Element.zero()
                 for (x1, x2), c in cop.items():
                     e = gpp.evaluate(a.degree, x2.degree) + \
                         xipp.evaluate(deg_sub(a.degree, x1.degree), x2.degree)
@@ -430,7 +364,7 @@ def verify_vacuum(D, N):
     minus element annihilates it, and the joint kernel of the minus action
     on each positive stratum of total degree <= N is zero."""
     _require_perfect(D, "verify_vacuum", N)
-    unit = GradedElement.from_label(D.plus.unit_label)
+    unit = Element.from_label(D.plus.unit_label)
     for x in D.minus.labels_up_to(N):
         if deg_total(x.degree) == 0:
             continue
@@ -489,8 +423,8 @@ def verify_faithful(D, lam, N):
     for a, x in pairs:
         flat = {}
         for b in inputs:
-            img = fock_apply(D, DoubleElement._raw({(a, x): ONE}),
-                             GradedElement.from_label(b))
+            img = fock_apply(D, Element._raw({(a, x): ONE}),
+                             Element.from_label(b))
             for l, c in img.terms.items():
                 k = ids.setdefault((b, l), len(ids))
                 flat[k] = c

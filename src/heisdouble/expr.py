@@ -13,6 +13,7 @@ carry the 0-based offset of the offending character.
 
 from __future__ import annotations
 
+from .hopf import Element
 from .scalars import ONE, Q, RatFunc, ZERO
 
 
@@ -246,7 +247,7 @@ def as_scalar(D, el):
 
 
 def evaluate(D, node):
-    """Evaluate an AST to a DoubleElement of the context D."""
+    """Evaluate an AST to an Element of the context D."""
     from .double import smash_multiply
 
     kind = node[0]
@@ -311,23 +312,21 @@ def evaluate_text(D, text):
 
 def pure_plus(D, el):
     """The plus-side element when el lies in H+ # 1; None otherwise."""
-    from .hopf import GradedElement
     mu = D.minus.unit_label
     out = {}
     for (a, x), c in el.terms.items():
         if x != mu:
             return None
         out[a] = c
-    return GradedElement._raw(out)
+    return Element._raw(out)
 
 
 def pure_minus(D, el):
     """The minus-side element when el lies in 1 # H-; None otherwise."""
-    from .hopf import GradedElement
     pu = D.plus.unit_label
     out = {}
     for (a, x), c in el.terms.items():
         if a != pu:
             return None
         out[x] = c
-    return GradedElement._raw(out)
+    return Element._raw(out)

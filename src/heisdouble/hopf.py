@@ -44,6 +44,7 @@ class BasisLabel:
 
 
 def _acc(d, k, c):
+    """Add c to d[k] in place, dropping the key when the sum is zero."""
     s = d.get(k)
     s = c if s is None else s + c
     if s.is_zero:
@@ -52,11 +53,14 @@ def _acc(d, k, c):
         d[k] = s
 
 
-class GradedElement:
-    """Finite linear combination of basis labels with RatFunc coefficients.
+class Element:
+    """Finite linear combination with RatFunc coefficients.
 
-    The term dict never contains zero coefficients, so ``==`` is structural
-    equality of elements.
+    One type serves every kind of element: keys are BasisLabels for the plus
+    and minus algebras, pairs of BasisLabels for the tensor square, and
+    (plus label, minus label) normal-form pairs for the double.  The term
+    dict never contains zero coefficients, so ``==`` is structural equality
+    of elements.
     """
 
     __slots__ = ("terms",)
@@ -64,9 +68,9 @@ class GradedElement:
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for l, c in terms.items():
+            for k, c in terms.items():
                 if not c.is_zero:
-                    t[l] = c
+                    t[k] = c
         self.terms = t
 
     @classmethod
@@ -85,85 +89,6 @@ class GradedElement:
             return cls._raw({})
         return cls._raw({label: coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, label):
-        return self.terms.get(label, ZERO)
-
-    def __add__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        t = dict(self.terms)
-        for l, c in other.terms.items():
-            _acc(t, l, c)
-        return GradedElement._raw(t)
-
-    def __neg__(self):
-        return GradedElement._raw({l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc.from_int(c)
-        if c.is_zero:
-            return GradedElement._raw({})
-        return GradedElement._raw({l: c * v for l, v in self.terms.items()})
-
-    def homogeneous_component(self, degree):
-        degree = tuple(degree)
-        return GradedElement._raw(
-            {l: c for l, c in self.terms.items() if l.degree == degree})
-
-    def degrees(self):
-        return sorted({l.degree for l in self.terms})
-
-    def max_total_degree(self):
-        """Largest total degree in the support; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(deg_total(l.degree) for l in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return "GradedElement(%r)" % (self.terms,)
-
-
-class TensorElement:
-    """Element of the tensor square: labels are ordered pairs of BasisLabels."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for p, c in terms.items():
-                if not c.is_zero:
-                    t[p] = c
-        self.terms = t
-
-    @classmethod
-    def _raw(cls, terms):
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
     @classmethod
     def tensor(cls, u, v):
         t = {}
@@ -176,19 +101,22 @@ class TensorElement:
     def is_zero(self):
         return not self.terms
 
+    def coeff(self, key):
+        return self.terms.get(key, ZERO)
+
     def __add__(self, other):
-        if not isinstance(other, TensorElement):
+        if not isinstance(other, Element):
             return NotImplemented
         t = dict(self.terms)
-        for p, c in other.terms.items():
-            _acc(t, p, c)
-        return TensorElement._raw(t)
+        for k, c in other.terms.items():
+            _acc(t, k, c)
+        return Element._raw(t)
 
     def __neg__(self):
-        return TensorElement._raw({p: -c for p, c in self.terms.items()})
+        return Element._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TensorElement):
+        if not isinstance(other, Element):
             return NotImplemented
         return self + (-other)
 
@@ -196,16 +124,19 @@ class TensorElement:
         if isinstance(c, int):
             c = RatFunc.from_int(c)
         if c.is_zero:
-            return TensorElement._raw({})
-        return TensorElement._raw({p: c * v for p, v in self.terms.items()})
+            return Element._raw({})
+        return Element._raw({k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, TensorElement):
+        if not isinstance(other, Element):
             return NotImplemented
         return self.terms == other.terms
 
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
     def __repr__(self):
-        return "TensorElement(%r)" % (self.terms,)
+        return "Element(%r)" % (self.terms,)
 
 
 def degrees_up_to(rank, N):
@@ -281,10 +212,6 @@ class HopfPresentation:
                 "label %r is not in the %s basis at degree %r"
                 % (label, self.name, degree))
 
-    def check_element(self, u):
-        for l in u.terms:
-            self.check_label(l)
-
     def label_index(self, label):
         idx = self._index.get(label.degree)
         if idx is None:
@@ -309,7 +236,7 @@ class HopfPresentation:
     # -- structure constants --------------------------------------------
 
     def unit_element(self):
-        return GradedElement.from_label(self.unit_label)
+        return Element.from_label(self.unit_label)
 
     def product(self, l1, l2):
         key = (l1, l2)
@@ -362,7 +289,7 @@ class HopfPresentation:
                            self.label_text(l2), c))
             else:
                 out[(l1, l2)] = c
-        return TensorElement._raw(out)
+        return Element._raw(out)
 
     def counit_label(self, label):
         return ONE if label == self.unit_label else ZERO
@@ -382,7 +309,7 @@ def multiply(H, u, v):
             c = c1 * c2
             for l, k in H.product(l1, l2).terms.items():
                 _acc(t, l, c * k)
-    return GradedElement._raw(t)
+    return Element._raw(t)
 
 
 def comultiply(H, u):
@@ -391,7 +318,7 @@ def comultiply(H, u):
     for l, c in u.terms.items():
         for p, k in H.coproduct(l).terms.items():
             _acc(t, p, c * k)
-    return TensorElement._raw(t)
+    return Element._raw(t)
 
 
 def counit(H, u):
@@ -416,7 +343,7 @@ def twisted_tensor_multiply(H, s, t):
                 ck = coeff * k1
                 for l2, k2 in right.terms.items():
                     _acc(out, (l1, l2), ck * k2)
-    return TensorElement._raw(out)
+    return Element._raw(out)
 
 
 def antipode(H, u):
@@ -428,7 +355,7 @@ def antipode(H, u):
     for l, c in u.terms.items():
         for l2, k in _antipode_label(H, l).terms.items():
             _acc(t, l2, c * k)
-    return GradedElement._raw(t)
+    return Element._raw(t)
 
 
 def _antipode_label(H, label):
@@ -438,9 +365,9 @@ def _antipode_label(H, label):
     if label == H.unit_label:
         val = H.unit_element()
     else:
-        val = GradedElement.from_label(label, -ONE)
+        val = Element.from_label(label, -ONE)
         for (l1, l2), c in H.reduced_coproduct(label).terms.items():
-            part = multiply(H, GradedElement.from_label(l1),
+            part = multiply(H, Element.from_label(l1),
                             _antipode_label(H, l2)).scale(c)
             val = val - part
     return H._antipode.setdefault(label, val)
@@ -509,7 +436,7 @@ def shifted_presentation(H, alpha, beta):
         t = {}
         for (l1, l2), c in H.coproduct(label).terms.items():
             t[(l1, l2)] = c * q_power(alpha.evaluate(l1.degree, l2.degree))
-        return TensorElement._raw(t)
+        return Element._raw(t)
 
     return HopfPresentation(
         H.name + "~shifted", H.rank, twisting, H.unit_label, H.basis,
@@ -536,7 +463,7 @@ def check_bialgebra(H, N):
 
     # unit and counit laws on single labels
     for a in labels:
-        ea = GradedElement.from_label(a)
+        ea = Element.from_label(a)
         if multiply(H, unit, ea) != ea or multiply(H, ea, unit) != ea:
             return fail("unit law", H.label_text(a),
                         element_str(H, multiply(H, unit, ea)), element_str(H, ea))
@@ -547,9 +474,9 @@ def check_bialgebra(H, N):
                 _acc(left, l2, c)
             if l2 == H.unit_label:
                 _acc(right, l1, c)
-        if GradedElement._raw(left) != ea or GradedElement._raw(right) != ea:
+        if Element._raw(left) != ea or Element._raw(right) != ea:
             return fail("counit law", H.label_text(a),
-                        element_str(H, GradedElement._raw(left)), element_str(H, ea))
+                        element_str(H, Element._raw(left)), element_str(H, ea))
 
     # associativity on basis triples
     for a, b, c in _triples(H, N):
@@ -595,13 +522,13 @@ def check_bialgebra(H, N):
     # antipode laws
     for a in labels:
         target = unit.scale(H.counit_label(a))
-        left = GradedElement.zero()
-        right = GradedElement.zero()
+        left = Element.zero()
+        right = Element.zero()
         for (x, y), c in H.coproduct(a).terms.items():
-            left = left + multiply(H, antipode(H, GradedElement.from_label(x)),
-                                   GradedElement.from_label(y)).scale(c)
-            right = right + multiply(H, GradedElement.from_label(x),
-                                     antipode(H, GradedElement.from_label(y))).scale(c)
+            left = left + multiply(H, antipode(H, Element.from_label(x)),
+                                   Element.from_label(y)).scale(c)
+            right = right + multiply(H, Element.from_label(x),
+                                     antipode(H, Element.from_label(y))).scale(c)
         if left != target or right != target:
             return fail("antipode law", H.label_text(a),
                         element_str(H, left), element_str(H, right))
@@ -624,8 +551,8 @@ def _triples(H, N):
             for c in labels:
                 if dab + deg_total(c.degree) > N:
                     continue
-                yield (GradedElement.from_label(a), GradedElement.from_label(b),
-                       GradedElement.from_label(c))
+                yield (Element.from_label(a), Element.from_label(b),
+                       Element.from_label(c))
 
 
 def _tensor_triples(H, N):
@@ -643,6 +570,6 @@ def _tensor_triples(H, N):
             for e, f, d3 in pairs:
                 if d1 + d2 + d3 > N:
                     continue
-                yield (TensorElement._raw({(a, b): ONE}),
-                       TensorElement._raw({(c, d): ONE}),
-                       TensorElement._raw({(e, f): ONE}))
+                yield (Element._raw({(a, b): ONE}),
+                       Element._raw({(c, d): ONE}),
+                       Element._raw({(e, f): ONE}))

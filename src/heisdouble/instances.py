@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass, field
 from math import factorial
 
-from .double import HeisenbergDouble
-from .hopf import (BasisLabel, GradedElement, HopfPresentation, TensorElement,
-                   shifted_presentation)
+from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
+from .hopf import BasisLabel, Element, HopfPresentation, _acc
 from .linalg import det_bareiss
 from .pairing import TwistedPairing
 from .partitions import (check_partition, mp_empty, mp_remove_part,
@@ -63,12 +62,12 @@ def _weyl_presentation(name, letter, twisting, binomial):
 
     def product_fn(l1, l2):
         n = l1.key + l2.key
-        return GradedElement.from_label(BasisLabel(n, (n,)))
+        return Element.from_label(BasisLabel(n, (n,)))
 
     def coproduct_fn(label):
         n = label.key
-        return TensorElement({(BasisLabel(k, (k,)), BasisLabel(n - k, (n - k,))):
-                              binomial(n, k) for k in range(n + 1)})
+        return Element({(BasisLabel(k, (k,)), BasisLabel(n - k, (n - k,))):
+                        binomial(n, k) for k in range(n + 1)})
 
     def text_fn(label):
         if label.key == 0:
@@ -81,7 +80,7 @@ def _weyl_presentation(name, letter, twisting, binomial):
                             coproduct_fn, text_fn)
 
 
-def build_weyl(shift=None):
+def build_weyl():
     """The quantum Weyl algebra as a twisted Heisenberg double.
 
     Plus side k[x] with q-binomial coproduct and chi = (0, zeta); minus side
@@ -108,16 +107,13 @@ def build_weyl(shift=None):
         "x", lambda args: ("plus", _power_label_element(args, "x")))
     double.register_generator(
         "d", lambda args: ("minus", _power_label_element(args, "d")))
-    inst = Instance("weyl", "weyl", pairing, double)
-    if shift is not None:
-        inst = shifted_instance(inst, *shift)
-    return inst
+    return Instance("weyl", "weyl", pairing, double)
 
 
 def _power_label_element(args, letter):
     if args:
         raise ConfigError("generator %s takes no arguments" % letter)
-    return GradedElement.from_label(BasisLabel(1, (1,)))
+    return Element.from_label(BasisLabel(1, (1,)))
 
 
 # -- symmetric-algebra presentations (shared by qheis and lattice) -------
@@ -135,14 +131,14 @@ def _sym_presentation(name, ncolors, letter):
         return tuple(mp_label(mp) for mp in multipartitions_of(degree[0], ncolors))
 
     def product_fn(l1, l2):
-        return GradedElement.from_label(mp_label(mp_union(l1.key, l2.key)))
+        return Element.from_label(mp_label(mp_union(l1.key, l2.key)))
 
     def coproduct_fn(label):
         t = {}
         for mu, ways in mp_sub_multisets(label.key):
             rest = tuple(_diff_sorted(lam, m) for lam, m in zip(label.key, mu))
             t[(mp_label(mu), mp_label(rest))] = RatFunc.from_int(ways)
-        return TensorElement._raw(t)
+        return Element._raw(t)
 
     def text_fn(label):
         parts = []
@@ -316,26 +312,20 @@ def phi_derivation(A, k, i, u):
             f = q_int_sym(k * A[i - 1][j0]) * q_int_sym(k) / k * m
             if f.is_zero:
                 continue
-            nl = mp_label(mp_remove_part(mp, k, j0 + 1))
-            prev = out.get(nl)
-            s = c * f if prev is None else prev + c * f
-            if s.is_zero:
-                out.pop(nl, None)
-            else:
-                out[nl] = s
-    return GradedElement._raw(out)
+            _acc(out, mp_label(mp_remove_part(mp, k, j0 + 1)), c * f)
+    return Element._raw(out)
 
 
 def h_element(ncolors, n, i):
     """Complete homogeneous element h_{n,i} = sum over lam of p_{lam,i}/Z_lam."""
     if n < 0:
-        return GradedElement.zero()
+        return Element.zero()
     if n == 0:
-        return GradedElement.from_label(mp_label(mp_empty(ncolors)))
+        return Element.from_label(mp_label(mp_empty(ncolors)))
     terms = {}
     for lam in partitions_of(n):
         terms[mp_label(_color_mp(lam, i, ncolors))] = ONE / z_quantum(lam)
-    return GradedElement._raw(terms)
+    return Element._raw(terms)
 
 
 def _color_mp(lam, i, ncolors):
@@ -356,7 +346,7 @@ def h_adjoint(A, k, i, n, j, double=None):
     """
     ncolors = len(A)
     if k < 0 or n < 0:
-        return GradedElement.zero()
+        return Element.zero()
     aij = A[i - 1][j - 1]
     if k == 0:
         return h_element(ncolors, n, j)
@@ -365,14 +355,13 @@ def h_adjoint(A, k, i, n, j, double=None):
     if aij == -1:
         if k == 1:
             return h_element(ncolors, n - 1, j)
-        return GradedElement.zero()
+        return Element.zero()
     if aij == 0:
-        return GradedElement.zero()
+        return Element.zero()
     if double is None:
         raise ValueError(
             "h_adjoint has no closed form for <i,j> = %d; pass the double context"
             % aij)
-    from .double import left_regular_action
     return left_regular_action(double.pairing, h_element(ncolors, k, i),
                                h_element(ncolors, n, j))
 
@@ -406,11 +395,11 @@ def _check_symmetric(m, what):
 def _register_sym_generators(double, ncolors, with_h):
     def p_builder(args):
         n, i = _two_int_args(args, "p")
-        return ("plus", GradedElement.from_label(mp_label(_single(n, i, ncolors))))
+        return ("plus", Element.from_label(mp_label(_single(n, i, ncolors))))
 
     def pp_builder(args):
         n, i = _two_int_args(args, "p'")
-        return ("minus", GradedElement.from_label(mp_label(_single(n, i, ncolors))))
+        return ("minus", Element.from_label(mp_label(_single(n, i, ncolors))))
 
     double.register_generator("p", p_builder)
     double.register_generator("p'", pp_builder)
@@ -444,7 +433,7 @@ def _two_int_args(args, name):
     return int(args[0]), int(args[1])
 
 
-def build_qheis(A, name=None, degree_bound=8, shift=None):
+def build_qheis(A, name=None, degree_bound=8):
     """Quantum Heisenberg instance for a symmetric integer matrix A.
 
     Refuses when some color matrix ([k<i,j>]) with k <= degree_bound is
@@ -469,13 +458,10 @@ def build_qheis(A, name=None, degree_bound=8, shift=None):
     pairing = TwistedPairing(minus, plus, gamma, gram_fn, name=name)
     double = HeisenbergDouble(pairing, name=name)
     _register_sym_generators(double, ncolors, with_h=True)
-    inst = Instance(name, "qheis", pairing, double, meta={"cartan": A})
-    if shift is not None:
-        inst = shifted_instance(inst, *shift)
-    return inst
+    return Instance(name, "qheis", pairing, double, meta={"cartan": A})
 
 
-def build_lattice(B, name=None, shift=None):
+def build_lattice(B, name=None):
     """Lattice Heisenberg instance for a symmetric integer form B.
 
     A degenerate form still yields the algebra and its relations, but the
@@ -497,35 +483,18 @@ def build_lattice(B, name=None, shift=None):
     pairing = TwistedPairing(minus, plus, gamma, gram_fn, name=name)
     double = HeisenbergDouble(pairing, name=name, perfect=perfect)
     _register_sym_generators(double, ncolors, with_h=False)
-    inst = Instance(name, "lattice", pairing, double, meta={"form": B})
-    if shift is not None:
-        inst = shifted_instance(inst, *shift)
-    return inst
+    return Instance(name, "lattice", pairing, double, meta={"form": B})
 
 
 def shifted_instance(inst, alpha, beta=None):
     """Instance with both coproducts shifted by alpha and both products by
-    beta; the pairing twisting moves to (gamma'-alpha+beta, gamma''-alpha+beta).
-
-    The double construction re-checks compatibility, which holds exactly
-    when beta is antisymmetric.
-    """
+    beta; see :meth:`HeisenbergDouble.shifted`, which raises
+    IncompatiblePairError unless beta is antisymmetric."""
     alpha = alpha if isinstance(alpha, BiadditiveMap) else BiadditiveMap(alpha)
-    if beta is None:
-        beta = BiadditiveMap.zero(alpha.rank)
-    beta = beta if isinstance(beta, BiadditiveMap) else BiadditiveMap(beta)
-    plus = shifted_presentation(inst.plus, alpha, beta)
-    minus = shifted_presentation(inst.minus, alpha, beta)
-    gamma = TwistingDatum(inst.pairing.gamma.prime - alpha + beta,
-                          inst.pairing.gamma.doubleprime - alpha + beta)
-    pairing = TwistedPairing(minus, plus, gamma, inst.pairing._gram_fn,
-                             name=inst.pairing.name + "~shifted")
-    double = HeisenbergDouble(pairing, name=inst.name + "~shifted",
-                              perfect=inst.double.perfect)
-    double._generators = dict(inst.double._generators)
-    double.plus_gen_fn = inst.double.plus_gen_fn
-    double.minus_gen_fn = inst.double.minus_gen_fn
-    return Instance(inst.name + "~shifted", inst.kind, pairing, double,
+    if beta is not None and not isinstance(beta, BiadditiveMap):
+        beta = BiadditiveMap(beta)
+    double = inst.double.shifted(alpha, beta)
+    return Instance(inst.name + "~shifted", inst.kind, double.pairing, double,
                     meta=dict(inst.meta))
 
 
@@ -617,7 +586,6 @@ def load_instance(config):
             raise
         raise ConfigError(str(e)) from None
     if shift is not None:
-        from .double import IncompatiblePairError
         try:
             inst = shifted_instance(inst, *shift)
         except IncompatiblePairError as e:
@@ -644,4 +612,4 @@ def _parse_shift(raw):
         raise ConfigError(str(e)) from None
     if a is None:
         a = BiadditiveMap.zero(b.rank)
-    return (a, b) if b is not None else (a, None)
+    return a, b

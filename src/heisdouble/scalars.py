@@ -165,8 +165,13 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # A constant hashes as its integer, so that RatFunc constants, which
+        # compare equal to both, can hash consistently with each.
         if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
+            if self.is_constant:
+                self._hash = hash(self._c.get(0, 0))
+            else:
+                self._hash = hash(frozenset(self._c.items()))
         return self._hash
 
     def __bool__(self):
@@ -320,7 +325,9 @@ class RatFunc:
 
     num is a Laurent polynomial, den an ordinary polynomial with nonzero
     constant term and positive leading coefficient; the two are coprime and
-    share no integer content.  Equality and hashing are structural.
+    share no integer content.  Equality is structural, and equal values
+    hash equal, also across the int, Fraction and LaurentPoly operands that
+    ``==`` accepts.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -475,8 +482,16 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # Must agree with every int, Fraction and LaurentPoly that __eq__
+        # accepts: a Laurent value hashes as its numerator, a constant as
+        # its Fraction.
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if self.den == LP_ONE:
+                self._hash = hash(self.num)
+            elif self.is_constant:
+                self._hash = hash(self.as_fraction())
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     def __bool__(self):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from heisdouble.double import (
-    DoubleElement,
     GenToken,
     HeisenbergDouble,
     IncompatiblePairError,
     fock_apply,
     fock_matrix,
     left_regular_action,
+    max_term_degree,
     normal_order,
     smash_multiply,
     verify_commutation,
@@ -19,18 +19,19 @@ from heisdouble.double import (
     verify_shift_invariance,
     verify_vacuum,
 )
-from heisdouble.hopf import BasisLabel, GradedElement
+from heisdouble.hopf import BasisLabel, Element
 from heisdouble.instances import (
     build_lattice,
     build_qheis,
     build_weyl,
     cartan_a,
     mp_label,
+    shifted_instance,
     zero_form,
 )
 from heisdouble.pairing import TwistedPairing
 from heisdouble.scalars import ONE, Q, RatFunc, q_int, q_int_sym, q_power
-from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total
+from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total, shift_twisting
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
@@ -41,7 +42,7 @@ def xlab(n):
 
 
 def xel(n, coeff=ONE):
-    return GradedElement.from_label(xlab(n), coeff)
+    return Element.from_label(xlab(n), coeff)
 
 
 def tok(name, *args, power=1):
@@ -64,7 +65,7 @@ def a2():
 
 
 # ---------------------------------------------------------------------------
-# DoubleElement basics
+# Double element basics
 
 
 def test_double_element_arithmetic(wd):
@@ -74,13 +75,13 @@ def test_double_element_arithmetic(wd):
     assert s.coeff((xlab(0), xlab(0))) == ONE
     assert (s - s).is_zero
     assert s.scale(2) == s + s
-    assert (-v) + v == DoubleElement.zero()
+    assert (-v) + v == Element.zero()
 
 
 def test_max_term_degree(wd):
-    assert wd.unit().max_term_degree() == 0
-    assert wd.embed_plus(xel(3)).max_term_degree() == 3
-    assert wd.embed_minus(xel(2)).max_term_degree() == -2
+    assert max_term_degree(wd.unit()) == 0
+    assert max_term_degree(wd.embed_plus(xel(3))) == 3
+    assert max_term_degree(wd.embed_minus(xel(2))) == -2
 
 
 def test_incompatible_pair_refused(weyl):
@@ -108,7 +109,7 @@ def test_action_unit_is_identity(weyl, a2):
         P = inst.pairing
         one = inst.minus.unit_element()
         for a in inst.plus.labels_up_to(3):
-            ea = GradedElement.from_label(a)
+            ea = Element.from_label(a)
             assert left_regular_action(P, one, ea) == ea
 
 
@@ -119,10 +120,10 @@ def test_action_qheis_power_sum(a2):
         for j in (1, 2):
             for k in (1, 2, 3):
                 for n in (1, 2, 3):
-                    x = GradedElement.from_label(
+                    x = Element.from_label(
                         mp_label((((k,), ()) if i == 1 else ((), (k,))))
                     )
-                    a = GradedElement.from_label(
+                    a = Element.from_label(
                         mp_label((((n,), ()) if j == 1 else ((), (n,))))
                     )
                     got = left_regular_action(P, x, a)
@@ -154,7 +155,7 @@ def test_smash_weyl_relation(wd):
     d = wd.embed_minus(xel(1))
     x = wd.embed_plus(xel(1))
     got = smash_multiply(wd, d, x)
-    expected = DoubleElement({(xlab(1), xlab(1)): Q, (xlab(0), xlab(0)): ONE})
+    expected = Element({(xlab(1), xlab(1)): Q, (xlab(0), xlab(0)): ONE})
     assert got == expected
 
 
@@ -202,7 +203,7 @@ def test_smash_associative_on_basis(wd):
         for a in wd.plus.labels_up_to(2)
         for x in wd.minus.labels_up_to(2)
     ]
-    els = [DoubleElement({(a, x): ONE}) for (a, x) in pairs]
+    els = [Element({(a, x): ONE}) for (a, x) in pairs]
     for u in els:
         for v in els:
             uv = smash_multiply(wd, u, v)
@@ -225,7 +226,7 @@ def test_smash_grading(wd):
 
 def test_normal_order_weyl_ddx(wd):
     got = normal_order(wd, [tok("d"), tok("d"), tok("x")])
-    expected = DoubleElement(
+    expected = Element(
         {(xlab(1), xlab(2)): q_power(2), (xlab(0), xlab(1)): q_int(2)}
     )
     assert got == expected
@@ -241,7 +242,7 @@ def test_normal_order_power_token(wd):
 
 def test_normal_order_already_normal(wd):
     got = normal_order(wd, [tok("x"), tok("d")])
-    assert got == DoubleElement({(xlab(1), xlab(1)): ONE})
+    assert got == Element({(xlab(1), xlab(1)): ONE})
     assert wd.element_str(got) == "x#d"
 
 
@@ -272,18 +273,18 @@ def test_fock_apply_weyl(wd):
     d = wd.embed_minus(xel(1))
     assert fock_apply(wd, d, xel(3)) == xel(2, q_int(3))
     assert fock_apply(wd, wd.unit(), xel(2)) == xel(2)
-    xd = DoubleElement({(xlab(1), xlab(1)): ONE})
+    xd = Element({(xlab(1), xlab(1)): ONE})
     assert fock_apply(wd, xd, xel(1)) == xel(1)
 
 
 def test_fock_apply_is_algebra_action(wd, a2):
     for D, N in ((wd, 3), (a2.double, 2)):
         plus = [
-            DoubleElement({(a, D.minus.unit_label): ONE})
+            Element({(a, D.minus.unit_label): ONE})
             for a in D.plus.labels_up_to(N)
         ]
         minus = [
-            DoubleElement({(D.plus.unit_label, x): ONE})
+            Element({(D.plus.unit_label, x): ONE})
             for x in D.minus.labels_up_to(N)
         ]
         els = plus + minus
@@ -292,7 +293,7 @@ def test_fock_apply_is_algebra_action(wd, a2):
             for v in els:
                 uv = smash_multiply(D, u, v)
                 for b in inputs:
-                    eb = GradedElement.from_label(b)
+                    eb = Element.from_label(b)
                     assert fock_apply(D, uv, eb) == fock_apply(
                         D, u, fock_apply(D, v, eb)
                     )
@@ -372,10 +373,10 @@ def test_commutation_coefficient_independent_of_b(a2):
     ]
     for b in (mp_label(((2,), ())), mp_label(((), (2,))), mp_label(((1, 1), ()))):
         ab = D.plus.product(a, b)
-        lhs = GradedElement.zero()
+        lhs = Element.zero()
         for l, c in ab.terms.items():
             lhs = lhs + D.action_label(x, l).scale(c)
-        rhs = GradedElement.zero()
+        rhs = Element.zero()
         for x1, x2, coeff in shared:
             part = multiply(D.plus, D.action_label(x1, a), D.action_label(x2, b))
             rhs = rhs + part.scale(coeff)
@@ -426,6 +427,36 @@ def test_shifted_context_keeps_generators(wd):
     assert got == normal_order(wd, [tok("d"), tok("x")])
 
 
+SHIFT_WORDS = {
+    "weyl": [[tok("d", power=2), tok("x", power=2)],
+             [tok("x"), tok("d"), tok("x", power=3), tok("d")]],
+    "qheis[2]": [[tok("p'", 2, 1), tok("p", 2, 1)],
+                 [tok("h'", 2, 1), tok("h", 2, 2), tok("p'", 1, 2)]],
+}
+
+
+@pytest.mark.parametrize("alpha", [((0,),), ((1,),), ((-2,),), ((3,),)])
+def test_shifted_matches_general_shift_formula(weyl, a2, alpha):
+    alpha = BiadditiveMap(alpha)
+    zero = BiadditiveMap.zero(1)
+    for inst in (weyl, a2):
+        D = inst.double
+        S = D.shifted(alpha)
+        chi_t, xi_t, gamma_t = shift_twisting(
+            D.plus.twisting, D.minus.twisting, D.gamma, alpha, alpha, zero, zero)
+        assert (S.plus.twisting, S.minus.twisting, S.gamma) == \
+            (chi_t, xi_t, gamma_t)
+        # shifted_instance is the same construction, reached through an Instance
+        T = shifted_instance(inst, alpha).double
+        assert (T.plus.twisting, T.minus.twisting, T.gamma) == \
+            (chi_t, xi_t, gamma_t)
+        assert T.name == S.name
+        for word in SHIFT_WORDS[D.name]:
+            printed = S.element_str(normal_order(S, word))
+            assert T.element_str(normal_order(T, word)) == printed
+            assert D.element_str(normal_order(D, word)) == printed
+
+
 # ---------------------------------------------------------------------------
 # General-exponent structure of the action identity
 
@@ -440,11 +471,11 @@ def test_action_coefficient_formula_random_degrees(weyl):
         m = rng.randint(0, 5)
         n = rng.randint(0, 5)
         got = left_regular_action(P, xel(m), xel(n))
-        expected = GradedElement.zero()
+        expected = Element.zero()
         for (a1, a2), c in weyl.plus.coproduct(xlab(n)).terms.items():
             val = P.pair_labels(xlab(m), a2)
             if val.is_zero:
                 continue
             coeff = q_power(gp.evaluate(a1.degree, a2.degree)) * c * val
-            expected = expected + GradedElement.from_label(a1, coeff)
+            expected = expected + Element.from_label(a1, coeff)
         assert got == expected

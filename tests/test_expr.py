@@ -14,7 +14,7 @@ from heisdouble.expr import (
     pure_plus,
     tokenize,
 )
-from heisdouble.hopf import BasisLabel, GradedElement
+from heisdouble.hopf import BasisLabel, Element
 from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a, identity_form, mp_label
 from heisdouble.scalars import ONE, Q, RatFunc, q_power
 
@@ -35,7 +35,7 @@ def ld():
 
 
 def xel(n):
-    return GradedElement.from_label(BasisLabel(n, (n,)))
+    return Element.from_label(BasisLabel(n, (n,)))
 
 
 # -- tokenizer -----------------------------------------------------------
@@ -171,11 +171,11 @@ def test_evaluate_generator_arity_errors(wd, qd):
 
 
 def test_evaluate_qheis_generators(qd):
-    p21 = qd.embed_plus(GradedElement.from_label(mp_label(((2,), ()))))
+    p21 = qd.embed_plus(Element.from_label(mp_label(((2,), ()))))
     assert evaluate_text(qd, "p[2,1]") == p21
     lhs = evaluate_text(qd, "p'[1,1]*p[1,2]")
-    x = qd.embed_minus(GradedElement.from_label(mp_label(((1,), ()))))
-    a = qd.embed_plus(GradedElement.from_label(mp_label(((), (1,)))))
+    x = qd.embed_minus(Element.from_label(mp_label(((1,), ()))))
+    a = qd.embed_plus(Element.from_label(mp_label(((), (1,)))))
     assert lhs == smash_multiply(qd, x, a)
 
 

@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
-from heisdouble.double import IncompatiblePairError, left_regular_action, smash_multiply
-from heisdouble.hopf import GradedElement, TensorElement, comultiply, multiply
+from heisdouble.double import (IncompatiblePairError, left_regular_action,
+                               max_term_degree, smash_multiply)
+from heisdouble.hopf import Element, comultiply, multiply
 from heisdouble.instances import (
     ConfigError,
     SingularFormError,
@@ -55,7 +56,7 @@ def cmp_(lam, i, ncolors):
 
 
 def p_elt(mp):
-    return GradedElement.from_label(mp_label(mp))
+    return Element.from_label(mp_label(mp))
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +88,9 @@ def test_weyl_minus_twisting_is_the_dual_twisting(weyl):
 
 
 def test_weyl_pairing_values(weyl):
-    d3 = GradedElement.from_label(weyl.minus.basis((3,))[0])
-    x3 = GradedElement.from_label(weyl.plus.basis((3,))[0])
-    x2 = GradedElement.from_label(weyl.plus.basis((2,))[0])
+    d3 = Element.from_label(weyl.minus.basis((3,))[0])
+    x3 = Element.from_label(weyl.plus.basis((3,))[0])
+    x2 = Element.from_label(weyl.plus.basis((2,))[0])
     assert weyl.pairing.pair(d3, x3) == q_factorial(3)
     assert weyl.pairing.pair(d3, x2) == ZERO
 
@@ -279,7 +280,7 @@ def test_phi_is_adjoint_to_multiplication(a2):
 
 
 def test_h_element_examples():
-    assert h_element(1, 0, 1) == GradedElement.from_label(mp_label(((),)))
+    assert h_element(1, 0, 1) == Element.from_label(mp_label(((),)))
     assert h_element(1, -1, 1).is_zero
     assert h_element(1, 1, 1) == p_elt(((1,),))
     h2 = h_element(1, 2, 1)
@@ -295,7 +296,7 @@ def test_h_newton_identity(sc, a2):
     for H, ncolors, i in ((sc.plus, 1, 1), (a2.plus, 2, 2)):
         top = 7 if ncolors == 1 else 5
         for n in range(1, top):
-            rhs = GradedElement.zero()
+            rhs = Element.zero()
             for r in range(1, n + 1):
                 term = multiply(H, h_element(ncolors, n - r, i),
                                 p_elt(smp(r, i, ncolors)))
@@ -307,9 +308,9 @@ def test_h_coproduct_is_grouplike_sum(sc, a2):
     # Delta h_n = sum_k h_k (x) h_{n-k}
     for H, ncolors, i, top in ((sc.plus, 1, 1, 5), (a2.plus, 2, 1, 4)):
         for n in range(top):
-            expected = TensorElement.zero()
+            expected = Element.zero()
             for k in range(n + 1):
-                expected = expected + TensorElement.tensor(
+                expected = expected + Element.tensor(
                     h_element(ncolors, k, i), h_element(ncolors, n - k, i))
             assert comultiply(H, h_element(ncolors, n, i)) == expected
 
@@ -479,7 +480,7 @@ def test_shifted_instance_weyl(weyl):
     # generator hooks survive the shift
     u = s.double.generator_element("x")
     assert not u.is_zero
-    assert u.max_term_degree() == 1
+    assert max_term_degree(u) == 1
 
 
 def test_shifted_instance_qheis_keeps_axioms(a2):
@@ -489,8 +490,13 @@ def test_shifted_instance_qheis_keeps_axioms(a2):
 
 
 def test_shifted_instance_rejects_bad_beta(weyl):
+    # a symmetric beta breaks compatibility through either entry point
     with pytest.raises(IncompatiblePairError):
         shifted_instance(weyl, BiadditiveMap.zero(1), BiadditiveMap(((2,),)))
+    with pytest.raises(IncompatiblePairError):
+        shifted_instance(weyl, ((0,),), ((2,),))
+    with pytest.raises(IncompatiblePairError):
+        weyl.double.shifted(BiadditiveMap.zero(1), BiadditiveMap(((2,),)))
 
 
 # -- configuration loading -----------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heisdouble.hopf import BasisLabel, GradedElement, TensorElement
+from heisdouble.hopf import BasisLabel, Element
 from heisdouble.instances import (
     _weyl_presentation,
     build_lattice,
@@ -35,7 +35,7 @@ def xlab(n):
 
 
 def xel(n, coeff=ONE):
-    return GradedElement.from_label(xlab(n), coeff)
+    return Element.from_label(xlab(n), coeff)
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +73,10 @@ def test_pair_unit_is_counit(weyl, a2):
         one_plus = inst.plus.unit_element()
         for a in inst.plus.labels_up_to(3):
             expected = ONE if a == inst.plus.unit_label else ZERO
-            assert P.pair(one_minus, GradedElement.from_label(a)) == expected
+            assert P.pair(one_minus, Element.from_label(a)) == expected
         for x in inst.minus.labels_up_to(3):
             expected = ONE if x == inst.minus.unit_label else ZERO
-            assert P.pair(GradedElement.from_label(x), one_plus) == expected
+            assert P.pair(Element.from_label(x), one_plus) == expected
 
 
 def test_pair_single_power_sums(a2):
@@ -84,8 +84,8 @@ def test_pair_single_power_sums(a2):
     A = a2.meta["cartan"]
     for i in (1, 2):
         for j in (1, 2):
-            x = GradedElement.from_label(mp_label((((1,), ()) if i == 1 else ((), (1,)))))
-            a = GradedElement.from_label(mp_label((((1,), ()) if j == 1 else ((), (1,)))))
+            x = Element.from_label(mp_label((((1,), ()) if i == 1 else ((), (1,)))))
+            a = Element.from_label(mp_label((((1,), ()) if j == 1 else ((), (1,)))))
             assert P.pair(x, a) == q_int_sym(A[i - 1][j - 1])
 
 
@@ -99,10 +99,10 @@ def test_pair_bilinear(weyl):
 
 def test_pair_tensor(weyl):
     P = weyl.pairing
-    s = TensorElement.tensor(xel(1), xel(1))
-    t = TensorElement.tensor(xel(1), xel(1))
+    s = Element.tensor(xel(1), xel(1))
+    t = Element.tensor(xel(1), xel(1))
     assert P.pair_tensor(s, t) == ONE
-    mixed = TensorElement.tensor(xel(1), xel(2))
+    mixed = Element.tensor(xel(1), xel(2))
     assert P.pair_tensor(s, mixed) == ZERO
 
 
@@ -131,6 +131,24 @@ def test_axioms_wrong_gamma_fails(weyl):
     assert not rep.passed
     w = rep.witness
     assert "d^2" in str(w) and "x" in str(w)
+
+
+def test_axioms_corrupted_degree_two_gram_entry_fails(weyl):
+    # The axiom loops visit only degree-matched triples; a wrong Gram value
+    # in one stratum must still be caught there, with its witness.
+    gram = weyl.pairing._gram_fn
+
+    def corrupted(x, a):
+        v = gram(x, a)
+        return v + ONE if a.degree == (2,) else v
+
+    bad = TwistedPairing(weyl.minus, weyl.plus, weyl.pairing.gamma, corrupted,
+                         name="weyl-corrupt")
+    assert check_pairing_axioms(bad, 1).passed
+    rep = check_pairing_axioms(bad, 3)
+    assert not rep.passed
+    assert rep.witness["identity"] == "product-coproduct (minus side)"
+    assert rep.witness["labels"] == "d, d | x^2"
 
 
 def test_axioms_qheis_pass(a2):

@@ -293,3 +293,25 @@ def test_hash_consistency():
     assert hash(Q + 1) == hash((Q**2 - 1) / (Q - 1))
     s = {ONE, Q, Q + 1, (Q**2 - 1) / (Q - 1)}
     assert len(s) == 3
+
+
+@pytest.mark.parametrize("r, other", [
+    (ONE, 1),
+    (ZERO, 0),
+    (RatFunc.from_int(-3), -3),
+    (RatFunc.from_fraction(Fraction(4, 2)), 2),
+    (RatFunc.from_fraction(Fraction(-1, 2)), Fraction(-1, 2)),
+    (ONE, Fraction(1)),
+    (ONE, LP_ONE),
+    (ZERO, LP_ZERO),
+    (RatFunc.from_int(5), LaurentPoly.const(5)),
+    (Q + 1, lp({0: 1, 1: 1})),
+    (QINV, lp({-1: 1})),
+])
+def test_hash_agrees_with_equal_operands(r, other):
+    assert r == other
+    assert hash(r) == hash(other)
+    assert other in {r} and r in {other}
+    assert {r: "r"}[other] == "r"
+    assert {other: "o"}[r] == "o"
+    assert len({r, other}) == 1
