@@ -14,7 +14,8 @@ from heisdouble.double import (
 )
 from heisdouble.expr import evaluate_text
 from heisdouble.hopf import element_str
-from heisdouble.instances import build_qheis, cartan_a, h_element, qheis_pair
+from heisdouble.instances import (build_qheis, cartan_a, h_element, q_factor,
+                                  sym_pair)
 from heisdouble.scalars import q_int_sym
 
 A = cartan_a(2)
@@ -27,8 +28,9 @@ print("\npairing of single power sums <p'_{n,i}, p_{n,j}>:")
 for n in (1, 2):
     for i in (1, 2):
         for j in (1, 2):
-            v = qheis_pair(A, tuple((n,) if c == i else () for c in (1, 2)),
-                           tuple((n,) if c == j else () for c in (1, 2)))
+            v = sym_pair(q_factor(A),
+                         tuple((n,) if c == i else () for c in (1, 2)),
+                         tuple((n,) if c == j else () for c in (1, 2)))
             print("  n=%d i=%d j=%d : %s" % (n, i, j, v))
 
 # the p-relation: commutator is a scalar, delta on degrees

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .hopf import (Element, _acc, coeff_prefix, degrees_up_to, element_str,
-                   multiply, scalar_term_str, shifted_presentation)
+from .hopf import (Element, _acc, bounded_tuples, degrees_up_to, element_str,
+                   multiply, shifted_presentation, terms_str)
 from .linalg import sparse_rank
 from .pairing import TwistedPairing
 from .report import failing, passing
@@ -195,8 +195,6 @@ class HeisenbergDouble:
     def pair_text(self, pair):
         a, x = pair
         pu, mu = self.plus.unit_label, self.minus.unit_label
-        if a == pu and x == mu:
-            return "1"
         if x == mu:
             return self.plus.label_text(a)
         if a == pu:
@@ -205,25 +203,8 @@ class HeisenbergDouble:
 
     def element_str(self, u):
         """Canonical printed normal form, highest-degree terms first."""
-        if u.is_zero:
-            return "0"
-        unit_pair = (self.plus.unit_label, self.minus.unit_label)
-        if set(u.terms) == {unit_pair}:
-            return str(u.terms[unit_pair])
-        parts = []
-        for p in sorted(u.terms, key=self.pair_sort_key, reverse=True):
-            c = u.terms[p]
-            if p == unit_pair:
-                s = scalar_term_str(c)
-            else:
-                s = coeff_prefix(c) + self.pair_text(p)
-            if not parts:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
+        return terms_str(u, (self.plus.unit_label, self.minus.unit_label),
+                         self.pair_sort_key, self.pair_text, reverse=True)
 
     def __repr__(self):
         return "HeisenbergDouble(%s)" % self.name
@@ -442,26 +423,16 @@ def verify_shift_invariance(D, alpha, N):
     coproduct shift alpha on both sides: smash products of all normal-form
     basis pairs with total degree sum <= N agree coefficientwise."""
     D2 = D.shifted(alpha)
-    plus_labels = D.plus.labels_up_to(N)
-    minus_labels = D.minus.labels_up_to(N)
-    quads = []
-    for a in plus_labels:
-        da = deg_total(a.degree)
-        for x in minus_labels:
-            dax = da + deg_total(x.degree)
-            if dax <= N:
-                quads.append((a, x, dax))
-    for a, x, d1 in quads:
-        for b, y, d2 in quads:
-            if d1 + d2 > N:
-                continue
-            lhs = D.smash_labels(a, x, b, y)
-            rhs = D2.smash_labels(a, x, b, y)
-            if lhs != rhs:
-                return failing(
-                    "verify_shift_invariance", D.name, N,
-                    labels="(%s # %s)(%s # %s)" % (
-                        D.plus.label_text(a), D.minus.label_text(x),
-                        D.plus.label_text(b), D.minus.label_text(y)),
-                    lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
+    pairs = list(bounded_tuples(
+        [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
+    for (a, x), (b, y) in bounded_tuples([pairs, pairs], N):
+        lhs = D.smash_labels(a, x, b, y)
+        rhs = D2.smash_labels(a, x, b, y)
+        if lhs != rhs:
+            return failing(
+                "verify_shift_invariance", D.name, N,
+                labels="(%s # %s)(%s # %s)" % (
+                    D.plus.label_text(a), D.minus.label_text(x),
+                    D.plus.label_text(b), D.minus.label_text(y)),
+                lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
     return passing("verify_shift_invariance", D.name, N)

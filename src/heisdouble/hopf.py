@@ -147,6 +147,33 @@ def degrees_up_to(rank, N):
     return out
 
 
+def bounded_tuples(pools, N):
+    """Tuples taking their i-th entry from pools[i] whose total degrees sum
+    to at most N, in lexicographic order of pool positions.
+
+    An entry is a BasisLabel or a tuple of them (a tuple this function
+    yielded), whose total degree is the sum over its labels.
+    """
+    weighted = [[(x, _total(x)) for x in pool] for pool in pools]
+    last = len(weighted) - 1
+
+    def rec(i, budget, prefix):
+        for x, d in weighted[i]:
+            if d <= budget:
+                if i == last:
+                    yield prefix + (x,)
+                else:
+                    yield from rec(i + 1, budget - d, prefix + (x,))
+
+    return rec(0, N, ())
+
+
+def _total(x):
+    if isinstance(x, BasisLabel):
+        return deg_total(x.degree)
+    return sum(deg_total(l.degree) for l in x)
+
+
 class HopfPresentation:
     """Degreewise-lazy presentation of a graded connected twisted bialgebra.
 
@@ -375,18 +402,28 @@ def _antipode_label(H, label):
 
 def element_str(H, u):
     """Canonical printed form: terms sorted by degree then basis position."""
+    return terms_str(u, H.unit_label, H.label_sort_key, H.label_text)
+
+
+def terms_str(u, unit, sort_key, text, reverse=False):
+    """Printed form of u: terms in sort_key order (descending when reverse),
+    each a coefficient prefix and text(key), joined by signs; the unit key
+    prints as a bare scalar."""
     if u.is_zero:
         return "0"
-    if set(u.terms) == {H.unit_label}:
-        return str(u.terms[H.unit_label])
+    if set(u.terms) == {unit}:
+        return str(u.terms[unit])
     parts = []
-    for l in sorted(u.terms, key=H.label_sort_key):
-        c = u.terms[l]
-        body = H.label_text(l)
-        if l == H.unit_label:
-            s = scalar_term_str(c)
+    for k in sorted(u.terms, key=sort_key, reverse=reverse):
+        c = u.terms[k]
+        if k == unit:
+            s = _scalar_text(c)
+        elif c == ONE:
+            s = text(k)
+        elif c == -ONE:
+            s = "-" + text(k)
         else:
-            s = coeff_prefix(c) + body
+            s = _scalar_text(c) + "*" + text(k)
         if not parts:
             parts.append(s)
         elif s.startswith("-"):
@@ -396,24 +433,11 @@ def element_str(H, u):
     return "".join(parts)
 
 
-def coeff_prefix(c):
-    """Multiplier prefix for a printed basis term, re-parseable as a factor."""
-    if c == ONE:
-        return ""
-    if c == -ONE:
-        return "-"
-    if c.is_monomial:
-        return "%s*" % c
-    if c.is_laurent:
-        return "(%s)*" % c
-    return "%s*" % c  # rational form already prints as (num)/(den)
-
-
-def scalar_term_str(c):
-    """A scalar as a standalone printed term, parenthesized when needed."""
-    if c.is_monomial:
-        return str(c)
-    if c.is_laurent:
+def _scalar_text(c):
+    """A scalar as a printed factor, re-parseable: a Laurent polynomial with
+    several terms is parenthesized (a quotient already prints as
+    (num)/(den))."""
+    if c.is_laurent and not c.is_monomial:
         return "(%s)" % c
     return str(c)
 
@@ -479,11 +503,11 @@ def check_bialgebra(H, N):
                         element_str(H, Element._raw(left)), element_str(H, ea))
 
     # associativity on basis triples
-    for a, b, c in _triples(H, N):
-        lhs = multiply(H, multiply(H, a, b), c)
-        rhs = multiply(H, a, multiply(H, b, c))
+    for a, b, c in bounded_tuples([labels] * 3, N):
+        lhs = multiply(H, H.product(a, b), Element.from_label(c))
+        rhs = multiply(H, Element.from_label(a), H.product(b, c))
         if lhs != rhs:
-            return fail("associativity", _texts(H, a, b, c),
+            return fail("associativity", ", ".join(map(H.label_text, (a, b, c))),
                         element_str(H, lhs), element_str(H, rhs))
 
     # coassociativity on single labels
@@ -499,24 +523,22 @@ def check_bialgebra(H, N):
             return fail("coassociativity", H.label_text(a), repr(l3), repr(r3))
 
     # coproduct is an algebra map for the twisted tensor product
-    for a in labels:
-        for b in labels:
-            if deg_total(a.degree) + deg_total(b.degree) > N:
-                continue
-            lhs = comultiply(H, H.product(a, b))
-            rhs = twisted_tensor_multiply(H, H.coproduct(a), H.coproduct(b))
-            if lhs != rhs:
-                return fail("coproduct multiplicativity",
-                            "%s, %s" % (H.label_text(a), H.label_text(b)),
-                            repr(lhs.terms), repr(rhs.terms))
+    pairs = list(bounded_tuples([labels] * 2, N))
+    for a, b in pairs:
+        lhs = comultiply(H, H.product(a, b))
+        rhs = twisted_tensor_multiply(H, H.coproduct(a), H.coproduct(b))
+        if lhs != rhs:
+            return fail("coproduct multiplicativity",
+                        "%s, %s" % (H.label_text(a), H.label_text(b)),
+                        repr(lhs.terms), repr(rhs.terms))
 
     # twisted associativity on the tensor square
-    for pairs in _tensor_triples(H, N):
-        (s, t, u) = pairs
+    for triple in bounded_tuples([pairs] * 3, N):
+        s, t, u = (Element._raw({p: ONE}) for p in triple)
         lhs = twisted_tensor_multiply(H, twisted_tensor_multiply(H, s, t), u)
         rhs = twisted_tensor_multiply(H, s, twisted_tensor_multiply(H, t, u))
         if lhs != rhs:
-            return fail("twisted tensor associativity", repr(pairs),
+            return fail("twisted tensor associativity", repr((s, t, u)),
                         repr(lhs.terms), repr(rhs.terms))
 
     # antipode laws
@@ -534,42 +556,3 @@ def check_bialgebra(H, N):
                         element_str(H, left), element_str(H, right))
 
     return passing("check_bialgebra", H.name, N)
-
-
-def _texts(H, *labels):
-    return ", ".join(H.label_text(l) for l in labels)
-
-
-def _triples(H, N):
-    labels = H.labels_up_to(N)
-    for a in labels:
-        da = deg_total(a.degree)
-        for b in labels:
-            dab = da + deg_total(b.degree)
-            if dab > N:
-                continue
-            for c in labels:
-                if dab + deg_total(c.degree) > N:
-                    continue
-                yield (Element.from_label(a), Element.from_label(b),
-                       Element.from_label(c))
-
-
-def _tensor_triples(H, N):
-    labels = H.labels_up_to(N)
-    pairs = []
-    for a in labels:
-        da = deg_total(a.degree)
-        for b in labels:
-            if da + deg_total(b.degree) <= N:
-                pairs.append((a, b, da + deg_total(b.degree)))
-    for a, b, d1 in pairs:
-        for c, d, d2 in pairs:
-            if d1 + d2 > N:
-                continue
-            for e, f, d3 in pairs:
-                if d1 + d2 + d3 > N:
-                    continue
-                yield (Element._raw({(a, b): ONE}),
-                       Element._raw({(c, d): ONE}),
-                       Element._raw({(e, f): ONE}))

@@ -16,9 +16,9 @@ from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
 from .hopf import BasisLabel, Element, HopfPresentation, _acc
 from .linalg import det_bareiss
 from .pairing import TwistedPairing
-from .partitions import (check_partition, mp_empty, mp_remove_part,
-                         mp_sub_multisets, mp_union, multipartitions_of,
-                         multiplicities, partitions_of)
+from .partitions import (check_partition, difference, mp_empty,
+                         mp_remove_part, mp_sub_multisets, mp_union,
+                         multipartitions_of, multiplicities, partitions_of)
 from .report import failing, passing
 from .scalars import (ONE, RatFunc, ZERO, q_binomial, q_factorial, q_int_sym)
 from .twisting import BiadditiveMap, TwistingDatum
@@ -136,7 +136,7 @@ def _sym_presentation(name, ncolors, letter):
     def coproduct_fn(label):
         t = {}
         for mu, ways in mp_sub_multisets(label.key):
-            rest = tuple(_diff_sorted(lam, m) for lam, m in zip(label.key, mu))
+            rest = tuple(difference(lam, m) for lam, m in zip(label.key, mu))
             t[(mp_label(mu), mp_label(rest))] = RatFunc.from_int(ways)
         return Element._raw(t)
 
@@ -149,13 +149,6 @@ def _sym_presentation(name, ncolors, letter):
 
     return HopfPresentation(name, 1, twisting, unit, basis_fn, product_fn,
                             coproduct_fn, text_fn)
-
-
-def _diff_sorted(lam, mu):
-    out = list(lam)
-    for x in mu:
-        out.remove(x)
-    return tuple(out)
 
 
 def _single(n, i, ncolors):
@@ -264,18 +257,6 @@ def lattice_factor(B):
     return factor
 
 
-def qheis_pair(A, mp_minus, mp_plus):
-    return sym_pair(q_factor(A), mp_minus, mp_plus)
-
-
-def qheis_pair_perm(A, mp_minus, mp_plus):
-    return sym_pair_perm(q_factor(A), mp_minus, mp_plus)
-
-
-def lattice_pair(B, mp_minus, mp_plus):
-    return sym_pair(lattice_factor(B), mp_minus, mp_plus)
-
-
 # -- power sums, phi operators, and complete homogeneous elements --------
 
 
@@ -381,7 +362,10 @@ def nonsingularity_check(A, kmax):
 
 
 def _check_symmetric(m, what):
-    m = tuple(tuple(int(v) for v in row) for row in m)
+    try:
+        m = tuple(tuple(int(v) for v in row) for row in m)
+    except TypeError:
+        raise ConfigError("%s must be a list of integer rows" % what) from None
     n = len(m)
     if any(len(row) != n for row in m) or n == 0:
         raise ConfigError("%s must be a nonempty square matrix" % what)
@@ -586,6 +570,11 @@ def load_instance(config):
             raise
         raise ConfigError(str(e)) from None
     if shift is not None:
+        for m in shift:
+            if m is not None and m.rank != inst.double.rank:
+                raise ConfigError("shift matrices must be %dx%d for %s, got %dx%d"
+                                  % (inst.double.rank, inst.double.rank,
+                                     inst.name, m.rank, m.rank))
         try:
             inst = shifted_instance(inst, *shift)
         except IncompatiblePairError as e:
@@ -608,6 +597,8 @@ def _parse_shift(raw):
     try:
         a = BiadditiveMap(alpha) if alpha is not None else None
         b = BiadditiveMap(beta) if beta is not None else None
+    except TypeError:
+        raise ConfigError("shift alpha/beta must be lists of integer rows") from None
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if a is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import gcd
+from operator import truediv
 
 from .scalars import LP_ONE, LP_ZERO, ONE, ZERO, RatFunc, laurent_exact_div
 
@@ -31,10 +32,20 @@ def det_bareiss(rows):
                 c = c * d // gcd(c, d)
             factor *= c
             scaled.append([(v * c).as_laurent() for v in r])
-        return _det_bareiss_laurent(scaled) / factor
-    m = [list(r) for r in rows]
+        return RatFunc(_bareiss(scaled, LP_ONE, LP_ZERO, laurent_exact_div)) / factor
+    return _bareiss([list(r) for r in rows], ONE, ZERO, truediv)
+
+
+def _bareiss(m, one, zero, div):
+    """Determinant of the square matrix m (n >= 1), eliminated in place.
+
+    one and zero are the ring's constants and div(a, b) its exact division;
+    a row whose pivot-column entry is already zero only scales, and skips
+    the division while the previous pivot is still one.
+    """
+    n = len(m)
     sign = 1
-    prev = ONE
+    prev = one
     for k in range(n - 1):
         if m[k][k].is_zero:
             for i in range(k + 1, n):
@@ -43,47 +54,25 @@ def det_bareiss(rows):
                     sign = -sign
                     break
             else:
-                return ZERO
+                return zero
         pivot = m[k][k]
         for i in range(k + 1, n):
+            row = m[i]
+            lead = row[k]
+            if lead.is_zero:
+                if prev is one:
+                    for j in range(k + 1, n):
+                        row[j] = row[j] * pivot
+                else:
+                    for j in range(k + 1, n):
+                        row[j] = div(row[j] * pivot, prev)
+                continue
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
+                row[j] = div(row[j] * pivot - lead * m[k][j], prev)
+            row[k] = zero
         prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _det_bareiss_laurent(m):
-    n = len(m)
-    sign = 1
-    prev = LP_ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k].is_zero:
-                if prev is not LP_ONE:
-                    for j in range(k + 1, n):
-                        m[i][j] = laurent_exact_div(m[i][j] * pivot, prev)
-                else:
-                    for j in range(k + 1, n):
-                        m[i][j] = m[i][j] * pivot
-                continue
-            for j in range(k + 1, n):
-                m[i][j] = laurent_exact_div(
-                    m[i][j] * pivot - m[i][k] * m[k][j], prev)
-            m[i][k] = LP_ZERO
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return RatFunc(-det if sign < 0 else det)
 
 
 def sparse_rank(rows):

@@ -22,35 +22,12 @@ def check_partition(lam):
     return lam
 
 
-def partition_size(lam):
-    return sum(lam)
-
-
-def partition_length(lam):
-    return len(lam)
-
-
-def multiplicity(lam, k):
-    """Number of parts of lam equal to k."""
-    return lam.count(k)
-
-
 def multiplicities(lam):
     """Dict part value -> multiplicity, keys descending."""
     out = {}
     for x in lam:
         out[x] = out.get(x, 0) + 1
     return out
-
-
-def add_part(lam, k):
-    """The partition lam with one extra part k."""
-    if k <= 0:
-        raise ValueError("part must be positive")
-    out = list(lam)
-    out.append(k)
-    out.sort(reverse=True)
-    return tuple(out)
 
 
 def remove_part(lam, k):
@@ -122,25 +99,8 @@ def sub_multisets(lam):
 # -- multipartitions ----------------------------------------------------
 
 
-def check_multipartition(mp, ncolors):
-    mp = tuple(check_partition(lam) for lam in mp)
-    if len(mp) != ncolors:
-        raise ValueError("expected %d components, got %d" % (ncolors, len(mp)))
-    return mp
-
-
-def mp_size(mp):
-    return sum(sum(lam) for lam in mp)
-
-
 def mp_empty(ncolors):
     return ((),) * ncolors
-
-
-def mp_add_part(mp, k, color):
-    """Add one part k in the given 1-based color."""
-    i = color - 1
-    return mp[:i] + (add_part(mp[i], k),) + mp[i + 1:]
 
 
 def mp_remove_part(mp, k, color):

@@ -278,6 +278,21 @@ def test_bad_config_path(cfg, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"type": "weyl", "shift": {"alpha": [[1, 0], [0, 1]]}},
+    {"type": "weyl", "shift": {"alpha": 5}},
+    {"type": "lattice", "form": 5},
+])
+def test_malformed_config_is_config_error(payload, capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, ["verify", "--instance", str(p),
+                                "--max-degree", "1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_expression_syntax_error(cfg, capsys):
     rc, _, err = run(capsys, ["normal-order", "--instance", cfg["weyl"],
                               "--expr", "x +"])

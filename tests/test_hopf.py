@@ -1,5 +1,7 @@
 """Generic twisted bialgebra engine, exercised mostly on the Weyl presentations."""
 
+from itertools import product
+
 import pytest
 
 from heisdouble.hopf import (
@@ -8,6 +10,7 @@ from heisdouble.hopf import (
     HopfPresentation,
     PresentationError,
     antipode,
+    bounded_tuples,
     check_bialgebra,
     comultiply,
     counit,
@@ -78,6 +81,23 @@ def test_tensor_element_arithmetic():
 def test_degrees_up_to():
     assert degrees_up_to(1, 2) == [(0,), (1,), (2,)]
     assert degrees_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_bounded_tuples_matches_filtered_product(weyl_plus, weyl_minus):
+    def total(t):
+        return sum(sum(l.degree) for x in t
+                   for l in (x if isinstance(x, tuple) else (x,)))
+
+    labels = build_qheis(cartan_a(2)).plus.labels_up_to(3)
+    for k in (1, 2, 3):
+        for N in (0, 2, 3):
+            got = list(bounded_tuples([labels] * k, N))
+            assert got == [t for t in product(*[labels] * k) if total(t) <= N]
+    pools = [weyl_plus.labels_up_to(4), weyl_minus.labels_up_to(4)]
+    pairs = list(bounded_tuples(pools, 4))
+    assert pairs == [t for t in product(*pools) if total(t) <= 4]
+    assert list(bounded_tuples([pairs, pairs], 4)) == [
+        t for t in product(pairs, pairs) if total(t) <= 4]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +283,21 @@ def test_check_bialgebra_broken_twisting_fails():
     payload = rep.to_json()
     assert payload["status"] == "fail"
     assert payload["witness"]["identity"] == "coproduct multiplicativity"
+
+
+def test_check_bialgebra_associativity_failure_witness(weyl_plus):
+    H = weyl_plus
+
+    def product_fn(l1, l2):
+        val = H.product(l1, l2)
+        return val.scale(Q) if (l1.key, l2.key) == (1, 2) else val
+
+    broken = HopfPresentation("weyl-nonassoc", 1, H.twisting, H.unit_label,
+                              H.basis, product_fn, H.coproduct, H.label_text)
+    rep = check_bialgebra(broken, 3)
+    assert not rep.passed
+    assert rep.witness == {"identity": "associativity", "labels": "x, x, x",
+                           "lhs": "x^3", "rhs": "q*x^3"}
 
 
 def test_commutative_retwist_weyl():

@@ -20,15 +20,16 @@ from heisdouble.instances import (
     h_adjoint,
     h_element,
     identity_form,
-    lattice_pair,
+    lattice_factor,
     load_instance,
     mp_label,
     nonsingularity_check,
     phi_derivation,
-    qheis_pair,
-    qheis_pair_perm,
+    q_factor,
     rank_one_form,
     shifted_instance,
+    sym_pair,
+    sym_pair_perm,
     z_classical,
     z_quantum,
     zero_form,
@@ -166,37 +167,39 @@ def test_qheis_pair_single_color_closed_form():
     for n in range(6):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert qheis_pair(A, (lam,), (mu,)) == oracle(lam, mu)
+                assert sym_pair(q_factor(A), (lam,), (mu,)) == oracle(lam, mu)
 
 
 def test_qheis_pair_mixed_color_value():
     # <p'_{1,1} p'_{1,2}, p_{1,1} p_{1,2}> = [2]^2 + [-1]^2 = q^-2 + 3 + q^2
     mp = ((1,), (1,))
     expected = q_int_sym(2) ** 2 + ONE
-    assert qheis_pair(A2, mp, mp) == expected
+    assert sym_pair(q_factor(A2), mp, mp) == expected
 
 
 def test_qheis_pair_degree_mismatch_is_zero():
-    assert qheis_pair(A2, ((2,), ()), ((1,), (1, 1))) == ZERO
-    assert qheis_pair(A2, ((1,), ()), ((), ())) == ZERO
+    assert sym_pair(q_factor(A2), ((2,), ()), ((1,), (1, 1))) == ZERO
+    assert sym_pair(q_factor(A2), ((1,), ()), ((), ())) == ZERO
 
 
 def test_qheis_pair_part_value_mismatch_is_zero():
     # same degree but no bijection matching part values
-    assert qheis_pair(A2, ((2,), ()), ((1, 1), ())) == ZERO
+    assert sym_pair(q_factor(A2), ((2,), ()), ((1, 1), ())) == ZERO
 
 
 def test_qheis_pair_permutation_route_agrees():
+    f = q_factor(A2)
     for n in range(4):
         mps = multipartitions_of(n, 2)
         for la in mps:
             for mu in mps:
-                assert qheis_pair_perm(A2, la, mu) == qheis_pair(A2, la, mu)
+                assert sym_pair_perm(f, la, mu) == sym_pair(f, la, mu)
+    f1 = q_factor(((2,),))
     for n in range(5):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert qheis_pair_perm(((2,),), (lam,), (mu,)) == qheis_pair(
-                    ((2,),), (lam,), (mu,))
+                assert sym_pair_perm(f1, (lam,), (mu,)) == sym_pair(
+                    f1, (lam,), (mu,))
 
 
 def test_lattice_pair_classical_normalization():
@@ -206,13 +209,14 @@ def test_lattice_pair_classical_normalization():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 expected = RatFunc.from_int(z_classical(lam)) if lam == mu else ZERO
-                assert lattice_pair(B, (lam,), (mu,)) == expected
+                assert sym_pair(lattice_factor(B), (lam,), (mu,)) == expected
 
 
 def test_lattice_pair_orthogonal_colors_vanish():
     B = identity_form(2)
-    assert lattice_pair(B, smp(1, 1, 2), smp(1, 2, 2)) == ZERO
-    assert lattice_pair(B, smp(2, 1, 2), smp(2, 1, 2)) == RatFunc.from_int(2)
+    f = lattice_factor(B)
+    assert sym_pair(f, smp(1, 1, 2), smp(1, 2, 2)) == ZERO
+    assert sym_pair(f, smp(2, 1, 2), smp(2, 1, 2)) == RatFunc.from_int(2)
 
 
 # -- the phi operators ---------------------------------------------------

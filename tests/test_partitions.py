@@ -5,22 +5,15 @@ from math import comb
 import pytest
 
 from heisdouble.partitions import (
-    add_part,
-    check_multipartition,
     check_partition,
     colored_sequence,
     difference,
-    mp_add_part,
     mp_empty,
     mp_remove_part,
-    mp_size,
     mp_sub_multisets,
     mp_union,
     multipartitions_of,
     multiplicities,
-    multiplicity,
-    partition_length,
-    partition_size,
     partitions_of,
     remove_part,
     sub_multisets,
@@ -42,22 +35,20 @@ def test_check_partition():
 
 def test_size_length_multiplicity():
     lam = (4, 2, 2, 1)
-    assert partition_size(lam) == 9
-    assert partition_length(lam) == 4
-    assert multiplicity(lam, 2) == 2
-    assert multiplicity(lam, 3) == 0
-    assert multiplicities(lam) == {4: 1, 2: 2, 1: 1}
-    assert partition_size(()) == 0
+    m = multiplicities(lam)
+    assert m == {4: 1, 2: 2, 1: 1}
+    assert list(m) == [4, 2, 1]
+    assert sum(k * c for k, c in m.items()) == 9
+    assert sum(m.values()) == 4
+    assert multiplicities(()) == {}
 
 
 def test_add_remove_part():
-    assert add_part((3, 1), 2) == (3, 2, 1)
-    assert add_part((), 5) == (5,)
+    assert union((3, 1), (2,)) == (3, 2, 1)
+    assert union((), (5,)) == (5,)
     assert remove_part((3, 2, 1), 2) == (3, 1)
     with pytest.raises(ValueError):
         remove_part((3, 1), 2)
-    with pytest.raises(ValueError):
-        add_part((3, 1), 0)
 
 
 def test_union_difference():
@@ -75,7 +66,7 @@ def test_partitions_of_counts_and_order():
         assert len(set(parts)) == count
         for lam in parts:
             check_partition(lam)
-            assert partition_size(lam) == n
+            assert sum(lam) == n
     assert partitions_of(0) == [()]
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
@@ -96,26 +87,17 @@ def test_sub_multisets():
     for mu, ways in sub_multisets(lam):
         expected = 1
         for k, m in multiplicities(lam).items():
-            expected *= comb(m, multiplicity(mu, k))
+            expected *= comb(m, mu.count(k))
         assert ways == expected
 
 
 def test_multipartition_basics():
-    mp = ((3, 1), (2,))
-    check_multipartition(mp, 2)
-    assert mp_size(mp) == 6
     assert mp_empty(3) == ((), (), ())
-    with pytest.raises(ValueError):
-        check_multipartition(mp, 3)
-    with pytest.raises(ValueError):
-        check_multipartition(((1, 2), ()), 2)
+    assert mp_union(mp_empty(2), ((3, 1), (2,))) == ((3, 1), (2,))
 
 
 def test_mp_add_remove_union():
-    mp = mp_empty(2)
-    mp = mp_add_part(mp, 3, 1)
-    mp = mp_add_part(mp, 1, 2)
-    assert mp == ((3,), (1,))
+    mp = mp_union(mp_empty(2), ((3,), (1,)))
     assert mp_remove_part(mp, 3, 1) == ((), (1,))
     with pytest.raises(ValueError):
         mp_remove_part(mp, 2, 1)
@@ -151,8 +133,10 @@ def test_multipartitions_of():
         assert len(got) == expected
         assert len(set(got)) == expected
         for mp in got:
-            check_multipartition(mp, 2)
-            assert mp_size(mp) == n
+            assert len(mp) == 2
+            for lam in mp:
+                check_partition(lam)
+            assert sum(sum(lam) for lam in mp) == n
     # Sorted by colored sequence, no ties possible.
     seqs = [colored_sequence(mp) for mp in multipartitions_of(4, 3)]
     assert seqs == sorted(seqs)
