@@ -12,7 +12,7 @@ import json
 import sys
 
 from .double import fock_matrix, verify_commutation, verify_shift_invariance, verify_vacuum
-from .expr import (ExprEvalError, ExprSyntaxError, as_scalar, evaluate_text,
+from .expr import (ExprEvalError, ExprSyntaxError, evaluate_text,
                    pure_minus, pure_plus)
 from .hopf import antipode, check_bialgebra, element_str
 from .instances import ConfigError, load_instance

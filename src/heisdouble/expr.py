@@ -14,7 +14,7 @@ carry the 0-based offset of the offending character.
 from __future__ import annotations
 
 from .hopf import Element
-from .scalars import ONE, Q, RatFunc, ZERO
+from .scalars import Q, RatFunc, ZERO
 
 
 class ExprSyntaxError(ValueError):

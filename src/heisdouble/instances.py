@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial
 
 from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
@@ -151,14 +152,10 @@ def _sym_presentation(name, ncolors, letter):
                             coproduct_fn, text_fn)
 
 
-def _single(n, i, ncolors):
-    """The multipartition with the single part n in color i."""
-    if not (1 <= i <= ncolors):
-        raise ConfigError("color %r out of range 1..%d" % (i, ncolors))
-    if n < 1:
-        raise ConfigError("part %r must be a positive integer" % (n,))
+def _in_color(lam, i, ncolors):
+    """The multipartition with the parts lam in color i and none elsewhere."""
     mp = list(mp_empty(ncolors))
-    mp[i - 1] = (n,)
+    mp[i - 1] = tuple(lam)
     return tuple(mp)
 
 
@@ -283,6 +280,7 @@ def phi_derivation(A, k, i, u):
 
     phi_{k,i}(p_{lam,j}) = m_k(lam) [k<i,j>] ([k]/k) p_{lam minus k, j},
     extended as a color-wise derivation to multipartition monomials."""
+    factor = q_factor(A)
     out = {}
     for label, c in u.terms.items():
         mp = label.key
@@ -290,29 +288,26 @@ def phi_derivation(A, k, i, u):
             m = lam.count(k)
             if not m:
                 continue
-            f = q_int_sym(k * A[i - 1][j0]) * q_int_sym(k) / k * m
+            f = factor(k, i, j0 + 1) * m
             if f.is_zero:
                 continue
             _acc(out, mp_label(mp_remove_part(mp, k, j0 + 1)), c * f)
     return Element._raw(out)
 
 
+@cache
 def h_element(ncolors, n, i):
-    """Complete homogeneous element h_{n,i} = sum over lam of p_{lam,i}/Z_lam."""
+    """Complete homogeneous element h_{n,i} = sum over lam of p_{lam,i}/Z_lam.
+
+    Cached: callers share the returned Element and must not mutate it."""
     if n < 0:
         return Element.zero()
     if n == 0:
         return Element.from_label(mp_label(mp_empty(ncolors)))
     terms = {}
     for lam in partitions_of(n):
-        terms[mp_label(_color_mp(lam, i, ncolors))] = ONE / z_quantum(lam)
+        terms[mp_label(_in_color(lam, i, ncolors))] = ONE / z_quantum(lam)
     return Element._raw(terms)
-
-
-def _color_mp(lam, i, ncolors):
-    mp = list(mp_empty(ncolors))
-    mp[i - 1] = tuple(lam)
-    return tuple(mp)
 
 
 def h_adjoint(A, k, i, n, j, double=None):
@@ -363,86 +358,76 @@ def nonsingularity_check(A, kmax):
 
 def _check_symmetric(m, what):
     try:
-        m = tuple(tuple(int(v) for v in row) for row in m)
+        m = BiadditiveMap(m).rows
     except TypeError:
         raise ConfigError("%s must be a list of integer rows" % what) from None
-    n = len(m)
-    if any(len(row) != n for row in m) or n == 0:
+    except ValueError:  # rows of unequal length
+        m = ()
+    if not m:
         raise ConfigError("%s must be a nonempty square matrix" % what)
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ConfigError("%s must be symmetric" % what)
+    if m != tuple(zip(*m)):
+        raise ConfigError("%s must be symmetric" % what)
     return m
 
 
-def _register_sym_generators(double, ncolors, with_h):
-    def p_builder(args):
-        n, i = _two_int_args(args, "p")
-        return ("plus", Element.from_label(mp_label(_single(n, i, ncolors))))
-
-    def pp_builder(args):
-        n, i = _two_int_args(args, "p'")
-        return ("minus", Element.from_label(mp_label(_single(n, i, ncolors))))
-
-    double.register_generator("p", p_builder)
-    double.register_generator("p'", pp_builder)
-    if with_h:
-        def h_builder(args):
-            n, i = _two_int_args(args, "h")
-            if not (1 <= i <= ncolors):
-                raise ConfigError("color %r out of range 1..%d" % (i, ncolors))
-            return ("plus", h_element(ncolors, n, i))
-
-        def hp_builder(args):
-            n, i = _two_int_args(args, "h'")
-            if not (1 <= i <= ncolors):
-                raise ConfigError("color %r out of range 1..%d" % (i, ncolors))
-            return ("minus", h_element(ncolors, n, i))
-
-        double.register_generator("h", h_builder)
-        double.register_generator("h'", hp_builder)
-
-    def gen_labels(N):
-        return [mp_label(_single(n, i, ncolors))
-                for n in range(1, N + 1) for i in range(1, ncolors + 1)]
-
-    double.plus_gen_fn = gen_labels
-    double.minus_gen_fn = gen_labels
+def _power_sum(ncolors, n, i):
+    if n < 1:
+        raise ConfigError("part %r must be a positive integer" % (n,))
+    return Element.from_label(mp_label(_in_color((n,), i, ncolors)))
 
 
-def _two_int_args(args, name):
-    if len(args) != 2:
-        raise ConfigError("generator %s requires two arguments [n,i]" % name)
-    return int(args[0]), int(args[1])
+# name, side, element(ncolors, n, i); qheis has all four, lattice p and p'.
+# h_element is looked up at call time, so a wrapper on it sees every call.
+_GENERATORS = (("p", "plus", _power_sum), ("p'", "minus", _power_sum),
+               ("h", "plus", lambda nc, n, i: h_element(nc, n, i)),
+               ("h'", "minus", lambda nc, n, i: h_element(nc, n, i)))
 
 
-def build_qheis(A, name=None, degree_bound=8):
-    """Quantum Heisenberg instance for a symmetric integer matrix A.
+def _generator(name, side, element, ncolors):
+    def builder(args):
+        if len(args) != 2:
+            raise ConfigError("generator %s requires two arguments [n,i]" % name)
+        n, i = int(args[0]), int(args[1])
+        if not (1 <= i <= ncolors):
+            raise ConfigError("color %r out of range 1..%d" % (i, ncolors))
+        return side, element(ncolors, n, i)
+    return builder
 
-    Refuses when some color matrix ([k<i,j>]) with k <= degree_bound is
-    singular, naming the offending k; verifications beyond degree_bound
-    should raise the bound accordingly.
-    """
-    A = _check_symmetric(A, "cartan matrix")
-    rep = nonsingularity_check(A, degree_bound)
-    if not rep.passed:
-        raise SingularFormError(
-            "cannot build qheis: [k<i,j>] singular at k=%s" % rep.witness["k"])
-    ncolors = len(A)
-    name = name or "qheis[%d]" % ncolors
+
+def _sym_instance(kind, key, M, name, factor, perfect, generators):
+    """Untwisted symmetric algebras on colored power sums p[n,i] and p'[n,i],
+    paired by sym_pair(factor, ...); qheis and lattice differ in factor."""
+    ncolors = len(M)
+    name = name or "%s[%d]" % (kind, ncolors)
     plus = _sym_presentation(name + "+", ncolors, "p")
     minus = _sym_presentation(name + "-", ncolors, "p'")
-    gamma = TwistingDatum.zero(1)
-    factor = q_factor(A)
 
     def gram_fn(x_label, a_label):
         return sym_pair(factor, x_label.key, a_label.key)
 
-    pairing = TwistedPairing(minus, plus, gamma, gram_fn, name=name)
-    double = HeisenbergDouble(pairing, name=name)
-    _register_sym_generators(double, ncolors, with_h=True)
-    return Instance(name, "qheis", pairing, double, meta={"cartan": A})
+    pairing = TwistedPairing(minus, plus, TwistingDatum.zero(1), gram_fn, name=name)
+    double = HeisenbergDouble(pairing, name=name, perfect=perfect)
+    for gen, side, element in generators:
+        double.register_generator(gen, _generator(gen, side, element, ncolors))
+    double.plus_gen_fn = double.minus_gen_fn = lambda N: [
+        mp_label(_in_color((n,), i, ncolors))
+        for n in range(1, N + 1) for i in range(1, ncolors + 1)]
+    return Instance(name, kind, pairing, double, meta={key: M})
+
+
+def build_qheis(A, name=None):
+    """Quantum Heisenberg instance for a symmetric integer matrix A.
+
+    Refuses when some color matrix ([k<i,j>]) with k <= 8 is singular,
+    naming the offending k.
+    """
+    A = _check_symmetric(A, "cartan matrix")
+    rep = nonsingularity_check(A, 8)
+    if not rep.passed:
+        raise SingularFormError(
+            "cannot build qheis: [k<i,j>] singular at k=%s" % rep.witness["k"])
+    return _sym_instance("qheis", "cartan", A, name, q_factor(A), True,
+                         _GENERATORS)
 
 
 def build_lattice(B, name=None):
@@ -452,22 +437,10 @@ def build_lattice(B, name=None):
     double context is flagged presentation-only and the Fock suites refuse.
     """
     B = _check_symmetric(B, "lattice form")
-    ncolors = len(B)
-    name = name or "lattice[%d]" % ncolors
     perfect = not det_bareiss(
         [[RatFunc.from_int(v) for v in row] for row in B]).is_zero
-    plus = _sym_presentation(name + "+", ncolors, "p")
-    minus = _sym_presentation(name + "-", ncolors, "p'")
-    gamma = TwistingDatum.zero(1)
-    factor = lattice_factor(B)
-
-    def gram_fn(x_label, a_label):
-        return sym_pair(factor, x_label.key, a_label.key)
-
-    pairing = TwistedPairing(minus, plus, gamma, gram_fn, name=name)
-    double = HeisenbergDouble(pairing, name=name, perfect=perfect)
-    _register_sym_generators(double, ncolors, with_h=False)
-    return Instance(name, "lattice", pairing, double, meta={"form": B})
+    return _sym_instance("lattice", "form", B, name, lattice_factor(B), perfect,
+                         _GENERATORS[:2])
 
 
 def shifted_instance(inst, alpha, beta=None):

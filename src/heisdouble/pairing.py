@@ -206,9 +206,7 @@ def antipode_adjointness_check(P, N):
             "antipode adjointness requires gamma' = gamma''; "
             "%s has gamma = %s" % (P.name, P.gamma))
     for x in P.minus.labels_up_to(N):
-        for a in P.plus.labels_up_to(N):
-            if x.degree != a.degree:
-                continue
+        for a in P.plus.basis(x.degree):
             lhs = P.pair(Element.from_label(x),
                          antipode(P.plus, Element.from_label(a)))
             rhs = P.pair(antipode(P.minus, Element.from_label(x)),

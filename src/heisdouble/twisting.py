@@ -37,7 +37,10 @@ class BiadditiveMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
+        if any(not isinstance(v, int) or isinstance(v, bool)
+               for row in rows for v in row):
+            raise TypeError("biadditive map entries must be integers")
         r = len(rows)
         if any(len(row) != r for row in rows):
             raise ValueError("biadditive map matrix must be square")

@@ -282,6 +282,7 @@ def test_bad_config_path(cfg, capsys):
     {"type": "weyl", "shift": {"alpha": [[1, 0], [0, 1]]}},
     {"type": "weyl", "shift": {"alpha": 5}},
     {"type": "lattice", "form": 5},
+    {"type": "lattice", "form": [[1.7]]},
 ])
 def test_malformed_config_is_config_error(payload, capsys, tmp_path):
     p = tmp_path / "bad.json"

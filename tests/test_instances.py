@@ -295,6 +295,10 @@ def test_h_element_examples():
     assert h_element(2, 1, 2) == p_elt(smp(1, 2, 2))
 
 
+def test_h_element_is_computed_once():
+    assert h_element(2, 3, 1) is h_element(2, 3, 1)
+
+
 def test_h_newton_identity(sc, a2):
     # n h_n = sum_{r=1}^{n} (r/[r]) h_{n-r} p_r
     for H, ncolors, i in ((sc.plus, 1, 1), (a2.plus, 2, 2)):
@@ -359,7 +363,7 @@ def test_h_adjoint_adjacent_color(a2):
 
 def test_h_adjoint_orthogonal_color():
     A3 = cartan_a(3)
-    inst = build_qheis(A3, degree_bound=4)
+    inst = build_qheis(A3)
     for k in (1, 2):
         for n in (1, 2):
             assert h_adjoint(A3, k, 1, n, 3).is_zero
@@ -372,7 +376,7 @@ def test_h_adjoint_no_closed_form_falls_back():
     A = ((3, 0), (0, 3))
     with pytest.raises(ValueError):
         h_adjoint(A, 1, 1, 2, 1)
-    inst = build_qheis(A, degree_bound=4)
+    inst = build_qheis(A)
     got = h_adjoint(A, 1, 1, 2, 1, double=inst.double)
     expected = left_regular_action(inst.pairing, h_element(2, 1, 1),
                                    h_element(2, 2, 1))
@@ -555,6 +559,18 @@ def test_load_instance_errors(tmp_path):
         load_instance({"type": "weyl", "shift": {}})
     with pytest.raises(ConfigError):
         load_instance({"type": "weyl", "shift": {"beta": [[2]]}})
+
+
+@pytest.mark.parametrize("config", [
+    {"type": "lattice", "form": [[1.7]]},
+    {"type": "lattice", "form": [[True]]},
+    {"type": "weyl", "shift": {"alpha": [[0.9]]}},
+])
+def test_load_instance_refuses_non_integer_entries(config):
+    # a truncating int() would read 1.7 and True as 1, and alpha 0.9 as the
+    # zero shift
+    with pytest.raises(ConfigError, match="integer rows"):
+        load_instance(config)
 
 
 # -- standard matrices ---------------------------------------------------

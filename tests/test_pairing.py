@@ -223,6 +223,26 @@ def test_adjointness_degree_zero(a2):
     assert antipode_adjointness_check(a2.pairing, 0).passed
 
 
+def test_adjointness_corrupted_gram_entry_fails():
+    # Only same-degree pairs are visited; a wrong Gram value between labels
+    # of different lengths, <p'[2,1], p[1,1]*p[1,1]> = 1 where it is 0,
+    # must still be caught there, with its witness.
+    inst = build_lattice(((1,),))
+    gram = inst.pairing._gram_fn
+    target = (mp_label(((2,),)), mp_label(((1, 1),)))
+
+    def corrupted(x, a):
+        return ONE if (x, a) == target else gram(x, a)
+
+    bad = TwistedPairing(inst.minus, inst.plus, inst.pairing.gamma, corrupted,
+                         name="lattice-corrupt")
+    assert antipode_adjointness_check(bad, 1).passed
+    rep = antipode_adjointness_check(bad, 3)
+    assert not rep.passed
+    assert rep.witness["labels"] == "p'[2,1] | p[1,1]*p[1,1]"
+    assert rep.witness["lhs"] == "1" and rep.witness["rhs"] == "-1"
+
+
 def test_adjointness_weyl_refused(weyl):
     with pytest.raises(HypothesisError):
         antipode_adjointness_check(weyl.pairing, 3)

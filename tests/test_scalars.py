@@ -14,6 +14,7 @@ from heisdouble.scalars import (
     ZERO,
     LaurentPoly,
     RatFunc,
+    laurent_exact_div,
     q_binomial,
     q_factorial,
     q_int,
@@ -97,6 +98,29 @@ def test_laurent_str_canonical():
     assert str(lp({0: 1, 1: -1})) == "1 - q"
     assert str(lp({1: -1, 0: 1})) == "1 - q"
     assert str(lp({3: -1})) == "-q^3"
+
+
+def random_laurent(rng, nonzero=False):
+    while True:
+        lo = rng.randint(-3, 1)
+        p = lp({e: rng.randint(-4, 4) for e in range(lo, lo + rng.randint(1, 4))})
+        if not (nonzero and p.is_zero):
+            return p
+
+
+def test_laurent_exact_div_recovers_factor():
+    rng = random.Random(7)
+    for _ in range(200):
+        a = random_laurent(rng)
+        b = random_laurent(rng, nonzero=True)
+        assert laurent_exact_div(a * b, b) == a
+
+
+def test_laurent_exact_div_refuses_inexact():
+    with pytest.raises(ArithmeticError):
+        laurent_exact_div(lp({0: 1, 1: 1}), lp({0: 2}))          # (1+q)/2
+    with pytest.raises(ArithmeticError):
+        laurent_exact_div(lp({0: 1, 2: 1}), lp({0: 1, 1: 1}))    # (1+q^2)/(1+q)
 
 
 # ---------------------------------------------------------------------------
