@@ -15,7 +15,7 @@ from math import factorial
 
 from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
 from .hopf import BasisLabel, Element, HopfPresentation, _acc
-from .linalg import det_bareiss
+from .linalg import is_singular
 from .pairing import TwistedPairing
 from .partitions import (check_partition, difference, mp_empty,
                          mp_remove_part, mp_sub_multisets, mp_union,
@@ -347,7 +347,7 @@ def nonsingularity_check(A, kmax):
     name = "form%s" % (tuple(tuple(r) for r in A),)
     for k in range(1, kmax + 1):
         m = [[q_int_sym(k * aij) for aij in row] for row in A]
-        if det_bareiss(m).is_zero:
+        if is_singular(m):
             return failing("nonsingularity_check", name, kmax, k=k,
                            reason="matrix [k<i,j>] is singular")
     return passing("nonsingularity_check", name, kmax)
@@ -437,8 +437,7 @@ def build_lattice(B, name=None):
     double context is flagged presentation-only and the Fock suites refuse.
     """
     B = _check_symmetric(B, "lattice form")
-    perfect = not det_bareiss(
-        [[RatFunc.from_int(v) for v in row] for row in B]).is_zero
+    perfect = not is_singular([[RatFunc.from_int(v) for v in row] for row in B])
     return _sym_instance("lattice", "form", B, name, lattice_factor(B), perfect,
                          _GENERATORS[:2])
 
@@ -524,6 +523,8 @@ def load_instance(config):
         raise ConfigError("config must be a JSON object")
     kind = config.get("type")
     name = config.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError("instance name must be a string")
     shift = _parse_shift(config.get("shift"))
     try:
         if kind == "weyl":

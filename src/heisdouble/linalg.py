@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q(q): fraction-free determinants and ranks."""
+"""Exact linear algebra over Q(q): fraction-free determinants, singularity
+and ranks."""
 
 from __future__ import annotations
 
@@ -34,6 +35,52 @@ def det_bareiss(rows):
             scaled.append([(v * c).as_laurent() for v in r])
         return RatFunc(_bareiss(scaled, LP_ONE, LP_ZERO, laurent_exact_div)) / factor
     return _bareiss([list(r) for r in rows], ONE, ZERO, truediv)
+
+
+def is_singular(rows):
+    """True when the matrix of RatFunc entries has no inverse.
+
+    Rows and columns joined by a nonzero entry lie in one connected
+    component of the matrix's nonzero pattern; up to a permutation the
+    matrix is block-diagonal in these components.  It is singular exactly
+    when some component is not square or has a zero determinant, so only
+    the components are eliminated, never the whole matrix.
+    """
+    for r, c in _components(rows):
+        if len(r) != len(c) or det_bareiss([[rows[i][j] for j in c] for i in r]).is_zero:
+            return True
+    return False
+
+
+def _components(rows):
+    """Connected components of the nonzero pattern, as (row indices, column
+    indices) pairs; a zero row or column is a component on its own."""
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("singularity test requires a rectangular matrix")
+    parent = list(range(n + ncols))  # union-find: rows 0..n-1, then columns
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not v.is_zero:
+                a, b = find(i), find(n + j)
+                if a != b:
+                    parent[b] = a
+    groups = {}
+    for x in range(n + ncols):
+        r, c = groups.setdefault(find(x), ([], []))
+        if x < n:
+            r.append(x)
+        else:
+            c.append(x - n)
+    return list(groups.values())
 
 
 def _bareiss(m, one, zero, div):

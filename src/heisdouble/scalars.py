@@ -251,26 +251,31 @@ def _poly_gcd_primitive(a, b):
 
 
 def _poly_exact_div(p, lo, g):
-    """Divide the Laurent polynomial p * q^-lo by the integer list g exactly."""
-    a = _to_frac_list(p, lo)
-    dg, lg = len(g) - 1, Fraction(g[-1])
-    out = [Fraction(0)] * (len(a) - dg)
-    while _trim(a):
-        f = a[-1] / lg
-        shift = len(a) - 1 - dg
+    """Divide the Laurent polynomial p * q^-lo by the integer list g exactly.
+
+    Long division over Z: each step divides the leading coefficient by that
+    of g, so a nonzero remainder there, or a leftover term of degree below
+    deg g, means the quotient is not in Z[q] and raises ArithmeticError.
+    """
+    a = [0] * (p.max_exp() - lo + 1)
+    for e, v in p.items():
+        a[e - lo] = v
+    dg, lg = len(g) - 1, g[-1]
+    out = {}
+    for top in range(len(a) - 1, -1, -1):
+        v = a[top]
+        if not v:
+            continue
+        shift = top - dg
         if shift < 0:
             raise ArithmeticError("inexact polynomial division")
+        f, r = divmod(v, lg)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         out[shift] = f
-        for i, bv in enumerate(g):
-            a[i + shift] -= f * bv
-        a.pop()
-    coeffs = {}
-    for e, v in enumerate(out):
-        if v:
-            if v.denominator != 1:
-                raise ArithmeticError("inexact polynomial division")
-            coeffs[e] = int(v)
-    return LaurentPoly._raw(coeffs)
+        for i in range(dg):
+            a[i + shift] -= f * g[i]
+    return LaurentPoly._raw(out)
 
 
 def laurent_exact_div(num, den):

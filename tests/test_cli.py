@@ -283,6 +283,7 @@ def test_bad_config_path(cfg, capsys):
     {"type": "weyl", "shift": {"alpha": 5}},
     {"type": "lattice", "form": 5},
     {"type": "lattice", "form": [[1.7]]},
+    {"type": "qheis", "cartan": [[2]], "name": 5},
 ])
 def test_malformed_config_is_config_error(payload, capsys, tmp_path):
     p = tmp_path / "bad.json"

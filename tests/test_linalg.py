@@ -1,12 +1,17 @@
 """Fraction-free determinants on both scalar routes, against the Leibniz
-expansion over RatFunc."""
+expansion over RatFunc; the component-wise singularity test against the
+determinant of the whole matrix, on random matrices and on Gram blocks."""
 
+import random
 from itertools import permutations
 
 import pytest
 
-from heisdouble.linalg import det_bareiss
-from heisdouble.scalars import ONE, Q, ZERO, RatFunc
+from heisdouble import hopf
+from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
+                                  cartan_affine_d4, identity_form)
+from heisdouble.linalg import _components, det_bareiss, is_singular
+from heisdouble.scalars import ONE, Q, ZERO, LaurentPoly, RatFunc
 
 # Entries with non-constant denominators: 1/(1+q) and q/(1-q^2).
 A = ONE / (ONE + Q)
@@ -79,3 +84,110 @@ def test_det_bareiss_does_not_modify_its_input():
     copy = [list(r) for r in m]
     det_bareiss(m)
     assert m == copy
+
+
+# ---------------------------------------------------------------------------
+# is_singular: one determinant per component of the nonzero pattern
+
+
+def random_entry(rng):
+    """A nonzero scalar: a small Laurent polynomial, sometimes over 1+q or 2."""
+    num = LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])
+                       for _ in range(rng.randint(1, 2))})
+    return RatFunc(num, rng.choice([LaurentPoly({0: 1}), LaurentPoly({0: 1}),
+                                    LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 2})]))
+
+
+def random_block(rng, n, kind):
+    """An n x n block: sparse random, or made singular by a dependent or a
+    zero row."""
+    m = [[random_entry(rng) if rng.random() < 0.7 else ZERO for _ in range(n)]
+         for _ in range(n)]
+    if kind == "dependent" and n > 1:
+        m[-1] = [m[0][j] * Q + m[1 % (n - 1)][j] for j in range(n)]
+    elif kind == "zero row":
+        m[rng.randrange(n)] = [ZERO] * n
+    return m
+
+
+def scrambled_block_diagonal(rng):
+    """A block-diagonal matrix with rows and columns shuffled independently."""
+    blocks = [random_block(rng, rng.randint(1, 4),
+                           rng.choice(["generic"] * 6 + ["dependent", "zero row"]))
+              for _ in range(rng.randint(1, 4))]
+    n = sum(len(b) for b in blocks)
+    m = [[ZERO] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at:at + len(b)] = row
+        at += len(b)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def test_is_singular_agrees_with_full_determinant():
+    rng = random.Random(2014)
+    verdicts = set()
+    for _ in range(150):
+        m = scrambled_block_diagonal(rng)
+        singular = det_bareiss(m).is_zero
+        assert is_singular(m) == singular
+        verdicts.add(singular)
+    assert verdicts == {True, False}  # both outcomes were exercised
+
+
+def components_partition(m):
+    """The components of m, checked to cover each row and each column once
+    with no nonzero entry joining two of them."""
+    parts = _components(m)
+    assert sorted(i for r, _ in parts for i in r) == list(range(len(m)))
+    assert sorted(j for _, c in parts for j in c) == list(range(len(m[0]) if m else 0))
+    row_part = {i: k for k, (r, _) in enumerate(parts) for i in r}
+    col_part = {j: k for k, (_, c) in enumerate(parts) for j in c}
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if not v.is_zero:
+                assert row_part[i] == col_part[j], (i, j)
+    return parts
+
+
+def test_components_partition_the_scrambled_blocks():
+    rng = random.Random(7)
+    for _ in range(50):
+        components_partition(scrambled_block_diagonal(rng))
+
+
+@pytest.mark.parametrize("build, N", [
+    (build_weyl, 8),
+    (lambda: build_qheis(cartan_a(2)), 4),
+    (lambda: build_qheis(cartan_affine_d4()), 2),
+    (lambda: build_lattice(identity_form(2)), 4),
+], ids=["weyl", "a2", "affine-d4", "lattice-i2"])
+def test_gram_components_split_the_determinant(build, N):
+    P = build().pairing
+    for degree in hopf.degrees_up_to(P.plus.rank, N):
+        _, _, mat = P.gram_block(degree)
+        product = ONE
+        for r, c in components_partition(mat):
+            product = product * det_bareiss([[mat[i][j] for j in c] for i in r])
+        full = det_bareiss(mat)
+        assert product in (full, -full), degree
+
+
+def test_is_singular_edge_cases():
+    assert not is_singular([])                        # the empty determinant is 1
+    assert not is_singular([[Q]])
+    assert is_singular([[ZERO]])
+    assert is_singular([[ONE, Q], [ZERO, ZERO]])      # a zero row
+    assert is_singular([[ONE, ZERO], [Q, ZERO]])      # a zero column
+    assert is_singular([[ONE, Q, ONE]])               # not square
+    assert is_singular([[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+    # a permutation matrix splits into 1 x 1 components
+    perm = [[ZERO, ZERO, Q], [ONE, ZERO, ZERO], [ZERO, TWO, ZERO]]
+    assert not is_singular(perm)
+    assert sorted(map(len, (r for r, _ in _components(perm)))) == [1, 1, 1]
+    with pytest.raises(ValueError):
+        is_singular([[ONE, Q], [ONE]])

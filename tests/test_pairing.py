@@ -11,10 +11,11 @@ from heisdouble.instances import (
     build_qheis,
     build_weyl,
     cartan_a,
+    cartan_affine_d4,
     mp_label,
     zero_form,
 )
-from heisdouble.linalg import det_bareiss
+from heisdouble.linalg import _components, det_bareiss
 from heisdouble.pairing import (
     HypothesisError,
     TwistedPairing,
@@ -208,6 +209,80 @@ def test_gram_determinants_match_bareiss(weyl):
     for n in range(1, 6):
         _, _, mat = weyl.pairing.gram_block((n,))
         assert det_bareiss(mat) == q_factorial(n)
+
+
+def test_perfectness_affine_d4_degree_three():
+    # the lambda = (1,1,1) component is 35 x 35
+    rep = perfectness_check(build_qheis(cartan_affine_d4()).pairing, 3)
+    assert rep.passed, str(rep)
+
+
+# ---------------------------------------------------------------------------
+# Gram blocks split along the components of their nonzero pattern
+# (the split of every Gram block is checked in test_linalg.py)
+
+
+def test_a2_degree_four_components_are_the_partitions_of_four(a2):
+    _, _, mat = a2.pairing.gram_block((4,))
+    assert sorted(len(r) for r, _ in _components(mat)) == [2, 3, 4, 5, 6]
+    assert all(len(r) == len(c) for r, c in _components(mat))
+
+
+def corrupted_a2(a2, corrupt):
+    """A2 whose Gram value on labels with texts x, a is corrupt(x, a, gram),
+    or the true value where that is None; gram(x, a) is the true value on
+    two degree-4 labels given by their texts."""
+    P = a2.pairing
+    minus = {P.minus.label_text(l): l for l in P.minus.basis((4,))}
+    plus = {P.plus.label_text(l): l for l in P.plus.basis((4,))}
+
+    def gram(x, a):
+        return P.pair_labels(minus[x], plus[a])
+
+    def gram_fn(x, a):
+        v = corrupt(P.minus.label_text(x), P.plus.label_text(a), gram)
+        return P.pair_labels(x, a) if v is None else v
+
+    return TwistedPairing(P.minus, P.plus, P.gamma, gram_fn, name="a2-corrupt")
+
+
+def test_perfectness_singular_lambda_block(a2):
+    # the row of p'[4,2] copies the row of p'[4,1]: the lambda = (4) block
+    # becomes rank-deficient and the rest of degree 4 is untouched
+    bad = corrupted_a2(a2, lambda x, a, gram:
+                       gram("p'[4,1]", a) if x == "p'[4,2]" else None)
+    assert perfectness_check(bad, 3).passed
+    rep = perfectness_check(bad, 4)
+    assert not rep.passed
+    assert rep.witness == {"degree": "(4,)", "reason": "singular Gram block"}
+    assert det_bareiss(bad.gram_block((4,))[2]).is_zero
+
+
+@pytest.mark.parametrize("row, copy_of, shapes, singular", [
+    # p'[4,1] gains a nonzero value in a column of the lambda = (3,1) block:
+    # the two components merge and the determinant is unchanged
+    ("p'[4,1]", None, [(3, 3), (5, 5), (6, 6), (6, 6)], False),
+    # the row of p'[3,1]*p'[1,1] copies that of p'[4,1]: it joins the
+    # lambda = (4) component, which then has three rows for two columns
+    ("p'[3,1]*p'[1,1]", "p'[4,1]", [(3, 2), (3, 3), (3, 4), (5, 5), (6, 6)], True),
+])
+def test_perfectness_linked_components_match_full_determinant(a2, row, copy_of,
+                                                              shapes, singular):
+    def corrupt(x, a, gram):
+        if x != row:
+            return None
+        if copy_of is None:
+            return ONE if a == "p[3,1]*p[1,1]" else None
+        return gram(copy_of, a)
+
+    bad = corrupted_a2(a2, corrupt)
+    mat = bad.gram_block((4,))[2]
+    assert sorted((len(r), len(c)) for r, c in _components(mat)) == shapes
+    assert det_bareiss(mat).is_zero == singular
+    rep = perfectness_check(bad, 4)
+    assert rep.passed == (not singular)
+    if singular:
+        assert rep.witness == {"degree": "(4,)", "reason": "singular Gram block"}
 
 
 # ---------------------------------------------------------------------------
