@@ -15,7 +15,7 @@ from math import factorial
 
 from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
 from .hopf import BasisLabel, Element, HopfPresentation, _acc
-from .linalg import is_singular
+from .linalg import det_bareiss
 from .pairing import TwistedPairing
 from .partitions import (check_partition, difference, mp_empty,
                          mp_remove_part, mp_sub_multisets, mp_union,
@@ -347,7 +347,7 @@ def nonsingularity_check(A, kmax):
     name = "form%s" % (tuple(tuple(r) for r in A),)
     for k in range(1, kmax + 1):
         m = [[q_int_sym(k * aij) for aij in row] for row in A]
-        if is_singular(m):
+        if det_bareiss(m).is_zero:
             return failing("nonsingularity_check", name, kmax, k=k,
                            reason="matrix [k<i,j>] is singular")
     return passing("nonsingularity_check", name, kmax)
@@ -437,7 +437,8 @@ def build_lattice(B, name=None):
     double context is flagged presentation-only and the Fock suites refuse.
     """
     B = _check_symmetric(B, "lattice form")
-    perfect = not is_singular([[RatFunc.from_int(v) for v in row] for row in B])
+    perfect = not det_bareiss(
+        [[RatFunc.from_int(v) for v in row] for row in B]).is_zero
     return _sym_instance("lattice", "form", B, name, lattice_factor(B), perfect,
                          _GENERATORS[:2])
 

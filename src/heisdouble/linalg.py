@@ -1,5 +1,5 @@
-"""Exact linear algebra over Q(q): fraction-free determinants, singularity
-and ranks."""
+"""Exact linear algebra over Q(q): fraction-free determinants, the block
+structure of a sparse matrix, and ranks."""
 
 from __future__ import annotations
 
@@ -37,28 +37,20 @@ def det_bareiss(rows):
     return _bareiss([list(r) for r in rows], ONE, ZERO, truediv)
 
 
-def is_singular(rows):
-    """True when the matrix of RatFunc entries has no inverse.
+def components(rows):
+    """Connected components of the matrix's nonzero pattern, as (row
+    indices, column indices) pairs; a zero row or column is a component on
+    its own.
 
-    Rows and columns joined by a nonzero entry lie in one connected
-    component of the matrix's nonzero pattern; up to a permutation the
-    matrix is block-diagonal in these components.  It is singular exactly
-    when some component is not square or has a zero determinant, so only
-    the components are eliminated, never the whole matrix.
+    Rows and columns joined by a nonzero entry lie in one component, so up
+    to a permutation the matrix is block-diagonal in these components.  It
+    is singular exactly when some component is not square or has a zero
+    determinant.
     """
-    for r, c in _components(rows):
-        if len(r) != len(c) or det_bareiss([[rows[i][j] for j in c] for i in r]).is_zero:
-            return True
-    return False
-
-
-def _components(rows):
-    """Connected components of the nonzero pattern, as (row indices, column
-    indices) pairs; a zero row or column is a component on its own."""
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
-        raise ValueError("singularity test requires a rectangular matrix")
+        raise ValueError("components require a rectangular matrix")
     parent = list(range(n + ncols))  # union-find: rows 0..n-1, then columns
 
     def find(x):

@@ -13,7 +13,7 @@ coproducts:
 from __future__ import annotations
 
 from .hopf import Element, antipode
-from .linalg import is_singular
+from .linalg import components, det_bareiss
 from .report import failing, passing
 from .scalars import ONE, ZERO, q_power
 from .twisting import TwistingDatum, deg_add, deg_total, dual_twisting
@@ -184,17 +184,19 @@ def perfectness_check(P, N):
 
     Square blocks are required; a non-square block is itself a failure.
     Each block is tested component by component on its nonzero pattern
-    (see linalg.is_singular): for qheis and lattice the pairing vanishes
+    (see linalg.components): for qheis and lattice the pairing vanishes
     unless the uncolored parts agree, so the components are far smaller
-    than the block."""
+    than the block.  A non-square component makes the block singular."""
     for degree in hopf.degrees_up_to(P.plus.rank, N):
         rows, cols, matrix = P.gram_block(degree)
         if len(rows) != len(cols):
             return failing("perfectness_check", P.name, N, degree=degree,
                            reason="basis sizes differ (%d vs %d)" % (len(rows), len(cols)))
-        if is_singular(matrix):
-            return failing("perfectness_check", P.name, N, degree=degree,
-                           reason="singular Gram block")
+        for r, c in components(matrix):
+            if (len(r) != len(c)
+                    or det_bareiss([[matrix[i][j] for j in c] for i in r]).is_zero):
+                return failing("perfectness_check", P.name, N, degree=degree,
+                               reason="singular Gram block")
     return passing("perfectness_check", P.name, N)
 
 

@@ -1,6 +1,7 @@
 """Fraction-free determinants on both scalar routes, against the Leibniz
-expansion over RatFunc; the component-wise singularity test against the
-determinant of the whole matrix, on random matrices and on Gram blocks."""
+expansion over RatFunc; the components of a matrix's nonzero pattern, and the
+component-wise perfectness test built on them, against the determinant of the
+whole matrix, on random matrices and on Gram blocks."""
 
 import random
 from itertools import permutations
@@ -10,7 +11,8 @@ import pytest
 from heisdouble import hopf
 from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
                                   cartan_affine_d4, identity_form)
-from heisdouble.linalg import _components, det_bareiss, is_singular
+from heisdouble.linalg import components, det_bareiss
+from heisdouble.pairing import perfectness_check
 from heisdouble.scalars import ONE, Q, ZERO, LaurentPoly, RatFunc
 
 # Entries with non-constant denominators: 1/(1+q) and q/(1-q^2).
@@ -87,7 +89,7 @@ def test_det_bareiss_does_not_modify_its_input():
 
 
 # ---------------------------------------------------------------------------
-# is_singular: one determinant per component of the nonzero pattern
+# Components of the nonzero pattern: one determinant per component
 
 
 def random_entry(rng):
@@ -128,13 +130,38 @@ def scrambled_block_diagonal(rng):
     return [[m[i][j] for j in cols] for i in rows]
 
 
-def test_is_singular_agrees_with_full_determinant():
+class OneBlock:
+    """A stand-in for TwistedPairing whose only Gram block, in degree (0,),
+    is the matrix m."""
+
+    name = "one-block"
+
+    class plus:
+        rank = 1
+
+    def __init__(self, m):
+        self.m = m
+
+    def gram_block(self, degree):
+        ncols = len(self.m[0]) if self.m else 0
+        return list(range(len(self.m))), list(range(ncols)), self.m
+
+
+def is_perfect(m):
+    """The verdict of perfectness_check on the single block m."""
+    return perfectness_check(OneBlock(m), 0).passed
+
+
+def test_perfectness_agrees_with_full_determinant():
     rng = random.Random(2014)
     verdicts = set()
     for _ in range(150):
         m = scrambled_block_diagonal(rng)
         singular = det_bareiss(m).is_zero
-        assert is_singular(m) == singular
+        assert is_perfect(m) == (not singular)
+        # the same verdict read off the components alone
+        assert singular == any(len(r) != len(c) or det_bareiss(
+            [[m[i][j] for j in c] for i in r]).is_zero for r, c in components(m))
         verdicts.add(singular)
     assert verdicts == {True, False}  # both outcomes were exercised
 
@@ -142,7 +169,7 @@ def test_is_singular_agrees_with_full_determinant():
 def components_partition(m):
     """The components of m, checked to cover each row and each column once
     with no nonzero entry joining two of them."""
-    parts = _components(m)
+    parts = components(m)
     assert sorted(i for r, _ in parts for i in r) == list(range(len(m)))
     assert sorted(j for _, c in parts for j in c) == list(range(len(m[0]) if m else 0))
     row_part = {i: k for k, (r, _) in enumerate(parts) for i in r}
@@ -177,17 +204,21 @@ def test_gram_components_split_the_determinant(build, N):
         assert product in (full, -full), degree
 
 
-def test_is_singular_edge_cases():
-    assert not is_singular([])                        # the empty determinant is 1
-    assert not is_singular([[Q]])
-    assert is_singular([[ZERO]])
-    assert is_singular([[ONE, Q], [ZERO, ZERO]])      # a zero row
-    assert is_singular([[ONE, ZERO], [Q, ZERO]])      # a zero column
-    assert is_singular([[ONE, Q, ONE]])               # not square
-    assert is_singular([[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+def test_perfectness_edge_cases():
+    assert is_perfect([])                             # the empty determinant is 1
+    assert is_perfect([[Q]])
+    assert not is_perfect([[ZERO]])
+    assert not is_perfect([[ONE, Q], [ZERO, ZERO]])   # a zero row
+    assert not is_perfect([[ONE, ZERO], [Q, ZERO]])   # a zero column
+    # a zero row and a zero column: every component but one is non-square
+    assert sorted((len(r), len(c)) for r, c in components(
+        [[ONE, ZERO], [ZERO, ZERO]])) == [(0, 1), (1, 0), (1, 1)]
+    assert not is_perfect([[ONE, ZERO], [ZERO, ZERO]])
     # a permutation matrix splits into 1 x 1 components
     perm = [[ZERO, ZERO, Q], [ONE, ZERO, ZERO], [ZERO, TWO, ZERO]]
-    assert not is_singular(perm)
-    assert sorted(map(len, (r for r, _ in _components(perm)))) == [1, 1, 1]
+    assert is_perfect(perm)
+    assert sorted(map(len, (r for r, _ in components(perm)))) == [1, 1, 1]
+    assert sorted((len(r), len(c)) for r, c in components(
+        [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])) == [(3, 2)]
     with pytest.raises(ValueError):
-        is_singular([[ONE, Q], [ONE]])
+        components([[ONE, Q], [ONE]])

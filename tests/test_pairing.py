@@ -15,7 +15,7 @@ from heisdouble.instances import (
     mp_label,
     zero_form,
 )
-from heisdouble.linalg import _components, det_bareiss
+from heisdouble.linalg import components, det_bareiss
 from heisdouble.pairing import (
     HypothesisError,
     TwistedPairing,
@@ -224,8 +224,8 @@ def test_perfectness_affine_d4_degree_three():
 
 def test_a2_degree_four_components_are_the_partitions_of_four(a2):
     _, _, mat = a2.pairing.gram_block((4,))
-    assert sorted(len(r) for r, _ in _components(mat)) == [2, 3, 4, 5, 6]
-    assert all(len(r) == len(c) for r, c in _components(mat))
+    assert sorted(len(r) for r, _ in components(mat)) == [2, 3, 4, 5, 6]
+    assert all(len(r) == len(c) for r, c in components(mat))
 
 
 def corrupted_a2(a2, corrupt):
@@ -277,7 +277,7 @@ def test_perfectness_linked_components_match_full_determinant(a2, row, copy_of,
 
     bad = corrupted_a2(a2, corrupt)
     mat = bad.gram_block((4,))[2]
-    assert sorted((len(r), len(c)) for r, c in _components(mat)) == shapes
+    assert sorted((len(r), len(c)) for r, c in components(mat)) == shapes
     assert det_bareiss(mat).is_zero == singular
     rep = perfectness_check(bad, 4)
     assert rep.passed == (not singular)
