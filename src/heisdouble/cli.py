@@ -84,10 +84,11 @@ def _single_expr(args):
 
 
 def cmd_verify(args):
-    inst = load_instance(args.instance)
     N = args.max_degree
-    if N < 0:
-        raise ConfigError("--max-degree must be nonnegative")
+    if N < 1:
+        # at N = 0 every sweep meets only the unit: nothing would be checked
+        raise ConfigError("--max-degree must be positive")
+    inst = load_instance(args.instance)
     D = inst.double
     reports = [
         check_bialgebra(inst.plus, N),

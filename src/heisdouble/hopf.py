@@ -147,14 +147,16 @@ def degrees_up_to(rank, N):
     return out
 
 
-def bounded_tuples(pools, N):
+def bounded_tuples(pools, N, total=None):
     """Tuples taking their i-th entry from pools[i] whose total degrees sum
     to at most N, in lexicographic order of pool positions.
 
-    An entry is a BasisLabel or a tuple of them (a tuple this function
-    yielded), whose total degree is the sum over its labels.
+    total(x) is the total degree of an entry.  By default an entry is a
+    BasisLabel or a tuple of them (a tuple this function yielded), whose
+    total degree is the sum over its labels.
     """
-    weighted = [[(x, _total(x)) for x in pool] for pool in pools]
+    total = total or _total
+    weighted = [[(x, total(x)) for x in pool] for pool in pools]
     last = len(weighted) - 1
 
     def rec(i, budget, prefix):
@@ -473,8 +475,9 @@ def shifted_presentation(H, alpha, beta):
 def check_bialgebra(H, N):
     """Verify every bialgebra axiom of H on basis elements of total degree
     <= N: grading, unit and counit laws, associativity, coassociativity,
-    multiplicativity of the coproduct for the twisted tensor product,
-    twisted associativity on the tensor square, and both antipode identities.
+    twisted associativity on the tensor square (on degrees), multiplicativity
+    of the coproduct for the twisted tensor product, and both antipode
+    identities.
 
     Stops at the first failing identity and reports it with witnesses.
     """
@@ -522,23 +525,32 @@ def check_bialgebra(H, N):
         if l3 != r3:
             return fail("coassociativity", H.label_text(a), repr(l3), repr(r3))
 
+    # twisted associativity on the tensor square, on degrees.  For basis
+    # tensors a1 x a2, b1 x b2, c1 x c2 both bracketings are a power of q
+    # times (a1 b1) c1 x (a2 b2) c2 and a1 (b1 c1) x a2 (b2 c2), which the
+    # associativity sweep has compared; so they agree exactly when the
+    # exponents do, and biadditive chi' and chi'' make them agree.
+    chi_p = H.twisting.prime.evaluate
+    chi_pp = H.twisting.doubleprime.evaluate
+    degrees = degrees_up_to(H.rank, N)
+    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
+        lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
+               + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
+        rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
+               + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
+        if lhs != rhs:
+            return fail("twisted tensor associativity",
+                        "degrees (%r, %r), (%r, %r), (%r, %r)"
+                        % (a1, a2, b1, b2, c1, c2),
+                        "q^%d" % lhs, "q^%d" % rhs)
+
     # coproduct is an algebra map for the twisted tensor product
-    pairs = list(bounded_tuples([labels] * 2, N))
-    for a, b in pairs:
+    for a, b in bounded_tuples([labels] * 2, N):
         lhs = comultiply(H, H.product(a, b))
         rhs = twisted_tensor_multiply(H, H.coproduct(a), H.coproduct(b))
         if lhs != rhs:
             return fail("coproduct multiplicativity",
                         "%s, %s" % (H.label_text(a), H.label_text(b)),
-                        repr(lhs.terms), repr(rhs.terms))
-
-    # twisted associativity on the tensor square
-    for triple in bounded_tuples([pairs] * 3, N):
-        s, t, u = (Element._raw({p: ONE}) for p in triple)
-        lhs = twisted_tensor_multiply(H, twisted_tensor_multiply(H, s, t), u)
-        rhs = twisted_tensor_multiply(H, s, twisted_tensor_multiply(H, t, u))
-        if lhs != rhs:
-            return fail("twisted tensor associativity", repr((s, t, u)),
                         repr(lhs.terms), repr(rhs.terms))
 
     # antipode laws

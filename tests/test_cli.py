@@ -179,6 +179,14 @@ def test_verify_rejects_negative_degree(cfg, capsys):
     assert "error:" in err
 
 
+def test_verify_refuses_degree_zero(cfg, capsys):
+    rc, out, err = run(capsys, ["verify", "--instance", cfg["weyl"],
+                                "--max-degree", "0"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --max-degree must be positive\n"
+
+
 # -- fock-matrix ---------------------------------------------------------
 
 

@@ -300,6 +300,55 @@ def test_check_bialgebra_associativity_failure_witness(weyl_plus):
                            "lhs": "x^3", "rhs": "q*x^3"}
 
 
+def _weyl_with_coproduct(H, coproduct_fn):
+    return HopfPresentation("weyl-broken", 1, H.twisting, H.unit_label,
+                            H.basis, H.product, coproduct_fn, H.label_text)
+
+
+def test_check_bialgebra_non_biadditive_twist_fails(weyl_plus, monkeypatch):
+    evaluate = BiadditiveMap.evaluate
+    monkeypatch.setattr(BiadditiveMap, "evaluate",
+                        lambda self, lam, mu: evaluate(self, lam, mu) + lam[0] * lam[0])
+    rep = check_bialgebra(weyl_plus, 3)
+    assert not rep.passed
+    assert rep.witness == {
+        "identity": "twisted tensor associativity",
+        "labels": "degrees ((0,), (1,)), ((0,), (0,)), ((0,), (0,))",
+        "lhs": "q^2", "rhs": "q^1"}
+
+
+def test_check_bialgebra_coassociativity_failure_witness(weyl_plus):
+    H = weyl_plus
+
+    def coproduct_fn(label):
+        val = H.coproduct(label)
+        if label.key != 3:
+            return val
+        terms = dict(val.terms)
+        terms[(xlab(1), xlab(2))] = terms[(xlab(1), xlab(2))] * 2
+        return Element(terms)
+
+    rep = check_bialgebra(_weyl_with_coproduct(H, coproduct_fn), 3)
+    assert not rep.passed
+    assert rep.witness["identity"] == "coassociativity"
+    assert rep.witness["labels"] == "x^3"
+
+
+def test_check_bialgebra_counit_failure_witness(weyl_plus):
+    H = weyl_plus
+
+    def coproduct_fn(label):
+        terms = dict(H.coproduct(label).terms)
+        if label != H.unit_label:
+            del terms[(H.unit_label, label)]
+        return Element(terms)
+
+    rep = check_bialgebra(_weyl_with_coproduct(H, coproduct_fn), 2)
+    assert not rep.passed
+    assert rep.witness == {"identity": "counit law", "labels": "x",
+                           "lhs": "0", "rhs": "x"}
+
+
 def test_commutative_retwist_weyl():
     # A commutative (q, chi', chi'')-bialgebra is also a
     # (q, (chi'')^T, (chi')^T)-bialgebra; k[x] is commutative, so the
