@@ -81,10 +81,7 @@ class LaurentPoly:
 
     def content(self):
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for v in self._c.values():
-            g = gcd(g, v)
-        return g
+        return gcd(*self._c.values())
 
     def shift(self, k):
         """Multiply by q^k."""
@@ -204,78 +201,131 @@ LP_ZERO = LaurentPoly._raw({})
 LP_ONE = LaurentPoly._raw({0: 1})
 
 
-def _to_frac_list(p, lo):
-    """Coefficient list of p * q^-lo over Fraction, trailing zeros trimmed."""
-    hi = p.max_exp()
-    out = [Fraction(0)] * (hi - lo + 1)
+def _coeffs(p, lo):
+    """Integer coefficient list of p * q^-lo, lowest degree first."""
+    out = [0] * (p.max_exp() - lo + 1)
     for e, v in p.items():
-        out[e - lo] = Fraction(v)
+        out[e - lo] = v
     return out
 
 
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _laurent(c, lo):
+    """The Laurent polynomial sum of c[i] * q^(i + lo)."""
+    return LaurentPoly._raw({i + lo: v for i, v in enumerate(c) if v})
 
 
-def _poly_mod(a, b):
-    """Remainder of a by b over Q[q]; coefficient lists, b nonzero."""
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, bv in enumerate(b):
-            a[i + shift] -= f * bv
-        a.pop()
-        _trim(a)
-    return a
+def _divide(a, g):
+    """Exact quotient a / g of integer coefficient lists, or None.
 
-
-def _poly_gcd_primitive(a, b):
-    """Primitive integer gcd (positive leading coeff) of two Fraction lists."""
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        a, b = b, _poly_mod(a, b)
-    den_lcm = 1
-    for v in a:
-        den_lcm = den_lcm * v.denominator // gcd(den_lcm, v.denominator)
-    ints = [int(v * den_lcm) for v in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if ints[-1] < 0:
-        g = -g
-    return [v // g for v in ints]
-
-
-def _poly_exact_div(p, lo, g):
-    """Divide the Laurent polynomial p * q^-lo by the integer list g exactly.
-
-    Long division over Z: each step divides the leading coefficient by that
-    of g, so a nonzero remainder there, or a leftover term of degree below
-    deg g, means the quotient is not in Z[q] and raises ArithmeticError.
+    a is nonzero; g has a nonzero last coefficient.  Long division
+    over Z: each step divides the leading coefficient by that of g, so a
+    nonzero remainder there, or a leftover term of degree below deg g, means
+    the quotient is not in Z[q].  The constant terms are tried first, which
+    turns most non-divisors away at once.
     """
-    a = [0] * (p.max_exp() - lo + 1)
-    for e, v in p.items():
-        a[e - lo] = v
     dg, lg = len(g) - 1, g[-1]
-    out = {}
-    for top in range(len(a) - 1, -1, -1):
-        v = a[top]
-        if not v:
-            continue
-        shift = top - dg
-        if shift < 0:
-            raise ArithmeticError("inexact polynomial division")
-        f, r = divmod(v, lg)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[shift] = f
-        for i in range(dg):
-            a[i + shift] -= f * g[i]
-    return LaurentPoly._raw(out)
+    n = len(a) - dg
+    if n <= 0 or g[0] and a[0] % g[0]:
+        return None
+    a = a[:]
+    out = [0] * n
+    for shift in range(n - 1, -1, -1):
+        v = a[shift + dg]
+        if v:
+            f, r = divmod(v, lg)
+            if r:
+                return None
+            out[shift] = f
+            for i in range(dg):
+                a[i + shift] -= f * g[i]
+    if any(a[:dg]):
+        return None
+    return out
+
+
+def _eval(c, xi):
+    v = 0
+    for x in reversed(c):
+        v = v * xi + x
+    return v
+
+
+def _gcd_heu(a, b, xi):
+    """One trial of the heuristic gcd GCDHEU (Char, Geddes and Gonnet 1989).
+
+    a and b are primitive integer coefficient lists; xi > 2 * min(|a|, |b|)
+    + 2 in the max norm.  The integer gcd h of a(xi) and b(xi), written in
+    symmetric base xi, gives a candidate with positive leading digit (h > 0);
+    its primitive part is the gcd of a and b as soon as it divides both (for
+    such xi no proper divisor of the gcd can pass that test).  Returns
+    (g, a / g, b / g), or None when the candidate does not divide.
+    """
+    h = gcd(_eval(a, xi), _eval(b, xi))
+    half = xi // 2
+    g = []
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        g.append(d)
+        h = (h - d) // xi
+    if len(g) == 1:
+        return [1], a, b
+    c = gcd(*g)
+    if c != 1:
+        g = [v // c for v in g]
+    qa = _divide(a, g)
+    if qa is None:
+        return None
+    qb = _divide(b, g)
+    if qb is None:
+        return None
+    return g, qa, qb
+
+
+def _primitive(c):
+    g = gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _gcd_prs(a, b):
+    """Primitive gcd, with positive leading coefficient, of two primitive
+    integer coefficient lists, by the primitive polynomial remainder
+    sequence: each pseudo-remainder is divided by its content."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = a[:]
+        db, lb = len(b) - 1, b[-1]
+        while len(r) > db:
+            f, shift = r[-1], len(r) - 1 - db
+            r = [lb * v for v in r]
+            for i, bv in enumerate(b):
+                r[i + shift] -= f * bv
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(r)
+    return a if a[-1] > 0 else [-v for v in a]
+
+
+_HEU_TRIALS = 4
+
+
+def _gcd_cofactors(a, b):
+    """(g, a / g, b / g) for g the primitive gcd, with positive leading
+    coefficient, of two primitive integer coefficient lists.
+
+    GCDHEU at an evaluation point above the bound, squared after each
+    candidate that does not divide; after _HEU_TRIALS of them, the PRS.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 3
+    for _ in range(_HEU_TRIALS):
+        found = _gcd_heu(a, b, xi)
+        if found is not None:
+            return found
+        xi *= xi
+    g = _gcd_prs(a, b)
+    return g, _divide(a, g), _divide(b, g)
 
 
 def laurent_exact_div(num, den):
@@ -288,11 +338,11 @@ def laurent_exact_div(num, den):
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return LP_ZERO
-    dv = den.min_exp()
-    g = [0] * (den.max_exp() - dv + 1)
-    for e, v in den.items():
-        g[e - dv] = v
-    return _poly_exact_div(num, num.min_exp(), g).shift(num.min_exp() - dv)
+    v, m = num.min_exp(), den.min_exp()
+    out = _divide(_coeffs(num, v), _coeffs(den, m))
+    if out is None:
+        raise ArithmeticError("inexact polynomial division")
+    return _laurent(out, v - m)
 
 
 def _canonical(num, den):
@@ -301,28 +351,28 @@ def _canonical(num, den):
     The canonical denominator is an ordinary polynomial with den(0) != 0 and
     positive leading coefficient, coprime to the (shifted) numerator over
     Q[q], with gcd(content(num), content(den)) = 1.  Zero is (0, 1).
+    Integer arithmetic throughout.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero scalar")
     if num.is_zero:
         return LP_ZERO, LP_ONE
-    m = den.min_exp()
-    den = den.shift(-m)
-    num = num.shift(-m)
-    v = num.min_exp()
-    if not den.is_constant:
-        g = _poly_gcd_primitive(_to_frac_list(num, v), _to_frac_list(den, 0))
-        if len(g) > 1:
-            num = _poly_exact_div(num, v, g).shift(v)
-            den = _poly_exact_div(den, 0, g)
-    c = gcd(num.content(), den.content())
-    lead = den.coeff(den.max_exp())
-    if lead < 0:
+    v, m = num.min_exp(), den.min_exp()
+    a, b = _coeffs(num, v), _coeffs(den, m)
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    if b[-1] < 0:
         c = -c
-    if c != 1:
-        num = LaurentPoly._raw({e: x // c for e, x in num.items()})
-        den = LaurentPoly._raw({e: x // c for e, x in den.items()})
-    return num, den
+    if len(a) > 1 and len(b) > 1:
+        # a(0) and b(0) are nonzero, so q does not divide their gcd
+        _, a, b = _gcd_cofactors([x // ca for x in a], [x // cb for x in b])
+        sa, sb = ca // c, cb // c
+        a = [sa * x for x in a]
+        b = [sb * x for x in b]
+    elif c != 1:
+        a = [x // c for x in a]
+        b = [x // c for x in b]
+    return _laurent(a, v - m), _laurent(b, 0)
 
 
 class RatFunc:
@@ -448,9 +498,29 @@ class RatFunc:
             return NotImplemented
         if self.den == LP_ONE and o.den == LP_ONE:
             return RatFunc._make(self.num * o.num, LP_ONE)
+        # a canonical denominator is a monomial only when it is constant
+        if o.num.is_monomial and o.den.is_monomial:
+            (e, c), = o.num.items()
+            return self._times_monomial(c, e, o.den.coeff(0))
+        if self.num.is_monomial and self.den.is_monomial:
+            (e, c), = self.num.items()
+            return o._times_monomial(c, e, self.den.coeff(0))
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, c, e, d):
+        """self * c*q^e/d for coprime integers c != 0 and d > 0, without a
+        polynomial gcd: q divides no canonical denominator, so only the
+        integer contents can cancel."""
+        g1 = gcd(c, self.den.content())
+        g2 = gcd(d, self.num.content())
+        c, d = c // g1, d // g2
+        num = LaurentPoly._raw({k + e: c * (v // g2) for k, v in self.num.items()})
+        if g1 == 1 and d == 1:
+            return RatFunc._make(num, self.den)
+        return RatFunc._make(
+            num, LaurentPoly._raw({k: d * (v // g1) for k, v in self.den.items()}))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -458,6 +528,10 @@ class RatFunc:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero scalar")
+        if o.num.is_monomial and o.den.is_monomial:
+            (e, c), = o.num.items()
+            d = o.den.coeff(0)
+            return self._times_monomial(d if c > 0 else -d, -e, abs(c))
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -546,14 +620,19 @@ def q_binomial(n, k):
         raise ValueError("q_binomial requires integer arguments with n >= 0")
     if k < 0 or k > n:
         return ZERO
-    return q_factorial(n) / (q_factorial(k) * q_factorial(n - k))
+    # Gaussian binomials lie in Z[q], so the quotient is exact
+    num = q_factorial(n).as_laurent()
+    den = (q_factorial(k) * q_factorial(n - k)).as_laurent()
+    return RatFunc._make(laurent_exact_div(num, den), LP_ONE)
 
 
 def q_int_sym(n):
-    """Symmetric quantum integer [n] = (q^-n - q^n)/(q^-1 - q), any integer n.
+    """Symmetric quantum integer [n], any integer n.
 
-    For n > 0 this is q^(-n+1) + q^(-n+3) + ... + q^(n-1); the function is
-    odd in n.
+    For n >= 0 this is (q^-n - q^n)/(q^-1 - q) = q^(-n+1) + q^(-n+3) + ...
+    + q^(n-1).  Negative n follows the sign rule [-n] = (-1)^(n+1) [n]: the
+    same Laurent polynomial for odd n (so [-1] = [1] = 1), its negative for
+    even n.  The quotient formula would instead give [-n] = -[n].
     """
     if not isinstance(n, int):
         raise ValueError("q_int_sym requires an integer, got %r" % (n,))

@@ -1,9 +1,13 @@
-"""RatFunc against sympy: value, canonical form and the field axioms, and
-exact division of Laurent polynomials.
+"""RatFunc against sympy: value, canonical form and the field axioms, exact
+division of Laurent polynomials, the integer polynomial gcd (heuristic and
+PRS fallback) and the monomial fast path of the product.
 
 An independent check of the scalar kernel on random rational functions with
-small integer coefficients and negative exponents.
+small integer coefficients and negative exponents, and on integer
+polynomials with coefficients beyond 2^64.
 """
+
+from unittest import mock
 
 import pytest
 
@@ -12,6 +16,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from heisdouble import scalars  # noqa: E402
 from heisdouble.scalars import (ONE, ZERO, LaurentPoly, RatFunc,  # noqa: E402
                                laurent_exact_div)
 
@@ -42,9 +47,7 @@ def test_value_is_num_over_den(num, den):
     assert sympy.expand(expr(r.num) * expr(den) - expr(num) * expr(r.den)) == 0
 
 
-@SETTINGS
-@given(ratfunc)
-def test_canonical_form(r):
+def assert_canonical(r):
     if r.is_zero:
         assert r.den == LaurentPoly.const(1)
         return
@@ -53,6 +56,12 @@ def test_canonical_form(r):
     assert den.LC() > 0
     assert sympy.gcd(poly(r.num), den).degree() == 0          # coprime
     assert sympy.igcd(r.num.content(), r.den.content()) == 1  # no common content
+
+
+@SETTINGS
+@given(ratfunc)
+def test_canonical_form(r):
+    assert_canonical(r)
 
 
 @SETTINGS
@@ -133,3 +142,125 @@ def test_exact_div_refuses_2q2_3q_1_over_2q_2():
         laurent_exact_div(LaurentPoly({0: 1, 1: 3, 2: 2}), LaurentPoly({0: 2, 1: 2}))
     assert laurent_quotient(LaurentPoly({0: 1, 1: 3, 2: 2}),
                             LaurentPoly({0: 2, 1: 2})) is None
+
+
+# -- integer polynomial gcd -------------------------------------------------
+#
+# Coefficient lists run from the constant term up.  The gcd takes primitive
+# lists with nonzero constant and leading terms, as _canonical passes them.
+
+coefficient = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+int_poly = st.lists(coefficient, min_size=1, max_size=4).filter(
+    lambda c: c[0] != 0 and c[-1] != 0)
+
+
+def to_poly(c):
+    return sympy.Poly(list(reversed(c)), q)
+
+
+def to_list(p):
+    return [int(v) for v in reversed(p.all_coeffs())]
+
+
+def primitive(p):
+    return p.primitive()[1]
+
+
+def sympy_gcd(a, b):
+    """The primitive gcd with positive leading coefficient, by sympy."""
+    g = primitive(sympy.gcd(to_poly(a), to_poly(b)))
+    return to_list(-g if g.LC() < 0 else g)
+
+
+def gcd_inputs(f, a, b):
+    """Primitive f*a and f*b: random polynomials with a common factor."""
+    return (to_list(primitive(to_poly(f) * to_poly(a))),
+            to_list(primitive(to_poly(f) * to_poly(b))))
+
+
+def assert_cofactors(a, b, found):
+    g, qa, qb = found
+    assert g == sympy_gcd(a, b)
+    assert to_poly(g) * to_poly(qa) == to_poly(a)
+    assert to_poly(g) * to_poly(qb) == to_poly(b)
+
+
+@SETTINGS
+@given(int_poly, int_poly, int_poly)
+def test_gcd_agrees_with_sympy(f, a, b):
+    a, b = gcd_inputs(f, a, b)
+    assert_cofactors(a, b, scalars._gcd_cofactors(a, b))
+
+
+@SETTINGS
+@given(int_poly, int_poly, int_poly)
+def test_gcd_prs_fallback_agrees_with_sympy(f, a, b):
+    a, b = gcd_inputs(f, a, b)
+    assert scalars._gcd_prs(a, b) == sympy_gcd(a, b)
+
+
+def test_gcd_heuristic_removes_candidate_content():
+    # (q-1)(q+3) and (1-q)(1+q) at xi = 5: the integer gcd 8 reads 2q - 2 in
+    # symmetric base 5, whose primitive part q - 1 is the gcd
+    a, b = [-3, 2, 1], [1, 0, -1]
+    assert scalars._gcd_heu(a, b, 5) == ([-1, 1], [3, 1], [-1, -1])
+
+
+def test_gcd_retries_after_a_wrong_candidate():
+    # (3-q)(1+q) and (3+q)(1+q) at the first point xi = 9: the integer gcd
+    # 60 reads (q-3)(q+1), which divides the first only; the next point
+    # gives the gcd q + 1
+    a, b = [3, 2, -1], [3, 4, 1]
+    heu = scalars._gcd_heu
+    trials = []
+
+    def recording(a, b, xi):
+        trials.append(heu(a, b, xi))
+        return trials[-1]
+
+    with mock.patch.object(scalars, "_gcd_heu", recording):
+        found = scalars._gcd_cofactors(a, b)
+    assert trials[0] is None and len(trials) == 2
+    assert found == ([1, 1], [3, -1], [3, 1])
+
+
+@SETTINGS
+@given(laurent, nonzero_laurent)
+def test_canonical_form_through_prs_fallback(num, den):
+    with mock.patch.object(scalars, "_gcd_heu", lambda a, b, xi: None):
+        r = RatFunc(num, den)
+    expected = RatFunc(num, den)
+    assert (r.num, r.den) == (expected.num, expected.den)
+    assert_canonical(r)
+
+
+# -- the monomial fast path -------------------------------------------------
+
+monomial = st.builds(lambda c, e, d: RatFunc(LaurentPoly({e: c}), d),
+                     st.integers(-12, 12).filter(bool), st.integers(-3, 3),
+                     st.integers(1, 12))
+
+
+@SETTINGS
+@given(ratfunc, monomial)
+def test_monomial_product_agrees_with_canonical_form(a, m):
+    # m is c*q^e/d with c of either sign; its denominator is constant
+    expected = RatFunc(a.num * m.num, a.den * m.den)
+    for r in (a * m, m * a):
+        assert (r.num, r.den) == (expected.num, expected.den)
+        assert_canonical(r)
+    r = a / m
+    expected = RatFunc(a.num * m.den, a.den * m.num)
+    assert (r.num, r.den) == (expected.num, expected.den)
+    assert_canonical(r)
+
+
+def test_monomial_product_needs_no_gcd():
+    # (2+4q)/(6+3q^2) times and over -9q^-2/4, with no canonical-form pass
+    a = RatFunc(LaurentPoly({0: 2, 1: 4}), LaurentPoly({0: 6, 2: 3}))
+    m = RatFunc(LaurentPoly({-2: -9}), 4)
+    with mock.patch.object(scalars, "_canonical", None):
+        r = a * m
+        s = a / m
+    assert (r.num, r.den) == (LaurentPoly({-2: -3, -1: -6}), LaurentPoly({0: 4, 2: 2}))
+    assert (s.num, s.den) == (LaurentPoly({2: -8, 3: -16}), LaurentPoly({0: 54, 2: 27}))
