@@ -15,8 +15,6 @@ deg(a#x) = |a| - |x|.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .hopf import (Element, _acc, bounded_tuples, degrees_up_to, element_str,
                    multiply, shifted_presentation, terms_str)
 from .linalg import sparse_rank
@@ -29,10 +27,6 @@ from .twisting import (BiadditiveMap, TwistingDatum, compatibility_check,
 
 class IncompatiblePairError(ValueError):
     """The twisting data do not satisfy chi' = -(gamma')^T."""
-
-
-GenToken = namedtuple("GenToken", ["name", "args", "power"])
-GenToken.__new__.__defaults__ = ((), 1)
 
 
 def left_regular_action(P, x, a):
@@ -81,8 +75,9 @@ class HeisenbergDouble:
         self._action = {}
         self._smash = {}
         self._generators = {}
-        self.plus_gen_fn = None
-        self.minus_gen_fn = None
+        # gen_fn(N) lists the generator labels of total degree <= N, one list
+        # for both sides; None takes every basis label as a generator.
+        self.gen_fn = None
 
     # -- basic elements --------------------------------------------------
 
@@ -182,8 +177,7 @@ class HeisenbergDouble:
         out = HeisenbergDouble(pairing_s, name=self.name + "~shifted",
                                perfect=self.perfect)
         out._generators = dict(self._generators)
-        out.plus_gen_fn = self.plus_gen_fn
-        out.minus_gen_fn = self.minus_gen_fn
+        out.gen_fn = self.gen_fn
         return out
 
     # -- printing --------------------------------------------------------
@@ -210,7 +204,7 @@ class HeisenbergDouble:
         return "HeisenbergDouble(%s)" % self.name
 
 
-# -- products and normal ordering ---------------------------------------
+# -- products -----------------------------------------------------------
 
 
 def smash_multiply(D, u, v):
@@ -222,22 +216,6 @@ def smash_multiply(D, u, v):
             for p, k in D.smash_labels(a, x, b, y).terms.items():
                 _acc(out, p, cd * k)
     return Element._raw(out)
-
-
-def normal_order(D, word):
-    """Fold a generator word left to right into its normal form.
-
-    word is an iterable of GenToken(name, args, power); the result expresses
-    the product in the a # x basis.
-    """
-    out = D.unit()
-    for tok in word:
-        if tok.power < 0:
-            raise ValueError("generator powers must be nonnegative: %r" % (tok,))
-        g = D.generator_element(tok.name, tuple(tok.args))
-        for _ in range(tok.power):
-            out = smash_multiply(D, out, g)
-    return out
 
 
 # -- Fock representation ------------------------------------------------
@@ -305,8 +283,8 @@ def verify_commutation(D, N):
     checked for all generator pairs and all basis inputs b of degree <= N."""
     gpp = D.gamma.doubleprime
     xipp = D.xi.doubleprime
-    plus_gens = _gen_labels(D.plus, D.plus_gen_fn, N)
-    minus_gens = _gen_labels(D.minus, D.minus_gen_fn, N)
+    plus_gens = _gen_labels(D.plus, D.gen_fn, N)
+    minus_gens = _gen_labels(D.minus, D.gen_fn, N)
     inputs = D.plus.labels_up_to(N)
     for a in plus_gens:
         for x in minus_gens:

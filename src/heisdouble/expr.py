@@ -189,50 +189,6 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-# -- scalar evaluation ---------------------------------------------------
-
-
-def eval_scalar(node):
-    kind = node[0]
-    if kind == "int":
-        return RatFunc.from_int(node[2])
-    if kind == "name":
-        if node[2] == "q" and node[3] is None:
-            return Q
-        raise ExprEvalError("only q may appear in a scalar", node[1])
-    if kind == "neg":
-        return -eval_scalar(node[2])
-    if kind == "pow":
-        base = eval_scalar(node[2])
-        try:
-            return base ** node[3]
-        except ZeroDivisionError:
-            raise ExprEvalError("zero raised to a negative power", node[1]) from None
-    if kind == "chain":
-        acc = eval_scalar(node[2])
-        for op, sub in node[3]:
-            v = eval_scalar(sub)
-            if op == "/":
-                if v.is_zero:
-                    raise ExprEvalError("division by zero", node[1])
-                acc = acc / v
-            elif op in ("*", "#"):
-                acc = acc * v
-        return acc
-    if kind == "add":
-        acc = eval_scalar(node[2])
-        for sign, sub in node[3]:
-            v = eval_scalar(sub)
-            acc = acc + v if sign == "+" else acc - v
-        return acc
-    raise ExprEvalError("cannot evaluate node %r" % (kind,))
-
-
-def parse_scalar(text):
-    """Parse the scalar text format into a RatFunc."""
-    return eval_scalar(parse_expression(text))
-
-
 # -- evaluation inside a double context ---------------------------------
 
 

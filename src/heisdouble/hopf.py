@@ -202,7 +202,6 @@ class HopfPresentation:
         self._coproduct_fn = coproduct_fn
         self._label_text_fn = label_text_fn or (lambda l: str(l.key))
         self._basis = {}
-        self._basis_set = {}
         self._index = {}
         self._prod = {}
         self._coprod = {}
@@ -231,23 +230,22 @@ class HopfPresentation:
             hit = self._basis.setdefault(degree, val)
         return hit
 
-    def check_label(self, label):
-        degree = label.degree
-        s = self._basis_set.get(degree)
-        if s is None:
-            s = self._basis_set.setdefault(degree, frozenset(self.basis(degree)))
-        if label not in s:
-            raise PresentationError(
-                "label %r is not in the %s basis at degree %r"
-                % (label, self.name, degree))
-
-    def label_index(self, label):
-        idx = self._index.get(label.degree)
+    def _positions(self, degree):
+        """Label -> basis position at one degree, cached."""
+        idx = self._index.get(degree)
         if idx is None:
             idx = self._index.setdefault(
-                label.degree,
-                {l: i for i, l in enumerate(self.basis(label.degree))})
-        return idx[label]
+                degree, {l: i for i, l in enumerate(self.basis(degree))})
+        return idx
+
+    def check_label(self, label):
+        if label not in self._positions(label.degree):
+            raise PresentationError(
+                "label %r is not in the %s basis at degree %r"
+                % (label, self.name, label.degree))
+
+    def label_index(self, label):
+        return self._positions(label.degree)[label]
 
     def label_sort_key(self, label):
         return (deg_total(label.degree), label.degree, self.label_index(label))
@@ -348,10 +346,6 @@ def comultiply(H, u):
         for p, k in H.coproduct(l).terms.items():
             _acc(t, p, c * k)
     return Element._raw(t)
-
-
-def counit(H, u):
-    return u.coeff(H.unit_label)
 
 
 def twisted_tensor_multiply(H, s, t):

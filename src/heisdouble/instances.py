@@ -3,7 +3,7 @@ attached to a symmetric integer matrix, and lattice Heisenberg algebras.
 
 Each builder returns an :class:`Instance` bundling the two presentations,
 the twisted pairing, and the double context, with the instance's generator
-names registered for expression evaluation and normal ordering.
+names registered for expression evaluation.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
-from .double import HeisenbergDouble, IncompatiblePairError, left_regular_action
-from .hopf import BasisLabel, Element, HopfPresentation, _acc
+from .double import HeisenbergDouble, IncompatiblePairError
+from .hopf import BasisLabel, Element, HopfPresentation
 from .linalg import det_bareiss
 from .pairing import TwistedPairing
 from .partitions import (check_partition, difference, mp_empty,
-                         mp_remove_part, mp_sub_multisets, mp_union,
-                         multipartitions_of, multiplicities, partitions_of)
+                         mp_sub_multisets, mp_union, multipartitions_of,
+                         multiplicities, partitions_of)
 from .report import failing, passing
 from .scalars import (ONE, RatFunc, ZERO, q_binomial, q_factorial, q_int_sym)
 from .twisting import BiadditiveMap, TwistingDatum
@@ -204,42 +204,6 @@ def _permanent(m):
     return rec(0)
 
 
-def sym_pair_perm(factor, mp_minus, mp_plus):
-    """Independent route to the same value: the raw sum over permutations of
-    the colored sequences, with a Kronecker delta on part values."""
-    seq_l = []
-    for i, lam in enumerate(mp_minus, start=1):
-        seq_l.extend((k, i) for k in lam)
-    seq_r = []
-    for j, lam in enumerate(mp_plus, start=1):
-        seq_r.extend((k, j) for k in lam)
-    if len(seq_l) != len(seq_r):
-        return ZERO
-    n = len(seq_l)
-    used = [False] * n
-
-    def rec(t):
-        if t == n:
-            return ONE
-        k, i = seq_l[t]
-        acc = ZERO
-        for s in range(n):
-            if used[s]:
-                continue
-            k2, j = seq_r[s]
-            if k2 != k:
-                continue
-            f = factor(k, i, j)
-            if f.is_zero:
-                continue
-            used[s] = True
-            acc = acc + f * rec(t + 1)
-            used[s] = False
-        return acc
-
-    return rec(0)
-
-
 def q_factor(A):
     """factor(k, i, j) = [k <i,j>] [k] / k for the quantum Heisenberg form."""
     def factor(k, i, j):
@@ -254,7 +218,7 @@ def lattice_factor(B):
     return factor
 
 
-# -- power sums, phi operators, and complete homogeneous elements --------
+# -- power sums and complete homogeneous elements ------------------------
 
 
 def z_quantum(lam):
@@ -264,35 +228,6 @@ def z_quantum(lam):
     for k, m in multiplicities(lam).items():
         out = out * q_int_sym(k) ** m * factorial(m)
     return out
-
-
-def z_classical(lam):
-    """prod k^m_k m_k!, the classical specialization of Z_lambda."""
-    lam = check_partition(lam)
-    out = 1
-    for k, m in multiplicities(lam).items():
-        out *= k ** m * factorial(m)
-    return out
-
-
-def phi_derivation(A, k, i, u):
-    """The derivation phi_{k,i} on power-sum monomials:
-
-    phi_{k,i}(p_{lam,j}) = m_k(lam) [k<i,j>] ([k]/k) p_{lam minus k, j},
-    extended as a color-wise derivation to multipartition monomials."""
-    factor = q_factor(A)
-    out = {}
-    for label, c in u.terms.items():
-        mp = label.key
-        for j0, lam in enumerate(mp):
-            m = lam.count(k)
-            if not m:
-                continue
-            f = factor(k, i, j0 + 1) * m
-            if f.is_zero:
-                continue
-            _acc(out, mp_label(mp_remove_part(mp, k, j0 + 1)), c * f)
-    return Element._raw(out)
 
 
 @cache
@@ -308,38 +243,6 @@ def h_element(ncolors, n, i):
     for lam in partitions_of(n):
         terms[mp_label(_in_color(lam, i, ncolors))] = ONE / z_quantum(lam)
     return Element._raw(terms)
-
-
-def h_adjoint(A, k, i, n, j, double=None):
-    """The action of h'_{k,i} on h_{n,j}, by the closed case split:
-
-    <i,j> = 2  : [k+1] h_{n-k,j}
-    <i,j> = -1 : h_{n-k,j} for k in {0,1}, else 0
-    <i,j> = 0  : h_{n,j} for k = 0, else 0
-
-    Other diagonal values fall back to the left regular action and require
-    the double context.
-    """
-    ncolors = len(A)
-    if k < 0 or n < 0:
-        return Element.zero()
-    aij = A[i - 1][j - 1]
-    if k == 0:
-        return h_element(ncolors, n, j)
-    if aij == 2:
-        return h_element(ncolors, n - k, j).scale(q_int_sym(k + 1))
-    if aij == -1:
-        if k == 1:
-            return h_element(ncolors, n - 1, j)
-        return Element.zero()
-    if aij == 0:
-        return Element.zero()
-    if double is None:
-        raise ValueError(
-            "h_adjoint has no closed form for <i,j> = %d; pass the double context"
-            % aij)
-    return left_regular_action(double.pairing, h_element(ncolors, k, i),
-                               h_element(ncolors, n, j))
 
 
 def nonsingularity_check(A, kmax):
@@ -409,7 +312,7 @@ def _sym_instance(kind, key, M, name, factor, perfect, generators):
     double = HeisenbergDouble(pairing, name=name, perfect=perfect)
     for gen, side, element in generators:
         double.register_generator(gen, _generator(gen, side, element, ncolors))
-    double.plus_gen_fn = double.minus_gen_fn = lambda N: [
+    double.gen_fn = lambda N: [
         mp_label(_in_color((n,), i, ncolors))
         for n in range(1, N + 1) for i in range(1, ncolors + 1)]
     return Instance(name, kind, pairing, double, meta={key: M})
@@ -464,28 +367,6 @@ def cartan_a(n):
         raise ValueError("A_n requires n >= 1")
     return tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                        for j in range(n)) for i in range(n))
-
-
-def cartan_affine_a(n):
-    """Affine A_n^(1): the cycle on n+1 nodes (n >= 2), or the rank-2
-    matrix [[2,-2],[-2,2]] for n = 1."""
-    if n < 1:
-        raise ValueError("affine A_n requires n >= 1")
-    if n == 1:
-        return ((2, -2), (-2, 2))
-    size = n + 1
-    return tuple(tuple(2 if i == j else
-                       (-1 if (i - j) % size in (1, size - 1) else 0)
-                       for j in range(size)) for i in range(size))
-
-
-def cartan_affine_d4():
-    """Affine D_4^(1): four leaves attached to a central node (listed last)."""
-    return ((2, 0, 0, 0, -1),
-            (0, 2, 0, 0, -1),
-            (0, 0, 2, 0, -1),
-            (0, 0, 0, 2, -1),
-            (-1, -1, -1, -1, 2))
 
 
 def identity_form(n):

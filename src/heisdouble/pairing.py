@@ -12,16 +12,12 @@ coproducts:
 
 from __future__ import annotations
 
-from .hopf import Element, antipode
+from .hopf import Element
 from .linalg import components, det_bareiss
 from .report import failing, passing
 from .scalars import ONE, ZERO, q_power
 from .twisting import TwistingDatum, deg_add, deg_total, dual_twisting
 from . import hopf
-
-
-class HypothesisError(ValueError):
-    """A check was invoked outside the hypotheses that make it meaningful."""
 
 
 class TwistedPairing:
@@ -45,7 +41,6 @@ class TwistedPairing:
         self._gram_fn = gram_fn
         self.name = name or "%s|%s" % (minus.name, plus.name)
         self._values = {}
-        self._blocks = {}
 
     def pair_labels(self, x_label, a_label):
         if x_label.degree != a_label.degree:
@@ -83,15 +78,12 @@ class TwistedPairing:
         return total
 
     def gram_block(self, degree):
-        """Minus labels, plus labels, and the Gram matrix at one degree."""
-        degree = tuple(degree)
-        hit = self._blocks.get(degree)
-        if hit is None:
-            rows = self.minus.basis(degree)
-            cols = self.plus.basis(degree)
-            matrix = tuple(tuple(self.pair_labels(x, a) for a in cols) for x in rows)
-            hit = self._blocks.setdefault(degree, (rows, cols, matrix))
-        return hit
+        """Minus labels, plus labels, and the Gram matrix at one degree,
+        read from the cached pairing values."""
+        rows = self.minus.basis(degree)
+        cols = self.plus.basis(degree)
+        matrix = tuple(tuple(self.pair_labels(x, a) for a in cols) for x in rows)
+        return rows, cols, matrix
 
     def gram_to_json(self, N):
         """Gram blocks for all degrees of total <= N, entries as strings.
@@ -198,30 +190,6 @@ def perfectness_check(P, N):
                 return failing("perfectness_check", P.name, N, degree=degree,
                                reason="singular Gram block")
     return passing("perfectness_check", P.name, N)
-
-
-def antipode_adjointness_check(P, N):
-    """Verify <x, S(a)> = <S(x), a> on basis pairs of degree total <= N.
-
-    Meaningful only when gamma' = gamma''; otherwise the hypothesis fails
-    and the check refuses to run rather than reporting a failure.
-    """
-    if P.gamma.prime != P.gamma.doubleprime:
-        raise HypothesisError(
-            "antipode adjointness requires gamma' = gamma''; "
-            "%s has gamma = %s" % (P.name, P.gamma))
-    for x in P.minus.labels_up_to(N):
-        for a in P.plus.basis(x.degree):
-            lhs = P.pair(Element.from_label(x),
-                         antipode(P.plus, Element.from_label(a)))
-            rhs = P.pair(antipode(P.minus, Element.from_label(x)),
-                         Element.from_label(a))
-            if lhs != rhs:
-                return failing("antipode_adjointness_check", P.name, N,
-                               labels="%s | %s" % (P.minus.label_text(x),
-                                                   P.plus.label_text(a)),
-                               lhs=lhs, rhs=rhs)
-    return passing("antipode_adjointness_check", P.name, N)
 
 
 def dual_presentation_check(P, N):

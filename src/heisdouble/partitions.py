@@ -30,16 +30,6 @@ def multiplicities(lam):
     return out
 
 
-def remove_part(lam, k):
-    """The partition lam with one part k removed; error when absent."""
-    out = list(lam)
-    try:
-        out.remove(k)
-    except ValueError:
-        raise ValueError("partition %r has no part %r" % (lam, k)) from None
-    return tuple(out)
-
-
 def union(lam, mu):
     """Multiset union of two partitions."""
     out = list(lam) + list(mu)
@@ -101,11 +91,6 @@ def sub_multisets(lam):
 
 def mp_empty(ncolors):
     return ((),) * ncolors
-
-
-def mp_remove_part(mp, k, color):
-    i = color - 1
-    return mp[:i] + (remove_part(mp[i], k),) + mp[i + 1:]
 
 
 def mp_union(mp1, mp2):

@@ -473,6 +473,11 @@ class RatFunc:
             return NotImplemented
         if self.den == LP_ONE and o.den == LP_ONE:
             return RatFunc._make(self.num + o.num, LP_ONE)
+        # one side is not Laurent; a zero other side needs no canonical form
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return o
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

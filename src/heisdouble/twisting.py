@@ -139,21 +139,6 @@ def dual_twisting(chi, gamma):
     return TwistingDatum(xi_p, xi_pp)
 
 
-def shift_twisting(chi, xi, gamma, alpha_plus, alpha_minus, beta_plus, beta_minus):
-    """Twisting data after shifting both coproducts and products.
-
-    alpha_plus/alpha_minus shift the two coproducts, beta_plus/beta_minus the
-    two products.  Returns the triple (chi~, xi~, gamma~).
-    """
-    chi_t = TwistingDatum(chi.prime + alpha_plus.transpose() + beta_plus,
-                          chi.doubleprime + alpha_plus + beta_plus)
-    xi_t = TwistingDatum(xi.prime + alpha_minus.transpose() + beta_minus,
-                         xi.doubleprime + alpha_minus + beta_minus)
-    gamma_t = TwistingDatum(gamma.prime - alpha_plus + beta_minus,
-                            gamma.doubleprime - alpha_minus + beta_plus)
-    return chi_t, xi_t, gamma_t
-
-
 def compatibility_check(chi, gamma):
     """Whether chi' = -(gamma')^T, the condition for the double to close."""
     return chi.prime == -gamma.prime.transpose()

@@ -1,0 +1,209 @@
+"""Test oracles: closed forms, brute-force routes and fixed inputs that the
+tests compare the library against.  The library itself never calls them.
+"""
+
+from math import factorial
+
+from heisdouble.double import left_regular_action
+from heisdouble.hopf import Element, _acc, antipode
+from heisdouble.instances import h_element, mp_label, q_factor
+from heisdouble.partitions import check_partition, multiplicities
+from heisdouble.report import failing, passing
+from heisdouble.scalars import ONE, ZERO, q_int_sym
+from heisdouble.twisting import TwistingDatum
+
+
+# -- partitions ----------------------------------------------------------
+
+
+def remove_part(lam, k):
+    """The partition lam with one part k removed; error when absent."""
+    out = list(lam)
+    try:
+        out.remove(k)
+    except ValueError:
+        raise ValueError("partition %r has no part %r" % (lam, k)) from None
+    return tuple(out)
+
+
+def mp_remove_part(mp, k, color):
+    i = color - 1
+    return mp[:i] + (remove_part(mp[i], k),) + mp[i + 1:]
+
+
+# -- standard matrices ---------------------------------------------------
+
+
+def cartan_affine_a(n):
+    """Affine A_n^(1): the cycle on n+1 nodes (n >= 2), or the rank-2
+    matrix [[2,-2],[-2,2]] for n = 1."""
+    if n < 1:
+        raise ValueError("affine A_n requires n >= 1")
+    if n == 1:
+        return ((2, -2), (-2, 2))
+    size = n + 1
+    return tuple(tuple(2 if i == j else
+                       (-1 if (i - j) % size in (1, size - 1) else 0)
+                       for j in range(size)) for i in range(size))
+
+
+def cartan_affine_d4():
+    """Affine D_4^(1): four leaves attached to a central node (listed last)."""
+    return ((2, 0, 0, 0, -1),
+            (0, 2, 0, 0, -1),
+            (0, 0, 2, 0, -1),
+            (0, 0, 0, 2, -1),
+            (-1, -1, -1, -1, 2))
+
+
+# -- twisting ------------------------------------------------------------
+
+
+def shift_twisting(chi, xi, gamma, alpha_plus, alpha_minus, beta_plus, beta_minus):
+    """Twisting data after shifting both coproducts and products.
+
+    alpha_plus/alpha_minus shift the two coproducts, beta_plus/beta_minus the
+    two products.  Returns the triple (chi~, xi~, gamma~).
+    """
+    chi_t = TwistingDatum(chi.prime + alpha_plus.transpose() + beta_plus,
+                          chi.doubleprime + alpha_plus + beta_plus)
+    xi_t = TwistingDatum(xi.prime + alpha_minus.transpose() + beta_minus,
+                         xi.doubleprime + alpha_minus + beta_minus)
+    gamma_t = TwistingDatum(gamma.prime - alpha_plus + beta_minus,
+                            gamma.doubleprime - alpha_minus + beta_plus)
+    return chi_t, xi_t, gamma_t
+
+
+# -- pairing values ------------------------------------------------------
+
+
+def sym_pair_perm(factor, mp_minus, mp_plus):
+    """Independent route to instances.sym_pair: the raw sum over
+    permutations of the colored sequences, with a Kronecker delta on part
+    values."""
+    seq_l = []
+    for i, lam in enumerate(mp_minus, start=1):
+        seq_l.extend((k, i) for k in lam)
+    seq_r = []
+    for j, lam in enumerate(mp_plus, start=1):
+        seq_r.extend((k, j) for k in lam)
+    if len(seq_l) != len(seq_r):
+        return ZERO
+    n = len(seq_l)
+    used = [False] * n
+
+    def rec(t):
+        if t == n:
+            return ONE
+        k, i = seq_l[t]
+        acc = ZERO
+        for s in range(n):
+            if used[s]:
+                continue
+            k2, j = seq_r[s]
+            if k2 != k:
+                continue
+            f = factor(k, i, j)
+            if f.is_zero:
+                continue
+            used[s] = True
+            acc = acc + f * rec(t + 1)
+            used[s] = False
+        return acc
+
+    return rec(0)
+
+
+def z_classical(lam):
+    """prod k^m_k m_k!, the classical specialization of Z_lambda."""
+    lam = check_partition(lam)
+    out = 1
+    for k, m in multiplicities(lam).items():
+        out *= k ** m * factorial(m)
+    return out
+
+
+# -- phi operators and the h-adjoint case table --------------------------
+
+
+def phi_derivation(A, k, i, u):
+    """The derivation phi_{k,i} on power-sum monomials:
+
+    phi_{k,i}(p_{lam,j}) = m_k(lam) [k<i,j>] ([k]/k) p_{lam minus k, j},
+    extended as a color-wise derivation to multipartition monomials."""
+    factor = q_factor(A)
+    out = {}
+    for label, c in u.terms.items():
+        mp = label.key
+        for j0, lam in enumerate(mp):
+            m = lam.count(k)
+            if not m:
+                continue
+            f = factor(k, i, j0 + 1) * m
+            if f.is_zero:
+                continue
+            _acc(out, mp_label(mp_remove_part(mp, k, j0 + 1)), c * f)
+    return Element._raw(out)
+
+
+def h_adjoint(A, k, i, n, j, double=None):
+    """The action of h'_{k,i} on h_{n,j}, by the closed case split:
+
+    <i,j> = 2  : [k+1] h_{n-k,j}
+    <i,j> = -1 : h_{n-k,j} for k in {0,1}, else 0
+    <i,j> = 0  : h_{n,j} for k = 0, else 0
+
+    Other diagonal values fall back to the left regular action and require
+    the double context.
+    """
+    ncolors = len(A)
+    if k < 0 or n < 0:
+        return Element.zero()
+    aij = A[i - 1][j - 1]
+    if k == 0:
+        return h_element(ncolors, n, j)
+    if aij == 2:
+        return h_element(ncolors, n - k, j).scale(q_int_sym(k + 1))
+    if aij == -1:
+        if k == 1:
+            return h_element(ncolors, n - 1, j)
+        return Element.zero()
+    if aij == 0:
+        return Element.zero()
+    if double is None:
+        raise ValueError(
+            "h_adjoint has no closed form for <i,j> = %d; pass the double context"
+            % aij)
+    return left_regular_action(double.pairing, h_element(ncolors, k, i),
+                               h_element(ncolors, n, j))
+
+
+# -- antipode adjointness ------------------------------------------------
+
+
+class HypothesisError(ValueError):
+    """A check was invoked outside the hypotheses that make it meaningful."""
+
+
+def antipode_adjointness_check(P, N):
+    """Verify <x, S(a)> = <S(x), a> on basis pairs of degree total <= N.
+
+    Meaningful only when gamma' = gamma''; otherwise the hypothesis fails
+    and the check refuses to run rather than reporting a failure.
+    """
+    if P.gamma.prime != P.gamma.doubleprime:
+        raise HypothesisError(
+            "antipode adjointness requires gamma' = gamma''; "
+            "%s has gamma = %s" % (P.name, P.gamma))
+    for x in P.minus.labels_up_to(N):
+        for a in P.plus.basis(x.degree):
+            lhs = P.pair(Element.from_label(x),
+                         antipode(P.plus, Element.from_label(a)))
+            rhs = P.pair(antipode(P.minus, Element.from_label(x)),
+                         Element.from_label(a))
+            if lhs != rhs:
+                return failing("antipode_adjointness_check", P.name, N,
+                               labels="%s | %s" % (P.minus.label_text(x),
+                                                   P.plus.label_text(a)),
+                               lhs=lhs, rhs=rhs)
+    return passing("antipode_adjointness_check", P.name, N)

@@ -14,9 +14,7 @@ import time
 import pytest
 
 from heisdouble.double import (
-    GenToken,
     left_regular_action,
-    normal_order,
     smash_multiply,
     verify_faithful,
     verify_shift_invariance,
@@ -29,8 +27,6 @@ from heisdouble.instances import (
     build_qheis,
     build_weyl,
     cartan_a,
-    cartan_affine_d4,
-    h_adjoint,
     h_element,
     identity_form,
     mp_label,
@@ -38,7 +34,6 @@ from heisdouble.instances import (
     q_factor,
     rank_one_form,
     sym_pair,
-    sym_pair_perm,
     z_quantum,
     zero_form,
 )
@@ -46,6 +41,7 @@ from heisdouble.pairing import dual_presentation_check, perfectness_check
 from heisdouble.partitions import multipartitions_of
 from heisdouble.scalars import ONE, Q, ZERO, q_int_sym
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
+from oracles import cartan_affine_d4, h_adjoint, sym_pair_perm
 
 A2 = cartan_a(2)
 
@@ -100,7 +96,7 @@ def weyl_rewrite_oracle(m, n):
 def test_acceptance_2_weyl_normal_order(weyl):
     t0 = time.monotonic()
     D = weyl.double
-    u = normal_order(D, [GenToken("d"), GenToken("x")])
+    u = evaluate_text(D, "d x")
     x1 = BasisLabel(1, (1,))
     unit = (D.plus.unit_label, D.minus.unit_label)
     ok = (u.coeff((x1, x1)) == Q and u.coeff(unit) == ONE
@@ -108,8 +104,7 @@ def test_acceptance_2_weyl_normal_order(weyl):
           and evaluate_text(D, "d*x") == u)
     for m in range(7):
         for n in range(7):
-            got = normal_order(D, [GenToken("d", power=m),
-                                   GenToken("x", power=n)])
+            got = evaluate_text(D, "d^%d x^%d" % (m, n))
             flat = {(a.key, x.key): c for (a, x), c in got.terms.items()}
             ok = ok and flat == weyl_rewrite_oracle(m, n)
     report(2, "weyl double relation vs rewriting oracle", ok,

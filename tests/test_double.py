@@ -5,20 +5,19 @@ import random
 import pytest
 
 from heisdouble.double import (
-    GenToken,
     HeisenbergDouble,
     IncompatiblePairError,
     fock_apply,
     fock_matrix,
     left_regular_action,
     max_term_degree,
-    normal_order,
     smash_multiply,
     verify_commutation,
     verify_faithful,
     verify_shift_invariance,
     verify_vacuum,
 )
+from heisdouble.expr import ExprEvalError, evaluate_text
 from heisdouble.hopf import BasisLabel, Element
 from heisdouble.instances import (
     build_lattice,
@@ -31,7 +30,8 @@ from heisdouble.instances import (
 )
 from heisdouble.pairing import TwistedPairing
 from heisdouble.scalars import ONE, Q, RatFunc, q_int, q_int_sym, q_power
-from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total, shift_twisting
+from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total
+from oracles import shift_twisting
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
@@ -43,10 +43,6 @@ def xlab(n):
 
 def xel(n, coeff=ONE):
     return Element.from_label(xlab(n), coeff)
-
-
-def tok(name, *args, power=1):
-    return GenToken(name, args, power)
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +217,11 @@ def test_smash_grading(wd):
 
 
 # ---------------------------------------------------------------------------
-# Normal ordering
+# Normal ordering through the expression evaluator
 
 
 def test_normal_order_weyl_ddx(wd):
-    got = normal_order(wd, [tok("d"), tok("d"), tok("x")])
+    got = evaluate_text(wd, "d d x")
     expected = Element(
         {(xlab(1), xlab(2)): q_power(2), (xlab(0), xlab(1)): q_int(2)}
     )
@@ -234,21 +230,19 @@ def test_normal_order_weyl_ddx(wd):
 
 
 def test_normal_order_power_token(wd):
-    assert normal_order(wd, [tok("d", power=2), tok("x")]) == normal_order(
-        wd, [tok("d"), tok("d"), tok("x")]
-    )
-    assert normal_order(wd, [tok("d", power=0)]) == wd.unit()
+    assert evaluate_text(wd, "d^2 x") == evaluate_text(wd, "d d x")
+    assert evaluate_text(wd, "d^0") == wd.unit()
 
 
 def test_normal_order_already_normal(wd):
-    got = normal_order(wd, [tok("x"), tok("d")])
+    got = evaluate_text(wd, "x d")
     assert got == Element({(xlab(1), xlab(1)): ONE})
     assert wd.element_str(got) == "x#d"
 
 
 def test_normal_order_h_relation_same_color(a2):
     D = a2.double
-    got = normal_order(D, [tok("h'", 1, 1), tok("h", 1, 1)])
+    got = evaluate_text(D, "h'[1,1] h[1,1]")
     h = D.generator_element("h", (1, 1))
     hp = D.generator_element("h'", (1, 1))
     expected = smash_multiply(D, h, hp) + D.unit().scale(q_int_sym(2))
@@ -257,12 +251,14 @@ def test_normal_order_h_relation_same_color(a2):
 
 def test_normal_order_rejects_negative_power(wd):
     with pytest.raises(ValueError):
-        normal_order(wd, [GenToken("d", (), -1)])
+        evaluate_text(wd, "d^-1")
 
 
 def test_normal_order_unknown_generator(wd):
+    with pytest.raises(ExprEvalError):
+        evaluate_text(wd, "zz")
     with pytest.raises(KeyError):
-        normal_order(wd, [tok("zz")])
+        wd.generator_element("zz")
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +419,13 @@ def test_verify_shift_invariance_qheis(a2):
 def test_shifted_context_keeps_generators(wd):
     shifted = wd.shifted(ZETA)
     assert shifted.generator_names() == wd.generator_names()
-    got = normal_order(shifted, [tok("d"), tok("x")])
-    assert got == normal_order(wd, [tok("d"), tok("x")])
+    got = evaluate_text(shifted, "d x")
+    assert got == evaluate_text(wd, "d x")
 
 
 SHIFT_WORDS = {
-    "weyl": [[tok("d", power=2), tok("x", power=2)],
-             [tok("x"), tok("d"), tok("x", power=3), tok("d")]],
-    "qheis[2]": [[tok("p'", 2, 1), tok("p", 2, 1)],
-                 [tok("h'", 2, 1), tok("h", 2, 2), tok("p'", 1, 2)]],
+    "weyl": ["d^2 x^2", "x d x^3 d"],
+    "qheis[2]": ["p'[2,1] p[2,1]", "h'[2,1] h[2,2] p'[1,2]"],
 }
 
 
@@ -452,9 +446,44 @@ def test_shifted_matches_general_shift_formula(weyl, a2, alpha):
             (chi_t, xi_t, gamma_t)
         assert T.name == S.name
         for word in SHIFT_WORDS[D.name]:
-            printed = S.element_str(normal_order(S, word))
-            assert T.element_str(normal_order(T, word)) == printed
-            assert D.element_str(normal_order(D, word)) == printed
+            printed = S.element_str(evaluate_text(S, word))
+            assert T.element_str(evaluate_text(T, word)) == printed
+            assert D.element_str(evaluate_text(D, word)) == printed
+
+
+# ---------------------------------------------------------------------------
+# Mutations: one corrupted cached constant fails its check, with a witness
+
+
+def test_verify_commutation_catches_corrupted_action():
+    D = build_weyl().double
+    assert verify_commutation(D, 3).passed
+    D._action[(xlab(1), xlab(2))] = xel(1, Q)  # d(x^2) is (1 + q) x
+    rep = verify_commutation(D, 3)
+    assert not rep.passed
+    assert rep.witness == {"labels": "x=d, a=x, b=x", "lhs": "q*x",
+                           "rhs": "(1 + q)*x"}
+
+
+def test_verify_vacuum_catches_nonzero_vacuum_image():
+    D = build_weyl().double
+    assert verify_vacuum(D, 3).passed
+    D._action[(xlab(1), xlab(0))] = xel(0)  # d(1) is 0
+    rep = verify_vacuum(D, 3)
+    assert not rep.passed
+    assert rep.witness == {"reason": "minus element does not annihilate the vacuum",
+                           "label": "d", "image": "1"}
+
+
+def test_verify_shift_invariance_catches_corrupted_smash():
+    D = build_weyl().double
+    assert verify_shift_invariance(D, ZETA, 3).passed
+    D._smash[(xlab(0), xlab(1), xlab(1), xlab(0))] = Element(
+        {(xlab(1), xlab(1)): Q})  # d x is q x#d + 1
+    rep = verify_shift_invariance(D, ZETA, 3)
+    assert not rep.passed
+    assert rep.witness == {"labels": "(1 # d)(x # 1)", "lhs": "q*x#d",
+                           "rhs": "q*x#d + 1"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from heisdouble.expr import (
     as_scalar,
     evaluate_text,
     parse_expression,
-    parse_scalar,
     pure_minus,
     pure_plus,
     tokenize,
@@ -69,38 +68,43 @@ def test_tokenize_rejects_stray_character():
 # -- scalar parsing ------------------------------------------------------
 
 
-def test_parse_scalar_values():
-    assert parse_scalar("q^2") == Q ** 2
-    assert parse_scalar("1 + q") == ONE + Q
-    assert parse_scalar("q^-1") == q_power(-1)
-    assert parse_scalar("-q^3 + 2") == RatFunc.from_int(2) - Q ** 3
-    assert parse_scalar("(1)/(1 + q)") == ONE / (ONE + Q)
-    assert parse_scalar("(2)/(3)") == RatFunc.from_int(2) / 3
+def scalar(D, text):
+    """The value of a scalar text, evaluated as a multiple of 1 # 1 in D."""
+    return as_scalar(D, evaluate_text(D, text))
 
 
-def test_parse_scalar_precedence():
+def test_parse_scalar_values(wd):
+    assert scalar(wd, "q^2") == Q ** 2
+    assert scalar(wd, "1 + q") == ONE + Q
+    assert scalar(wd, "q^-1") == q_power(-1)
+    assert scalar(wd, "-q^3 + 2") == RatFunc.from_int(2) - Q ** 3
+    assert scalar(wd, "(1)/(1 + q)") == ONE / (ONE + Q)
+    assert scalar(wd, "(2)/(3)") == RatFunc.from_int(2) / 3
+
+
+def test_parse_scalar_precedence(wd):
     # exponentiation binds tighter than juxtaposition, which acts as *
-    assert parse_scalar("q^2 q") == Q ** 3
-    assert parse_scalar("2 q") == Q * 2
-    assert parse_scalar("1 + q*q") == ONE + Q ** 2
-    assert parse_scalar("-q^2") == -(Q ** 2)
-    assert parse_scalar("(1 + q)^2") == (ONE + Q) ** 2
-    assert parse_scalar("6/2/3") == ONE
+    assert scalar(wd, "q^2 q") == Q ** 3
+    assert scalar(wd, "2 q") == Q * 2
+    assert scalar(wd, "1 + q*q") == ONE + Q ** 2
+    assert scalar(wd, "-q^2") == -(Q ** 2)
+    assert scalar(wd, "(1 + q)^2") == (ONE + Q) ** 2
+    assert scalar(wd, "6/2/3") == ONE
 
 
-def test_parse_scalar_round_trips_printed_forms():
+def test_parse_scalar_round_trips_printed_forms(wd):
     for v in (Q ** 2 + ONE, ONE / (ONE + Q), -Q, q_power(-3) * 5,
               (ONE + Q) / (ONE - Q)):
-        assert parse_scalar(str(v)) == v
+        assert scalar(wd, str(v)) == v
 
 
-def test_scalar_eval_errors():
-    with pytest.raises(ExprEvalError):
-        parse_scalar("x")
-    with pytest.raises(ExprEvalError):
-        parse_scalar("1/0")
-    with pytest.raises(ExprEvalError):
-        parse_scalar("0^-1")
+def test_scalar_eval_errors(wd):
+    assert scalar(wd, "x") is None  # a generator, not a scalar
+    with pytest.raises(ExprEvalError, match="^division by zero at offset 0$"):
+        scalar(wd, "1/0")
+    with pytest.raises(ExprEvalError,
+                       match="^zero raised to a negative power at offset 1$"):
+        scalar(wd, "0^-1")
 
 
 # -- syntax error offsets ------------------------------------------------

@@ -1,12 +1,17 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+function and class a library module defines is used by the program: the
+library, the demos or the benchmark, not only by tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "heisdouble"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "heisdouble"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PROGRAM = sorted(p for d in ("src", "demos", "bench") for p in (ROOT / d).rglob("*.py")
+                 if not p.name.startswith("test_"))
 
 
 def unused_imports(source):
@@ -41,3 +46,57 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(tree, skip=None):
+    """Names read in tree outside the node skip: bare names, attribute
+    names and imported names."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_definitions(source, elsewhere):
+    """Top-level functions and classes of source whose names are neither in
+    the set elsewhere nor read in source outside their own definition."""
+    tree = ast.parse(source)
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in elsewhere
+        and node.name not in referenced_names(tree, skip=node))
+
+
+def test_scanner_finds_uncalled_definitions():
+    source = ("def used():\n    return 1\n"
+              "def helper():\n    return used()\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Unused:\n    pass\n"
+              "def by_attribute():\n    pass\n")
+    elsewhere = referenced_names(ast.parse(
+        "from m import helper as h\nimport m\nm.by_attribute()\n"))
+    assert uncalled_definitions(source, elsewhere) == ["Unused", "recursive"]
+
+
+def test_program_found():
+    assert {"cli.py", "run.py", "demo_weyl.py"} <= {p.name for p in PROGRAM}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_has_a_caller(path):
+    elsewhere = set()
+    for other in PROGRAM:
+        if other != path:
+            elsewhere |= referenced_names(ast.parse(other.read_text()))
+    assert uncalled_definitions(path.read_text(), elsewhere) == []

@@ -15,22 +15,16 @@ from heisdouble.instances import (
     build_qheis,
     build_weyl,
     cartan_a,
-    cartan_affine_a,
-    cartan_affine_d4,
-    h_adjoint,
     h_element,
     identity_form,
     lattice_factor,
     load_instance,
     mp_label,
     nonsingularity_check,
-    phi_derivation,
     q_factor,
     rank_one_form,
     shifted_instance,
     sym_pair,
-    sym_pair_perm,
-    z_classical,
     z_quantum,
     zero_form,
 )
@@ -38,6 +32,8 @@ from heisdouble.linalg import det_bareiss, sparse_rank
 from heisdouble.pairing import check_pairing_axioms
 from heisdouble.partitions import multipartitions_of, multiplicities, partitions_of
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_factorial, q_int_sym
+from oracles import (cartan_affine_a, cartan_affine_d4, h_adjoint, phi_derivation,
+                     sym_pair_perm, z_classical)
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
 
 A2 = cartan_a(2)

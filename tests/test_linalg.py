@@ -10,10 +10,11 @@ import pytest
 
 from heisdouble import hopf
 from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
-                                  cartan_affine_d4, identity_form)
+                                  identity_form)
 from heisdouble.linalg import components, det_bareiss
 from heisdouble.pairing import perfectness_check
 from heisdouble.scalars import ONE, Q, ZERO, LaurentPoly, RatFunc
+from oracles import cartan_affine_d4
 
 # Entries with non-constant denominators: 1/(1+q) and q/(1-q^2).
 A = ONE / (ONE + Q)

@@ -9,16 +9,15 @@ from heisdouble.partitions import (
     colored_sequence,
     difference,
     mp_empty,
-    mp_remove_part,
     mp_sub_multisets,
     mp_union,
     multipartitions_of,
     multiplicities,
     partitions_of,
-    remove_part,
     sub_multisets,
     union,
 )
+from oracles import mp_remove_part, remove_part
 
 # Partition numbers p(0)..p(10).
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heisdouble import scalars
 from heisdouble.scalars import (
     LP_ONE,
     LP_ZERO,
@@ -21,7 +22,8 @@ from heisdouble.scalars import (
     q_int_sym,
     q_power,
 )
-from heisdouble.expr import parse_scalar
+from heisdouble.expr import as_scalar, evaluate_text
+from heisdouble.instances import build_weyl
 
 
 def lp(coeffs):
@@ -165,6 +167,18 @@ def test_ratfunc_arith_mixed_ints_fractions():
     assert (ONE / 2) + (ONE / 2) == ONE
 
 
+def test_ratfunc_plus_zero_skips_the_canonical_form(monkeypatch):
+    r = (Q + 2) / (Q ** 2 + 3)
+    calls = []
+    canonical = scalars._canonical
+    monkeypatch.setattr(scalars, "_canonical",
+                        lambda num, den: calls.append(1) or canonical(num, den))
+    for s in (r + ZERO, ZERO + r, r + 0, 0 + r, r - ZERO):
+        assert s == r
+        assert hash(s) == hash(r)
+    assert calls == []
+
+
 def test_ratfunc_pow_negative():
     r = Q + 1
     assert r**-1 == ONE / r
@@ -295,11 +309,12 @@ def random_ratfunc(rng):
 
 
 def test_print_parse_round_trip():
+    D = build_weyl().double
     rng = random.Random(20260823)
     seen = [ZERO, ONE, Q, QINV, q_int(5), q_factorial(4), ONE / (Q + 1), -Q**3]
     seen.extend(random_ratfunc(rng) for _ in range(200))
     for r in seen:
-        assert parse_scalar(str(r)) == r
+        assert as_scalar(D, evaluate_text(D, str(r))) == r
 
 
 def test_str_is_canonical_across_routes():

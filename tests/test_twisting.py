@@ -13,8 +13,8 @@ from heisdouble.twisting import (
     deg_total,
     deg_zero,
     dual_twisting,
-    shift_twisting,
 )
+from oracles import shift_twisting
 
 
 def bm(*rows):
