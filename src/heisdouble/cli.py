@@ -201,6 +201,8 @@ def cmd_fock_matrix(args):
 
 
 def cmd_info(args):
+    if args.gram is not None and args.gram < 0:
+        raise ConfigError("--gram must be nonnegative")
     inst = load_instance(args.instance)
     D = inst.double
     degrees = list(range(5))

@@ -15,8 +15,10 @@ deg(a#x) = |a| - |x|.
 
 from __future__ import annotations
 
-from .hopf import (Element, _acc, bounded_tuples, degrees_up_to, element_str,
-                   multiply, shifted_presentation, terms_str)
+from functools import partial
+
+from .hopf import (Element, _acc, bilinear, bounded_tuples, degrees_up_to,
+                   element_str, linear, multiply, shifted_presentation, terms_str)
 from .linalg import sparse_rank
 from .pairing import TwistedPairing
 from .report import failing, passing
@@ -29,23 +31,21 @@ class IncompatiblePairError(ValueError):
     """The twisting data do not satisfy chi' = -(gamma')^T."""
 
 
-def left_regular_action(P, x, a):
-    """Action of the minus element x on the plus element a:
+def _label_action(P, x, a):
+    """x(a) on basis labels: the sum over Delta(a) = a1 (x) a2 of
+    q^(gamma'(|a1|,|a2|)) <x, a2> a1."""
+    gp = P.gamma.prime.evaluate
+    paired = {(a1, a2): c * v for (a1, a2), c in P.plus.coproduct(a).terms.items()
+              if not (v := P.pair_labels(x, a2)).is_zero}
+    return linear(lambda p: Element.from_label(
+        p[0], q_power(gp(p[0].degree, p[1].degree))), Element._raw(paired))
 
-    x(a) = sum over Delta(a) = a1 (x) a2 of q^(gamma'(|a1|,|a2|)) <x, a2> a1.
-    """
-    gp = P.gamma.prime
-    out = {}
-    for al, ac in a.terms.items():
-        for (b1, b2), c in P.plus.coproduct(al).terms.items():
-            for xl, xc in x.terms.items():
-                if xl.degree != b2.degree:
-                    continue
-                v = P.pair_labels(xl, b2)
-                if v.is_zero:
-                    continue
-                _acc(out, b1, ac * c * xc * v * q_power(gp.evaluate(b1.degree, b2.degree)))
-    return Element._raw(out)
+
+def left_regular_action(P, x, a):
+    """Action of the minus element x on the plus element a, the bilinear
+    extension of the label action (which HeisenbergDouble.action_label
+    caches)."""
+    return bilinear(partial(_label_action, P), x, a)
 
 
 class HeisenbergDouble:
@@ -122,18 +122,16 @@ class HeisenbergDouble:
 
     def action(self, x_label, b):
         """Action of a minus basis label on a plus element."""
-        out = {}
-        for bl, bc in b.terms.items():
-            for l, c in self.action_label(x_label, bl).terms.items():
-                _acc(out, l, bc * c)
-        return Element._raw(out)
+        return linear(lambda l: self.action_label(x_label, l), b)
 
-    def smash_labels(self, a, x, b, y):
-        """(a#x)(b#y) on basis labels, cached."""
-        key = (a, x, b, y)
+    def smash_labels(self, s, t):
+        """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), cached
+        under the key (a, x, b, y)."""
+        key = s + t
         hit = self._smash.get(key)
         if hit is not None:
             return hit
+        a, x, b, y = key
         gpp = self.gamma.doubleprime
         xipp = self.xi.doubleprime
         bdeg = b.degree
@@ -209,13 +207,7 @@ class HeisenbergDouble:
 
 def smash_multiply(D, u, v):
     """Product of two double elements, bilinear over smash_labels."""
-    out = {}
-    for (a, x), c in u.terms.items():
-        for (b, y), d in v.terms.items():
-            cd = c * d
-            for p, k in D.smash_labels(a, x, b, y).terms.items():
-                _acc(out, p, cd * k)
-    return Element._raw(out)
+    return bilinear(D.smash_labels, u, v)
 
 
 # -- Fock representation ------------------------------------------------
@@ -223,14 +215,12 @@ def smash_multiply(D, u, v):
 
 def fock_apply(D, u, b):
     """Action of the double element u on the plus element b:
-    (a#x)(b) = a * x(b)."""
-    out = Element.zero()
-    for (a, x), c in u.terms.items():
-        img = D.action(x, b)
-        if img.is_zero:
-            continue
-        out = out + multiply(D.plus, Element.from_label(a), img).scale(c)
-    return out
+    (a#x)(b) = a * x(b), bilinear over the cached action on labels."""
+    def on_labels(p, l):
+        img = D.action_label(p[1], l)
+        return img if img.is_zero else multiply(D.plus, Element.from_label(p[0]), img)
+
+    return bilinear(on_labels, u, b)
 
 
 def max_term_degree(u):
@@ -278,29 +268,20 @@ def _gen_labels(H, hook, N):
 def verify_commutation(D, N):
     """Operator identity behind the smash product: for minus x, plus a,
 
-        x(a b) = sum q^(gamma''(|a|,|x2|) + xi''(|a|-|x1|,|x2|)) x1(a) x2(b)
+        x(a b) = ((1#x)(a#1))(b)
+               = sum q^(gamma''(|a|,|x2|) + xi''(|a|-|x1|,|x2|)) x1(a) x2(b),
 
-    checked for all generator pairs and all basis inputs b of degree <= N."""
-    gpp = D.gamma.doubleprime
-    xipp = D.xi.doubleprime
+    the Fock action of the cached smash product (1#x)(a#1), checked for all
+    generator pairs and all basis inputs b of degree <= N."""
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
     inputs = D.plus.labels_up_to(N)
     for a in plus_gens:
         for x in minus_gens:
-            cop = D.minus.coproduct(x).terms
+            xa = D.smash_labels((D.plus.unit_label, x), (a, D.minus.unit_label))
             for b in inputs:
-                ab = D.plus.product(a, b)
-                lhs = Element.zero()
-                for l, c in ab.terms.items():
-                    lhs = lhs + D.action_label(x, l).scale(c)
-                rhs = Element.zero()
-                for (x1, x2), c in cop.items():
-                    e = gpp.evaluate(a.degree, x2.degree) + \
-                        xipp.evaluate(deg_sub(a.degree, x1.degree), x2.degree)
-                    part = multiply(D.plus, D.action_label(x1, a),
-                                    D.action_label(x2, b))
-                    rhs = rhs + part.scale(c * q_power(e))
+                lhs = D.action(x, D.plus.product(a, b))
+                rhs = fock_apply(D, xa, Element.from_label(b))
                 if lhs != rhs:
                     return failing(
                         "verify_commutation", D.name, N,
@@ -403,10 +384,11 @@ def verify_shift_invariance(D, alpha, N):
     D2 = D.shifted(alpha)
     pairs = list(bounded_tuples(
         [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
-    for (a, x), (b, y) in bounded_tuples([pairs, pairs], N):
-        lhs = D.smash_labels(a, x, b, y)
-        rhs = D2.smash_labels(a, x, b, y)
+    for s, t in bounded_tuples([pairs, pairs], N):
+        lhs = D.smash_labels(s, t)
+        rhs = D2.smash_labels(s, t)
         if lhs != rhs:
+            (a, x), (b, y) = s, t
             return failing(
                 "verify_shift_invariance", D.name, N,
                 labels="(%s # %s)(%s # %s)" % (

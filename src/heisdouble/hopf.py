@@ -3,9 +3,9 @@
 A presentation supplies a homogeneous basis per degree together with
 structure constants for the product and coproduct; everything else (counit,
 antipode, axiom checking, degree-shift wrapping) is derived here.  Structure
-constants are cached so each one is computed once; caches are filled with
-``setdefault`` so concurrent lookups under the GIL all observe the first
-stored value.
+constants are cached on their labels so each one is computed once, and
+every map on elements is the linear (or bilinear) extension of a map on
+labels: ``linear`` and ``bilinear`` are the only loops that extend one.
 """
 
 from __future__ import annotations
@@ -91,11 +91,8 @@ class Element:
 
     @classmethod
     def tensor(cls, u, v):
-        t = {}
-        for l1, c1 in u.terms.items():
-            for l2, c2 in v.terms.items():
-                _acc(t, (l1, l2), c1 * c2)
-        return cls._raw(t)
+        return cls._raw({(l1, l2): c1 * c2 for l1, c1 in u.terms.items()
+                         for l2, c2 in v.terms.items()})
 
     @property
     def is_zero(self):
@@ -328,24 +325,38 @@ class HopfPresentation:
 # -- linear extensions of the structure maps ----------------------------
 
 
+def linear(f, u):
+    """Linear extension of the label map f: the sum of c f(k) over the terms
+    c k of u.  f(k) is an Element."""
+    t = {}
+    for k, c in u.terms.items():
+        for m, e in f(k).terms.items():
+            _acc(t, m, c * e)
+    return Element._raw(t)
+
+
+def bilinear(f, u, v):
+    """Bilinear extension of the label map f: the sum of c d f(k, l) over the
+    terms c k of u and d l of v.  f(k, l) is an Element."""
+    t = {}
+    for k, c in u.terms.items():
+        for l, d in v.terms.items():
+            img = f(k, l).terms
+            if img:
+                cd = c * d
+                for m, e in img.items():
+                    _acc(t, m, cd * e)
+    return Element._raw(t)
+
+
 def multiply(H, u, v):
     """Product of two elements of H."""
-    t = {}
-    for l1, c1 in u.terms.items():
-        for l2, c2 in v.terms.items():
-            c = c1 * c2
-            for l, k in H.product(l1, l2).terms.items():
-                _acc(t, l, c * k)
-    return Element._raw(t)
+    return bilinear(H.product, u, v)
 
 
 def comultiply(H, u):
     """Coproduct of an element of H, in the tensor square."""
-    t = {}
-    for l, c in u.terms.items():
-        for p, k in H.coproduct(l).terms.items():
-            _acc(t, p, c * k)
-    return Element._raw(t)
+    return linear(H.coproduct, u)
 
 
 def twisted_tensor_multiply(H, s, t):
@@ -353,20 +364,15 @@ def twisted_tensor_multiply(H, s, t):
 
     (a1 x a2)(b1 x b2) = q^(chi'(|a2|,|b1|) + chi''(|a1|,|b2|)) a1 b1 x a2 b2.
     """
-    chi_p = H.twisting.prime
-    chi_pp = H.twisting.doubleprime
-    out = {}
-    for (a1, a2), c in s.terms.items():
-        for (b1, b2), d in t.terms.items():
-            e = chi_p.evaluate(a2.degree, b1.degree) + chi_pp.evaluate(a1.degree, b2.degree)
-            coeff = c * d * q_power(e)
-            left = H.product(a1, b1)
-            right = H.product(a2, b2)
-            for l1, k1 in left.terms.items():
-                ck = coeff * k1
-                for l2, k2 in right.terms.items():
-                    _acc(out, (l1, l2), ck * k2)
-    return Element._raw(out)
+    chi_p = H.twisting.prime.evaluate
+    chi_pp = H.twisting.doubleprime.evaluate
+
+    def on_labels(a, b):
+        (a1, a2), (b1, b2) = a, b
+        e = chi_p(a2.degree, b1.degree) + chi_pp(a1.degree, b2.degree)
+        return Element.tensor(H.product(a1, b1), H.product(a2, b2)).scale(q_power(e))
+
+    return bilinear(on_labels, s, t)
 
 
 def antipode(H, u):
@@ -374,11 +380,7 @@ def antipode(H, u):
 
     S(1) = 1,  S(a) = -a - sum a' S(a'')  over the reduced coproduct.
     """
-    t = {}
-    for l, c in u.terms.items():
-        for l2, k in _antipode_label(H, l).terms.items():
-            _acc(t, l2, c * k)
-    return Element._raw(t)
+    return linear(lambda l: _antipode_label(H, l), u)
 
 
 def _antipode_label(H, label):
@@ -388,11 +390,9 @@ def _antipode_label(H, label):
     if label == H.unit_label:
         val = H.unit_element()
     else:
-        val = Element.from_label(label, -ONE)
-        for (l1, l2), c in H.reduced_coproduct(label).terms.items():
-            part = multiply(H, Element.from_label(l1),
-                            _antipode_label(H, l2)).scale(c)
-            val = val - part
+        val = Element.from_label(label, -ONE) - linear(
+            lambda p: multiply(H, Element.from_label(p[0]), _antipode_label(H, p[1])),
+            H.reduced_coproduct(label))
     return H._antipode.setdefault(label, val)
 
 
@@ -453,10 +453,8 @@ def shifted_presentation(H, alpha, beta):
         return H.product(l1, l2).scale(q_power(beta.evaluate(l1.degree, l2.degree)))
 
     def coproduct_fn(label):
-        t = {}
-        for (l1, l2), c in H.coproduct(label).terms.items():
-            t[(l1, l2)] = c * q_power(alpha.evaluate(l1.degree, l2.degree))
-        return Element._raw(t)
+        return Element._raw({(l1, l2): c * q_power(alpha.evaluate(l1.degree, l2.degree))
+                             for (l1, l2), c in H.coproduct(label).terms.items()})
 
     return HopfPresentation(
         H.name + "~shifted", H.rank, twisting, H.unit_label, H.basis,
@@ -477,6 +475,8 @@ def check_bialgebra(H, N):
     """
     labels = H.labels_up_to(N)
     unit = H.unit_element()
+    eps = H.counit_label
+    e = Element.from_label
 
     def fail(identity, labels_involved, lhs, rhs):
         return failing("check_bialgebra", H.name, N, identity=identity,
@@ -484,40 +484,39 @@ def check_bialgebra(H, N):
 
     # unit and counit laws on single labels
     for a in labels:
-        ea = Element.from_label(a)
+        ea = e(a)
         if multiply(H, unit, ea) != ea or multiply(H, ea, unit) != ea:
             return fail("unit law", H.label_text(a),
                         element_str(H, multiply(H, unit, ea)), element_str(H, ea))
-        left = {}
-        right = {}
-        for (l1, l2), c in H.coproduct(a).terms.items():
-            if l1 == H.unit_label:
-                _acc(left, l2, c)
-            if l2 == H.unit_label:
-                _acc(right, l1, c)
-        if Element._raw(left) != ea or Element._raw(right) != ea:
+        left = linear(lambda p: e(p[1], eps(p[0])), H.coproduct(a))
+        right = linear(lambda p: e(p[0], eps(p[1])), H.coproduct(a))
+        if left != ea or right != ea:
             return fail("counit law", H.label_text(a),
-                        element_str(H, Element._raw(left)), element_str(H, ea))
+                        element_str(H, left), element_str(H, ea))
 
     # associativity on basis triples
     for a, b, c in bounded_tuples([labels] * 3, N):
-        lhs = multiply(H, H.product(a, b), Element.from_label(c))
-        rhs = multiply(H, Element.from_label(a), H.product(b, c))
+        lhs = multiply(H, H.product(a, b), e(c))
+        rhs = multiply(H, e(a), H.product(b, c))
         if lhs != rhs:
             return fail("associativity", ", ".join(map(H.label_text, (a, b, c))),
                         element_str(H, lhs), element_str(H, rhs))
 
-    # coassociativity on single labels
+    # coassociativity on single labels: (Delta x id) Delta = (id x Delta) Delta
+    def left_triples(p):
+        return Element._raw({(u, v, p[1]): d
+                             for (u, v), d in H.coproduct(p[0]).terms.items()})
+
+    def right_triples(p):
+        return Element._raw({(p[0], u, v): d
+                             for (u, v), d in H.coproduct(p[1]).terms.items()})
+
     for a in labels:
-        l3 = {}
-        r3 = {}
-        for (x, y), c in H.coproduct(a).terms.items():
-            for (u, v), d in H.coproduct(x).terms.items():
-                _acc(l3, (u, v, y), c * d)
-            for (u, v), d in H.coproduct(y).terms.items():
-                _acc(r3, (x, u, v), c * d)
+        l3 = linear(left_triples, H.coproduct(a))
+        r3 = linear(right_triples, H.coproduct(a))
         if l3 != r3:
-            return fail("coassociativity", H.label_text(a), repr(l3), repr(r3))
+            return fail("coassociativity", H.label_text(a),
+                        repr(l3.terms), repr(r3.terms))
 
     # twisted associativity on the tensor square, on degrees.  For basis
     # tensors a1 x a2, b1 x b2, c1 x c2 both bracketings are a power of q
@@ -547,16 +546,12 @@ def check_bialgebra(H, N):
                         "%s, %s" % (H.label_text(a), H.label_text(b)),
                         repr(lhs.terms), repr(rhs.terms))
 
-    # antipode laws
+    # antipode laws: sum S(a') a'' = eps(a) 1 = sum a' S(a'')
     for a in labels:
-        target = unit.scale(H.counit_label(a))
-        left = Element.zero()
-        right = Element.zero()
-        for (x, y), c in H.coproduct(a).terms.items():
-            left = left + multiply(H, antipode(H, Element.from_label(x)),
-                                   Element.from_label(y)).scale(c)
-            right = right + multiply(H, Element.from_label(x),
-                                     antipode(H, Element.from_label(y))).scale(c)
+        target = unit.scale(eps(a))
+        cop = H.coproduct(a)
+        left = linear(lambda p: multiply(H, antipode(H, e(p[0])), e(p[1])), cop)
+        right = linear(lambda p: multiply(H, e(p[0]), antipode(H, e(p[1]))), cop)
         if left != target or right != target:
             return fail("antipode law", H.label_text(a),
                         element_str(H, left), element_str(H, right))

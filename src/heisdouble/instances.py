@@ -436,8 +436,10 @@ def load_instance(config):
         except IncompatiblePairError as e:
             raise ConfigError(str(e)) from None
     if name:
-        inst.name = name
-        inst.double.name = name
+        # every report names the configured instance: name+, name-, name
+        inst.name = inst.pairing.name = inst.double.name = name
+        inst.plus.name = name + "+"
+        inst.minus.name = name + "-"
     return inst
 
 

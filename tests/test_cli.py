@@ -187,6 +187,24 @@ def test_verify_refuses_degree_zero(cfg, capsys):
     assert err == "error: --max-degree must be positive\n"
 
 
+@pytest.mark.parametrize("payload", [
+    {"type": "weyl", "name": "myweyl"},
+    {"type": "qheis", "cartan": [[2, -1], [-1, 2]], "name": "qh",
+     "shift": {"alpha": [[1]]}},
+], ids=["weyl", "shifted-qheis"])
+def test_verify_reports_name_the_configured_instance(payload, capsys, tmp_path):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(payload))
+    rc, out, _ = run(capsys, ["verify", "--instance", str(path),
+                              "--max-degree", "2", "--json"])
+    assert rc == 0
+    name = payload["name"]
+    report = json.loads(out)
+    assert report["instance"] == name
+    assert [r["instance"] for r in report["reports"]] == \
+        [name + "+", name + "-"] + [name] * 6
+
+
 # -- fock-matrix ---------------------------------------------------------
 
 
@@ -255,6 +273,14 @@ def test_info_json_with_gram(cfg, capsys):
     assert set(payload["gram"]) == {"0", "1", "2"}
     assert payload["gram"]["2"]["entries"] == [["1 + q"]]
     assert payload["basis_sizes"] == {str(d): 1 for d in range(5)}
+
+
+def test_info_rejects_negative_gram(cfg, capsys):
+    rc, out, err = run(capsys, ["info", "--instance", cfg["weyl"], "--json",
+                                "--gram", "-1"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --gram must be nonnegative\n"
 
 
 def test_info_qheis_json(cfg, capsys):

@@ -465,6 +465,17 @@ def test_verify_commutation_catches_corrupted_action():
                            "rhs": "(1 + q)*x"}
 
 
+def test_verify_commutation_catches_corrupted_smash():
+    # the right side is the Fock action of the cached product (1#d)(x#1)
+    D = build_weyl().double
+    assert verify_commutation(D, 3).passed
+    D._smash[(xlab(0), xlab(1), xlab(1), xlab(0))] = Element(
+        {(xlab(1), xlab(1)): Q})  # d x is q x#d + 1
+    rep = verify_commutation(D, 3)
+    assert not rep.passed
+    assert rep.witness == {"labels": "x=d, a=x, b=1", "lhs": "1", "rhs": "0"}
+
+
 def test_verify_vacuum_catches_nonzero_vacuum_image():
     D = build_weyl().double
     assert verify_vacuum(D, 3).passed

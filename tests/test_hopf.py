@@ -347,6 +347,32 @@ def test_check_bialgebra_counit_failure_witness(weyl_plus):
                            "lhs": "0", "rhs": "x"}
 
 
+def test_check_bialgebra_coproduct_multiplicativity_failure_witness():
+    # chi'' = 2 zeta is biadditive, so the tensor square stays associative,
+    # but the twisted square of Delta(x) no longer matches Delta(x^2).
+    broken = _weyl_presentation(
+        "weyl+", "x", TwistingDatum(ZERO1, ZETA + ZETA), q_binomial
+    )
+    rep = check_bialgebra(broken, 3)
+    assert rep.witness == {
+        "identity": "coproduct multiplicativity", "labels": "x, x",
+        "lhs": "{(BasisLabel(0, (0,)), BasisLabel(2, (2,))): RatFunc(1), "
+               "(BasisLabel(1, (1,)), BasisLabel(1, (1,))): RatFunc(1 + q), "
+               "(BasisLabel(2, (2,)), BasisLabel(0, (0,))): RatFunc(1)}",
+        "rhs": "{(BasisLabel(0, (0,)), BasisLabel(2, (2,))): RatFunc(1), "
+               "(BasisLabel(1, (1,)), BasisLabel(1, (1,))): RatFunc(1 + q^2), "
+               "(BasisLabel(2, (2,)), BasisLabel(0, (0,))): RatFunc(1)}"}
+
+
+def test_check_bialgebra_antipode_failure_witness():
+    H = build_weyl().plus
+    assert check_bialgebra(H, 3).passed
+    H._antipode[xlab(1)] = xel(1)  # S(x) is -x
+    rep = check_bialgebra(H, 3)
+    assert rep.witness == {"identity": "antipode law", "labels": "x",
+                           "lhs": "2*x", "rhs": "2*x"}
+
+
 def test_commutative_retwist_weyl():
     # A commutative (q, chi', chi'')-bialgebra is also a
     # (q, (chi'')^T, (chi')^T)-bialgebra; k[x] is commutative, so the
