@@ -15,8 +15,6 @@ deg(a#x) = |a| - |x|.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .hopf import (Element, _acc, bilinear, bounded_tuples, degrees_up_to,
                    element_str, linear, multiply, shifted_presentation, terms_str)
 from .linalg import sparse_rank
@@ -39,13 +37,6 @@ def _label_action(P, x, a):
               if not (v := P.pair_labels(x, a2)).is_zero}
     return linear(lambda p: Element.from_label(
         p[0], q_power(gp(p[0].degree, p[1].degree))), Element._raw(paired))
-
-
-def left_regular_action(P, x, a):
-    """Action of the minus element x on the plus element a, the bilinear
-    extension of the label action (which HeisenbergDouble.action_label
-    caches)."""
-    return bilinear(partial(_label_action, P), x, a)
 
 
 class HeisenbergDouble:
@@ -114,10 +105,8 @@ class HeisenbergDouble:
         key = (x_label, a_label)
         hit = self._action.get(key)
         if hit is None:
-            val = left_regular_action(self.pairing,
-                                      Element.from_label(x_label),
-                                      Element.from_label(a_label))
-            hit = self._action.setdefault(key, val)
+            hit = self._action.setdefault(
+                key, _label_action(self.pairing, x_label, a_label))
         return hit
 
     def action(self, x_label, b):
@@ -260,8 +249,9 @@ def fock_matrix(D, u, Nin, Nout=None):
 
 
 def _gen_labels(H, hook, N):
+    """Generator labels of H of total degree <= N, as H's basis objects."""
     if hook is not None:
-        return [l for l in hook(N) if deg_total(l.degree) <= N]
+        return [H.canonical_label(l) for l in hook(N) if deg_total(l.degree) <= N]
     return H.labels_up_to(N)
 
 

@@ -179,8 +179,10 @@ class HopfPresentation:
     The callables supply raw structure constants; they are invoked at most
     once per argument and their output is validated (grading of products,
     bidegree additivity of coproducts, membership of result labels in the
-    declared basis).  Connectedness (degree-0 stratum = the unit alone) is
-    checked at construction.
+    declared basis).  Cached images and cache keys hold the basis's own
+    label objects, so lookups of labels taken from them match on identity.
+    Connectedness (degree-0 stratum = the unit alone) is checked at
+    construction.
     """
 
     def __init__(self, name, rank, twisting, unit_label, basis_fn, product_fn,
@@ -193,7 +195,6 @@ class HopfPresentation:
         self.name = name
         self.rank = rank
         self.twisting = twisting
-        self.unit_label = unit_label
         self._basis_fn = basis_fn
         self._product_fn = product_fn
         self._coproduct_fn = coproduct_fn
@@ -209,6 +210,7 @@ class HopfPresentation:
         if z != (unit_label,):
             raise PresentationError(
                 "%s is not connected: degree-0 basis is %r" % (name, z))
+        self.unit_label = z[0]
 
     # -- basis -----------------------------------------------------------
 
@@ -228,21 +230,26 @@ class HopfPresentation:
         return hit
 
     def _positions(self, degree):
-        """Label -> basis position at one degree, cached."""
+        """Label -> (basis position, the basis's own label object) at one
+        degree, cached."""
         idx = self._index.get(degree)
         if idx is None:
             idx = self._index.setdefault(
-                degree, {l: i for i, l in enumerate(self.basis(degree))})
+                degree, {l: (i, l) for i, l in enumerate(self.basis(degree))})
         return idx
 
-    def check_label(self, label):
-        if label not in self._positions(label.degree):
+    def canonical_label(self, label):
+        """The basis's own object equal to label; PresentationError when
+        label is not in the basis."""
+        hit = self._positions(label.degree).get(label)
+        if hit is None:
             raise PresentationError(
                 "label %r is not in the %s basis at degree %r"
                 % (label, self.name, label.degree))
+        return hit[1]
 
     def label_index(self, label):
-        return self._positions(label.degree)[label]
+        return self._positions(label.degree)[label][0]
 
     def label_sort_key(self, label):
         return (deg_total(label.degree), label.degree, self.label_index(label))
@@ -263,35 +270,34 @@ class HopfPresentation:
         return Element.from_label(self.unit_label)
 
     def product(self, l1, l2):
-        key = (l1, l2)
-        hit = self._prod.get(key)
+        hit = self._prod.get((l1, l2))
         if hit is None:
-            self.check_label(l1)
-            self.check_label(l2)
-            val = self._product_fn(l1, l2)
+            canon = self.canonical_label
+            l1, l2 = canon(l1), canon(l2)
             d = deg_add(l1.degree, l2.degree)
-            for l in val.terms:
+            terms = {}
+            for l, c in self._product_fn(l1, l2).terms.items():
                 if l.degree != d:
                     raise PresentationError(
                         "product %s * %s not homogeneous of degree %r"
                         % (self.label_text(l1), self.label_text(l2), d))
-                self.check_label(l)
-            hit = self._prod.setdefault(key, val)
+                terms[canon(l)] = c
+            hit = self._prod.setdefault((l1, l2), Element._raw(terms))
         return hit
 
     def coproduct(self, label):
         hit = self._coprod.get(label)
         if hit is None:
-            self.check_label(label)
-            val = self._coproduct_fn(label)
-            for (l1, l2) in val.terms:
+            canon = self.canonical_label
+            label = canon(label)
+            terms = {}
+            for (l1, l2), c in self._coproduct_fn(label).terms.items():
                 if deg_add(l1.degree, l2.degree) != label.degree:
                     raise PresentationError(
                         "coproduct of %s has a term of bidegree (%r, %r)"
                         % (self.label_text(label), l1.degree, l2.degree))
-                self.check_label(l1)
-                self.check_label(l2)
-            hit = self._coprod.setdefault(label, val)
+                terms[canon(l1), canon(l2)] = c
+            hit = self._coprod.setdefault(label, Element._raw(terms))
         return hit
 
     def reduced_coproduct(self, label):
@@ -370,7 +376,8 @@ def twisted_tensor_multiply(H, s, t):
     def on_labels(a, b):
         (a1, a2), (b1, b2) = a, b
         e = chi_p(a2.degree, b1.degree) + chi_pp(a1.degree, b2.degree)
-        return Element.tensor(H.product(a1, b1), H.product(a2, b2)).scale(q_power(e))
+        t = Element.tensor(H.product(a1, b1), H.product(a2, b2))
+        return t.scale(q_power(e)) if e else t
 
     return bilinear(on_labels, s, t)
 

@@ -4,9 +4,9 @@ structure of a sparse matrix, and ranks."""
 from __future__ import annotations
 
 from math import gcd
-from operator import truediv
+from operator import mul, truediv
 
-from .scalars import LP_ONE, LP_ZERO, ONE, ZERO, RatFunc, laurent_exact_div
+from .scalars import LP_ONE, LP_ZERO, ONE, ZERO, RatFunc, laurent_exact_div, laurent_mul
 
 
 def det_bareiss(rows):
@@ -33,8 +33,9 @@ def det_bareiss(rows):
                 c = c * d // gcd(c, d)
             factor *= c
             scaled.append([(v * c).as_laurent() for v in r])
-        return RatFunc(_bareiss(scaled, LP_ONE, LP_ZERO, laurent_exact_div)) / factor
-    return _bareiss([list(r) for r in rows], ONE, ZERO, truediv)
+        return RatFunc(_bareiss(scaled, LP_ONE, LP_ZERO, laurent_mul,
+                                laurent_exact_div)) / factor
+    return _bareiss([list(r) for r in rows], ONE, ZERO, mul, truediv)
 
 
 def components(rows):
@@ -75,12 +76,13 @@ def components(rows):
     return list(groups.values())
 
 
-def _bareiss(m, one, zero, div):
+def _bareiss(m, one, zero, mul, div):
     """Determinant of the square matrix m (n >= 1), eliminated in place.
 
-    one and zero are the ring's constants and div(a, b) its exact division;
-    a row whose pivot-column entry is already zero only scales, and skips
-    the division while the previous pivot is still one.
+    one and zero are the ring's constants, mul(a, b) its product and
+    div(a, b) its exact division; a row whose pivot-column entry is already
+    zero only scales, and skips the division while the previous pivot is
+    still one.
     """
     n = len(m)
     sign = 1
@@ -101,13 +103,13 @@ def _bareiss(m, one, zero, div):
             if lead.is_zero:
                 if prev is one:
                     for j in range(k + 1, n):
-                        row[j] = row[j] * pivot
+                        row[j] = mul(row[j], pivot)
                 else:
                     for j in range(k + 1, n):
-                        row[j] = div(row[j] * pivot, prev)
+                        row[j] = div(mul(row[j], pivot), prev)
                 continue
             for j in range(k + 1, n):
-                row[j] = div(row[j] * pivot - lead * m[k][j], prev)
+                row[j] = div(mul(row[j], pivot) - mul(lead, m[k][j]), prev)
             row[k] = zero
         prev = pivot
     det = m[n - 1][n - 1]

@@ -199,6 +199,17 @@ class LaurentPoly:
 
 LP_ZERO = LaurentPoly._raw({})
 LP_ONE = LaurentPoly._raw({0: 1})
+_UNIT = {0: 1}  # the terms of the polynomial 1
+
+
+def laurent_mul(a, b):
+    """a * b for Laurent polynomials, with no arithmetic when a factor is 0
+    or 1."""
+    if not a._c or b._c == _UNIT:
+        return a
+    if not b._c or a._c == _UNIT:
+        return b
+    return a * b
 
 
 def _coeffs(p, lo):
@@ -350,8 +361,9 @@ def _canonical(num, den):
 
     The canonical denominator is an ordinary polynomial with den(0) != 0 and
     positive leading coefficient, coprime to the (shifted) numerator over
-    Q[q], with gcd(content(num), content(den)) = 1.  Zero is (0, 1).
-    Integer arithmetic throughout.
+    Q[q], with gcd(content(num), content(den)) = 1.  Zero is (0, 1).  A
+    denominator equal to 1 is the object LP_ONE.  Integer arithmetic
+    throughout.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero scalar")
@@ -372,7 +384,7 @@ def _canonical(num, den):
     elif c != 1:
         a = [x // c for x in a]
         b = [x // c for x in b]
-    return _laurent(a, v - m), _laurent(b, 0)
+    return _laurent(a, v - m), LP_ONE if b == [1] else _laurent(b, 0)
 
 
 class RatFunc:
@@ -380,9 +392,10 @@ class RatFunc:
 
     num is a Laurent polynomial, den an ordinary polynomial with nonzero
     constant term and positive leading coefficient; the two are coprime and
-    share no integer content.  Equality is structural, and equal values
-    hash equal, also across the int, Fraction and LaurentPoly operands that
-    ``==`` accepts.
+    share no integer content.  A denominator equal to 1 is always the object
+    LP_ONE, so ``den is LP_ONE`` tests for a Laurent value.  Equality is
+    structural, and equal values hash equal, also across the int, Fraction
+    and LaurentPoly operands that ``==`` accepts.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -424,7 +437,7 @@ class RatFunc:
     @property
     def is_laurent(self):
         """True when the scalar lies in Z[q,q^-1]."""
-        return self.den == LP_ONE
+        return self.den is LP_ONE
 
     @property
     def is_constant(self):
@@ -433,10 +446,10 @@ class RatFunc:
     @property
     def is_monomial(self):
         """A single term c*q^e with integer c."""
-        return self.den == LP_ONE and self.num.is_monomial
+        return self.den is LP_ONE and self.num.is_monomial
 
     def as_laurent(self):
-        if self.den != LP_ONE:
+        if self.den is not LP_ONE:
             raise ValueError("%s is not a Laurent polynomial" % self)
         return self.num
 
@@ -468,17 +481,18 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == LP_ONE and o.den == LP_ONE:
-            return RatFunc._make(self.num + o.num, LP_ONE)
-        # one side is not Laurent; a zero other side needs no canonical form
-        if o.is_zero:
+        # zero is Laurent, and a zero summand needs no canonical form
+        if not o.num._c:
             return self
-        if self.is_zero:
+        if not self.num._c:
             return o
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if self.den is LP_ONE and o.den is LP_ONE:
+            return RatFunc._make(self.num + o.num, LP_ONE)
+        num = laurent_mul(self.num, o.den) + laurent_mul(o.num, self.den)
+        return RatFunc(num, laurent_mul(self.den, o.den))
 
     __radd__ = __add__
 
@@ -498,11 +512,22 @@ class RatFunc:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == LP_ONE and o.den == LP_ONE:
-            return RatFunc._make(self.num * o.num, LP_ONE)
+        # 1 and 0 are Laurent, and decide the product without arithmetic
+        if o.den is LP_ONE:
+            if o.num._c == _UNIT:
+                return self
+            if not o.num._c:
+                return o
+        if self.den is LP_ONE:
+            if self.num._c == _UNIT:
+                return o
+            if not self.num._c:
+                return self
+            if o.den is LP_ONE:
+                return RatFunc._make(self.num * o.num, LP_ONE)
         # a canonical denominator is a monomial only when it is constant
         if o.num.is_monomial and o.den.is_monomial:
             (e, c), = o.num.items()
@@ -510,7 +535,7 @@ class RatFunc:
         if self.num.is_monomial and self.den.is_monomial:
             (e, c), = self.num.items()
             return o._times_monomial(c, e, self.den.coeff(0))
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return RatFunc(laurent_mul(self.num, o.num), laurent_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -524,8 +549,8 @@ class RatFunc:
         num = LaurentPoly._raw({k + e: c * (v // g2) for k, v in self.num.items()})
         if g1 == 1 and d == 1:
             return RatFunc._make(num, self.den)
-        return RatFunc._make(
-            num, LaurentPoly._raw({k: d * (v // g1) for k, v in self.den.items()}))
+        den = {k: d * (v // g1) for k, v in self.den.items()}
+        return RatFunc._make(num, LP_ONE if den == _UNIT else LaurentPoly._raw(den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -537,7 +562,7 @@ class RatFunc:
             (e, c), = o.num.items()
             d = o.den.coeff(0)
             return self._times_monomial(d if c > 0 else -d, -e, abs(c))
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return RatFunc(laurent_mul(self.num, o.den), laurent_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -563,14 +588,14 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num._c == o.num._c and self.den._c == o.den._c
 
     def __hash__(self):
         # Must agree with every int, Fraction and LaurentPoly that __eq__
         # accepts: a Laurent value hashes as its numerator, a constant as
         # its Fraction.
         if self._hash is None:
-            if self.den == LP_ONE:
+            if self.den is LP_ONE:
                 self._hash = hash(self.num)
             elif self.is_constant:
                 self._hash = hash(self.as_fraction())
@@ -582,7 +607,7 @@ class RatFunc:
         return not self.num.is_zero
 
     def __str__(self):
-        if self.den == LP_ONE:
+        if self.den is LP_ONE:
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 

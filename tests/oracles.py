@@ -4,12 +4,11 @@ tests compare the library against.  The library itself never calls them.
 
 from math import factorial
 
-from heisdouble.double import left_regular_action
-from heisdouble.hopf import Element, _acc, antipode
+from heisdouble.hopf import Element, _acc, antipode, comultiply
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.partitions import check_partition, multiplicities
 from heisdouble.report import failing, passing
-from heisdouble.scalars import ONE, ZERO, q_int_sym
+from heisdouble.scalars import ONE, ZERO, q_int_sym, q_power
 from heisdouble.twisting import TwistingDatum
 
 
@@ -121,6 +120,25 @@ def z_classical(lam):
     for k, m in multiplicities(lam).items():
         out *= k ** m * factorial(m)
     return out
+
+
+# -- the left regular action ---------------------------------------------
+
+
+def left_regular_action(P, x, a):
+    """Action of the minus element x on the plus element a, from the
+    definition
+
+        x(a) = sum over Delta(a) = a1 (x) a2 of q^(gamma'(|a1|,|a2|)) <x, a2> a1,
+
+    with the coproduct and pairing of whole elements and no cached action."""
+    gp = P.gamma.prime
+    out = {}
+    for (a1, a2), c in comultiply(P.plus, a).terms.items():
+        v = P.pair(x, Element.from_label(a2))
+        if not v.is_zero:
+            _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
+    return Element._raw(out)
 
 
 # -- phi operators and the h-adjoint case table --------------------------

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from heisdouble.double import (
-    left_regular_action,
     smash_multiply,
     verify_faithful,
     verify_shift_invariance,
@@ -41,7 +40,7 @@ from heisdouble.pairing import dual_presentation_check, perfectness_check
 from heisdouble.partitions import multipartitions_of
 from heisdouble.scalars import ONE, Q, ZERO, q_int_sym
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
-from oracles import cartan_affine_d4, h_adjoint, sym_pair_perm
+from oracles import cartan_affine_d4, h_adjoint, left_regular_action, sym_pair_perm
 
 A2 = cartan_a(2)
 

@@ -1,0 +1,35 @@
+"""Byte-exact CLI output against recorded answers.
+
+The files under tests/golden/ hold the output of passing runs: `verify` on
+Weyl (N=6) and lattice I2 (N=4), `verify --json` on qheis A2 (N=3), and one
+`fock-matrix --json` and one `normal-order` answer on A2.  A change that
+keeps every verdict must keep this output byte for byte.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from heisdouble import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("verify-weyl-6.txt", "weyl.json", ["verify", "--max-degree", "6"]),
+    ("verify-lattice-i2-4.txt", "lattice-i2.json", ["verify", "--max-degree", "4"]),
+    ("verify-qheis-a2-3.json", "qheis-a2.json",
+     ["verify", "--max-degree", "3", "--json"]),
+    ("fock-matrix-qheis-a2.json", "qheis-a2.json",
+     ["fock-matrix", "--expr", "p'[2,1] + p[1,1] p'[1,2]", "--in-degree", "2",
+      "--json"]),
+    ("normal-order-qheis-a2.txt", "qheis-a2.json",
+     ["normal-order", "--expr", "p'[2,1] p[2,2] p'[1,2]"]),
+]
+
+
+@pytest.mark.parametrize("expected, config, argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(expected, config, argv, capsys):
+    rc = cli.main(argv + ["--instance", str(GOLDEN / config)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (GOLDEN / expected).read_text()

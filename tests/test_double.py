@@ -9,7 +9,6 @@ from heisdouble.double import (
     IncompatiblePairError,
     fock_apply,
     fock_matrix,
-    left_regular_action,
     max_term_degree,
     smash_multiply,
     verify_commutation,
@@ -31,7 +30,7 @@ from heisdouble.instances import (
 from heisdouble.pairing import TwistedPairing
 from heisdouble.scalars import ONE, Q, RatFunc, q_int, q_int_sym, q_power
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total
-from oracles import shift_twisting
+from oracles import left_regular_action, shift_twisting
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)

@@ -19,7 +19,8 @@ from heisdouble.hopf import (
     shifted_presentation,
     twisted_tensor_multiply,
 )
-from heisdouble.instances import _weyl_presentation, build_qheis, build_weyl, cartan_a
+from heisdouble.instances import (_weyl_presentation, build_lattice, build_qheis,
+                                  build_weyl, cartan_a)
 from heisdouble.scalars import ONE, Q, ZERO, q_binomial, q_factorial, q_int
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
 
@@ -130,6 +131,28 @@ def test_foreign_label_rejected(weyl_plus):
     foreign = Element.from_label(BasisLabel("nope", (1,)))
     with pytest.raises(PresentationError):
         multiply(weyl_plus, foreign, weyl_plus.unit_element())
+
+
+@pytest.mark.parametrize("build", [
+    build_weyl,
+    lambda: build_qheis(cartan_a(2)),
+    lambda: build_lattice(((1, 0), (0, 1))),
+], ids=["weyl", "qheis-a2", "lattice-i2"])
+def test_structure_constant_images_hold_basis_labels(build):
+    # every label of a cached product or coproduct image is the basis's own
+    # object, so lookups keyed on image labels match on identity
+    inst = build()
+    N = 4
+    for H in (inst.plus, inst.minus):
+        def own(label):
+            return any(label is l for l in H.basis(label.degree))
+
+        labels = H.labels_up_to(N)
+        assert own(H.unit_label)
+        for a, b in bounded_tuples([labels] * 2, N):
+            assert all(own(l) for l in H.product(a, b).terms)
+        for a in labels:
+            assert all(own(l1) and own(l2) for l1, l2 in H.coproduct(a).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ from math import factorial
 
 import pytest
 
-from heisdouble.double import (IncompatiblePairError, left_regular_action,
-                               max_term_degree, smash_multiply)
+from heisdouble.double import IncompatiblePairError, max_term_degree, smash_multiply
 from heisdouble.hopf import Element, comultiply, multiply
 from heisdouble.instances import (
     ConfigError,
@@ -32,8 +31,8 @@ from heisdouble.linalg import det_bareiss, sparse_rank
 from heisdouble.pairing import check_pairing_axioms
 from heisdouble.partitions import multipartitions_of, multiplicities, partitions_of
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_factorial, q_int_sym
-from oracles import (cartan_affine_a, cartan_affine_d4, h_adjoint, phi_derivation,
-                     sym_pair_perm, z_classical)
+from oracles import (cartan_affine_a, cartan_affine_d4, h_adjoint, left_regular_action,
+                     phi_derivation, sym_pair_perm, z_classical)
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
 
 A2 = cartan_a(2)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from heisdouble.scalars import (
     q_int_sym,
     q_power,
 )
+from heisdouble import cli
 from heisdouble.expr import as_scalar, evaluate_text
 from heisdouble.instances import build_weyl
 
@@ -354,3 +356,26 @@ def test_hash_agrees_with_equal_operands(r, other):
     assert {r: "r"}[other] == "r"
     assert {other: "o"}[r] == "o"
     assert len({r, other}) == 1
+
+
+# ---------------------------------------------------------------------------
+# Work done: no arithmetic on a factor 1 or 0
+
+
+def test_verify_multiplies_no_laurent_polynomial_by_one_or_zero(monkeypatch, capsys):
+    # 1 and 0 decide a product without arithmetic, so none reaches the
+    # Laurent kernel; a count independent of timing
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def recording(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    config = Path(__file__).parent / "golden" / "lattice-i2.json"
+    assert cli.main(["verify", "--instance", str(config), "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out.endswith("overall: pass\n")
+    assert calls
+    trivial = [(a, b) for a, b in calls if {a, b} & {LP_ONE, LP_ZERO}]
+    assert trivial == []

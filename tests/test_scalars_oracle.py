@@ -1,6 +1,7 @@
 """RatFunc against sympy: value, canonical form and the field axioms, exact
 division of Laurent polynomials, the integer polynomial gcd (heuristic and
-PRS fallback) and the monomial fast path of the product.
+PRS fallback), the monomial fast path of the product and the unit and zero
+operands that skip arithmetic.
 
 An independent check of the scalar kernel on random rational functions with
 small integer coefficients and negative exponents, and on integer
@@ -17,8 +18,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from heisdouble import scalars  # noqa: E402
-from heisdouble.scalars import (ONE, ZERO, LaurentPoly, RatFunc,  # noqa: E402
-                               laurent_exact_div)
+from heisdouble.scalars import (LP_ONE, ONE, ZERO, LaurentPoly,  # noqa: E402
+                               RatFunc, laurent_exact_div)
 
 q = sympy.Symbol("q")
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -48,8 +49,10 @@ def test_value_is_num_over_den(num, den):
 
 
 def assert_canonical(r):
+    # a denominator 1 is the object LP_ONE, which is_laurent tests for
+    assert (r.den is LP_ONE) == (r.den == LaurentPoly.const(1))
     if r.is_zero:
-        assert r.den == LaurentPoly.const(1)
+        assert r.den is LP_ONE
         return
     den = poly(r.den)
     assert r.den.min_exp() >= 0 and r.den.coeff(0) != 0      # den(0) != 0
@@ -264,3 +267,32 @@ def test_monomial_product_needs_no_gcd():
         s = a / m
     assert (r.num, r.den) == (LaurentPoly({-2: -3, -1: -6}), LaurentPoly({0: 4, 2: 2}))
     assert (s.num, s.den) == (LaurentPoly({2: -8, 3: -16}), LaurentPoly({0: 54, 2: 27}))
+
+
+# -- unit and zero operands ---------------------------------------------------
+
+scalar = st.one_of(laurent.map(RatFunc),
+                   st.builds(RatFunc, laurent, st.integers(1, 12)),
+                   ratfunc)
+units = (ONE, RatFunc(LaurentPoly({0: 1})), 1)
+zeros = (ZERO, RatFunc(LaurentPoly()), 0)
+
+
+@SETTINGS
+@given(scalar)
+def test_unit_and_zero_operands_keep_canonical_form(x):
+    # expected values are canonicalised from scratch, with no RatFunc
+    # arithmetic (and so no fast path) in between
+    product_one = RatFunc(x.num * LP_ONE, x.den * LP_ONE)
+    product_zero = RatFunc(x.num * LaurentPoly(), x.den * LP_ONE)
+    sum_zero = RatFunc(x.num * LP_ONE + LaurentPoly() * x.den, x.den * LP_ONE)
+    cases = []
+    for one in units:
+        cases += [(x * one, product_one), (one * x, product_one)]
+    for zero in zeros:
+        cases += [(x * zero, product_zero), (zero * x, product_zero),
+                  (x + zero, sum_zero), (zero + x, sum_zero)]
+    for r, expected in cases:
+        assert (r.num, r.den) == (expected.num, expected.den)
+        assert r == expected and hash(r) == hash(expected)
+        assert_canonical(r)
