@@ -11,6 +11,11 @@ in the minus algebra, and the product is
 where x1(b) is the twisted left regular action of the minus side on the
 plus side through the pairing.  Degrees inside the double are signed:
 deg(a#x) = |a| - |x|.
+
+A context caches the action and the smash product on labels, and the
+embedded element of each generator it has built, under (name, args).  A
+builder that raises leaves nothing in the cache, registering a generator
+drops that name's entries, and a shifted context starts with empty caches.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ class HeisenbergDouble:
         self._action = {}
         self._smash = {}
         self._generators = {}
+        self._generator_elements = {}
         # gen_fn(N) lists the generator labels of total degree <= N, one list
         # for both sides; None takes every basis label as a generator.
         self.gen_fn = None
@@ -88,12 +94,21 @@ class HeisenbergDouble:
         """builder(args) -> ("plus"|"minus", Element); context-free so
         shifted copies of the context can reuse it."""
         self._generators[name] = builder
+        self._generator_elements = {k: v for k, v in self._generator_elements.items()
+                                    if k[0] != name}
 
     def generator_element(self, name, args=()):
-        if name not in self._generators:
-            raise KeyError("unknown generator %r for instance %s" % (name, self.name))
-        side, el = self._generators[name](args)
-        return self.embed_plus(el) if side == "plus" else self.embed_minus(el)
+        """The generator name[args] embedded in the double, cached: callers
+        share the returned Element and must not mutate it."""
+        key = (name, tuple(args))
+        hit = self._generator_elements.get(key)
+        if hit is None:
+            if name not in self._generators:
+                raise KeyError("unknown generator %r for instance %s" % (name, self.name))
+            side, el = self._generators[name](args)
+            hit = self._generator_elements.setdefault(
+                key, self.embed_plus(el) if side == "plus" else self.embed_minus(el))
+        return hit
 
     def generator_names(self):
         return sorted(self._generators)

@@ -9,9 +9,17 @@ NAME is a letter run with an optional trailing prime (p').  The letter q is
 the scalar variable; '/' is defined only between scalar subexpressions; '#'
 multiplies like '*' and lets printed normal forms round-trip.  Syntax errors
 carry the 0-based offset of the offending character.
+
+An AST is a tree of tuples, so it is immutable and hashable.
+``parse_expression`` keeps the ASTs of the last PARSE_CACHE_SIZE texts in an
+LRU cache, so a session that asks about the same text again skips the
+tokenizer and the parser.  A syntax error is not cached: it is raised again,
+with its offset, on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .hopf import Element
 from .scalars import Q, RatFunc, ZERO
@@ -32,6 +40,9 @@ class ExprEvalError(ValueError):
 
 
 _SYMBOLS = set("+-*/^()[],#")
+
+# Distinct texts whose ASTs parse_expression keeps.
+PARSE_CACHE_SIZE = 4096
 
 
 def tokenize(text):
@@ -112,7 +123,7 @@ class _Parser:
                 break
         if not rest:
             return first
-        return ("add", pos, first, rest)
+        return ("add", pos, first, tuple(rest))
 
     def parse_term(self):
         pos = self.peek()[2]
@@ -129,7 +140,7 @@ class _Parser:
                 break
         if not rest:
             return first
-        return ("chain", pos, first, rest)
+        return ("chain", pos, first, tuple(rest))
 
     def parse_factor(self):
         atom = self.parse_atom()
@@ -184,8 +195,10 @@ class _Parser:
         return sign * val
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_expression(text):
-    """Parse text into an AST; offsets in errors are 0-based."""
+    """Parse text into an AST; offsets in errors are 0-based.  Cached:
+    callers share the returned tree."""
     return _Parser(text).parse()
 
 

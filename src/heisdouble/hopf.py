@@ -204,6 +204,8 @@ class HopfPresentation:
         self._prod = {}
         self._coprod = {}
         self._antipode = {}
+        self._text = {}
+        self._sort_key = {}
         if unit_label.degree != deg_zero(rank):
             raise PresentationError("unit label must sit in degree zero")
         z = self.basis(deg_zero(rank))
@@ -252,7 +254,12 @@ class HopfPresentation:
         return self._positions(label.degree)[label][0]
 
     def label_sort_key(self, label):
-        return (deg_total(label.degree), label.degree, self.label_index(label))
+        """(total degree, degree, basis position), cached per label."""
+        hit = self._sort_key.get(label)
+        if hit is None:
+            hit = self._sort_key.setdefault(
+                label, (deg_total(label.degree), label.degree, self.label_index(label)))
+        return hit
 
     def labels_up_to(self, N):
         """All basis labels of total degree <= N in canonical order."""
@@ -262,7 +269,11 @@ class HopfPresentation:
         return out
 
     def label_text(self, label):
-        return self._label_text_fn(label)
+        """Printed name of a label, computed when first asked for and cached."""
+        hit = self._text.get(label)
+        if hit is None:
+            hit = self._text.setdefault(label, self._label_text_fn(label))
+        return hit
 
     # -- structure constants --------------------------------------------
 
@@ -308,10 +319,13 @@ class HopfPresentation:
         coefficient one.
         """
         unit = self.unit_label
+        terms = self.coproduct(label).terms
+        # the cached terms hold the basis's own objects: compare by identity
+        label = self.canonical_label(label)
         out = {}
-        for (l1, l2), c in self.coproduct(label).terms.items():
-            if l1 == unit or l2 == unit:
-                expected = (l1 == unit and l2 == label) or (l2 == unit and l1 == label)
+        for (l1, l2), c in terms.items():
+            if l1 is unit or l2 is unit:
+                expected = (l1 is unit and l2 is label) or (l2 is unit and l1 is label)
                 if not expected or c != ONE:
                     raise PresentationError(
                         "coproduct of %s is not normalized: term (%s, %s) %s"
@@ -322,7 +336,8 @@ class HopfPresentation:
         return Element._raw(out)
 
     def counit_label(self, label):
-        return ONE if label == self.unit_label else ZERO
+        # connectedness makes the unit the only basis label of degree zero
+        return ZERO if any(label.degree) else ONE
 
     def __repr__(self):
         return "HopfPresentation(%s)" % self.name
@@ -394,7 +409,7 @@ def _antipode_label(H, label):
     hit = H._antipode.get(label)
     if hit is not None:
         return hit
-    if label == H.unit_label:
+    if not any(label.degree):  # the unit, by connectedness
         val = H.unit_element()
     else:
         val = Element.from_label(label, -ONE) - linear(

@@ -83,12 +83,6 @@ class LaurentPoly:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         return gcd(*self._c.values())
 
-    def shift(self, k):
-        """Multiply by q^k."""
-        if not k:
-            return self
-        return LaurentPoly._raw({e + k: v for e, v in self._c.items()})
-
     def subs_q_inverse(self):
         """Substitute q -> q^-1 (negate all exponents)."""
         return LaurentPoly._raw({-e: v for e, v in self._c.items()})

@@ -1,0 +1,187 @@
+"""The session front end: parsed texts, generator elements and label texts
+are cached, and the caches change no printed byte.
+
+Covers the pair and antipode CLI answers on qheis A2 (tests/golden/, using
+h and h'), answers repeated on one instance and on a fresh one, and the
+rules of each cache: what its key is, that it never holds a failure, and
+what drops or does not share it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from heisdouble import cli
+from heisdouble.double import fock_matrix
+from heisdouble.expr import (PARSE_CACHE_SIZE, ExprEvalError, ExprSyntaxError,
+                             evaluate_text, parse_expression, pure_minus, pure_plus)
+from heisdouble.hopf import BasisLabel, Element, antipode, check_bialgebra, element_str
+from heisdouble.instances import (ConfigError, build_lattice, build_qheis, build_weyl,
+                                  cartan_a, identity_form)
+from heisdouble.twisting import BiadditiveMap
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("pair-qheis-a2.txt",
+     ["pair", "--expr", "h'[2,1] h'[1,2]", "--expr", "h[1,2] h[2,1]"]),
+    ("antipode-qheis-a2.txt", ["antipode", "--expr", "h[2,1] h[1,2]"]),
+    ("antipode-minus-qheis-a2.json",
+     ["antipode", "--expr", "h'[2,2] h'[1,1]", "--json"]),
+]
+
+
+@pytest.mark.parametrize("expected, argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(expected, argv, capsys):
+    rc = cli.main(argv + ["--instance", str(GOLDEN / "qheis-a2.json")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (GOLDEN / expected).read_text()
+
+
+# -- repeated answers ----------------------------------------------------
+
+
+def answers(inst, text):
+    """What a session prints about text: its normal form, its antipode when
+    it is one-sided, and its Fock matrix on inputs of degree <= 2."""
+    D = inst.double
+    el = evaluate_text(D, text)
+    out = [D.element_str(el)]
+    a, x = pure_plus(D, el), pure_minus(D, el)
+    if a is not None:
+        out.append(element_str(inst.plus, antipode(inst.plus, a)))
+    elif x is not None:
+        out.append(element_str(inst.minus, antipode(inst.minus, x)))
+    rows, cols, matrix = fock_matrix(D, el, 2)
+    out.append(" ".join(D.plus.label_text(l) for l in rows + cols))
+    out.extend(" ".join(str(v) for v in row) for row in matrix)
+    return "\n".join(out)
+
+
+TEXTS = ["p'[2,1] p[2,2] p'[1,2]", "h'[2,1]*h[1,2]", "h[2,1] h[1,2]",
+         "h'[2,2] h'[1,1]", "q^2 p[1,1] - (1 + q)/(1 - q) p'[1,2] + 3"]
+
+
+def test_repeated_answers_print_the_same_bytes():
+    inst = build_qheis(cartan_a(2))
+    first = [answers(inst, text) for text in TEXTS]
+    assert [answers(inst, text) for text in TEXTS] == first
+    parse_expression.cache_clear()
+    fresh = build_qheis(cartan_a(2))
+    assert [answers(fresh, text) for text in TEXTS] == first
+
+
+def test_repeated_pairings_print_the_same_bytes():
+    texts = ("h'[2,1] p'[1,2]", "h[1,2] h[2,1]")
+    inst = build_qheis(cartan_a(2))
+    values = []
+    for target in (inst, inst, build_qheis(cartan_a(2))):
+        D = target.double
+        x, a = (evaluate_text(D, t) for t in texts)
+        values.append(str(target.pairing.pair(pure_minus(D, x), pure_plus(D, a))))
+    assert values == [values[0]] * 3
+
+
+# -- parsed texts --------------------------------------------------------
+
+
+def test_parse_cache_shares_one_hashable_tree():
+    text = "p'[1,2] (q^-2 p[1,1] - 3) + h[2,1]/q # p[1,1]^2"
+    tree = parse_expression(text)
+    assert parse_expression(text) is tree
+    assert hash(tree) == hash(parse_expression(text))
+    assert parse_expression.cache_info().maxsize == PARSE_CACHE_SIZE
+
+
+def test_syntax_errors_are_raised_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_expression("p[1 2]")
+        assert e.value.offset == 4
+
+
+def test_a_cached_tree_is_evaluated_in_each_context():
+    # the tree is shared; whether its names exist is decided per context
+    qd, ld = build_qheis(cartan_a(2)).double, build_lattice(identity_form(2)).double
+    assert not evaluate_text(qd, "h[1,1] p'[1,2]").is_zero
+    for _ in range(2):
+        with pytest.raises(ExprEvalError) as e:
+            evaluate_text(ld, "h[1,1] p'[1,2]")
+        assert e.value.offset == 0
+
+
+# -- generator elements --------------------------------------------------
+
+
+def test_generator_element_cached_for_list_and_tuple_args():
+    D = build_qheis(cartan_a(2)).double
+    p = D.generator_element("p", (2, 1))
+    assert D.generator_element("p", [2, 1]) is p
+    assert D.generator_element("h'", [2, 2]) is D.generator_element("h'", (2, 2))
+    assert D.generator_element("p", (2, 2)) != p
+
+
+def test_generator_failures_raise_on_every_call():
+    D = build_qheis(cartan_a(2)).double
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            D.generator_element("zz", (1, 1))
+        with pytest.raises(ConfigError):
+            D.generator_element("p", (1, 3))
+        with pytest.raises(ExprEvalError) as e:
+            evaluate_text(D, "q p[1,3]")
+        assert e.value.offset == 2
+
+
+def _x_squared(args):
+    return "plus", Element.from_label(BasisLabel(2, (2,)))
+
+
+def test_register_generator_drops_that_names_elements():
+    D = build_weyl().double
+    d = D.generator_element("d")
+    D.generator_element("x")
+    D.register_generator("x", _x_squared)
+    assert D.generator_element("x") == D.embed_plus(_x_squared(())[1])
+    assert D.generator_element("d") is d
+
+
+def test_shifted_double_has_its_own_generator_cache():
+    D = build_weyl().double
+    x = D.generator_element("x")
+    S = D.shifted(BiadditiveMap.ones(1))
+    assert S.generator_element("x") == x
+    assert S.generator_element("x") is not x
+    S.register_generator("x", _x_squared)
+    assert D.generator_element("x") is x
+
+
+# -- label texts and sort keys -------------------------------------------
+
+
+def test_cached_label_text_and_sort_key_match_a_fresh_presentation():
+    H = build_qheis(cartan_a(2)).minus
+    fresh = build_qheis(cartan_a(2)).minus
+    labels = H.labels_up_to(4)
+    for l in labels:
+        H.label_text(l), H.label_sort_key(l)
+    for l in labels:
+        copy = BasisLabel(l.key, l.degree)
+        assert H.label_text(l) == H.label_text(copy) == fresh.label_text(copy)
+        assert H.label_sort_key(copy) == fresh.label_sort_key(l)
+
+
+def test_label_texts_are_made_once_and_only_when_printed():
+    inst = build_lattice(identity_form(2))
+    H = inst.plus
+    made = []
+    text_fn = H._label_text_fn
+    H._label_text_fn = lambda l: made.append(l) or text_fn(l)
+    assert check_bialgebra(H, 3).passed
+    assert made == []
+    el = evaluate_text(inst.double, "p[1,1] p[2,2] + 2 p[1,1] - p[3,1]")
+    text = inst.double.element_str(el)
+    assert sorted(map(text_fn, made)) == ["p[1,1]", "p[1,1]*p[2,2]", "p[3,1]"]
+    assert inst.double.element_str(el) == text
+    assert len(made) == 3

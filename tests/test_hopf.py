@@ -133,11 +133,14 @@ def test_foreign_label_rejected(weyl_plus):
         multiply(weyl_plus, foreign, weyl_plus.unit_element())
 
 
-@pytest.mark.parametrize("build", [
+three_instances = pytest.mark.parametrize("build", [
     build_weyl,
     lambda: build_qheis(cartan_a(2)),
     lambda: build_lattice(((1, 0), (0, 1))),
 ], ids=["weyl", "qheis-a2", "lattice-i2"])
+
+
+@three_instances
 def test_structure_constant_images_hold_basis_labels(build):
     # every label of a cached product or coproduct image is the basis's own
     # object, so lookups keyed on image labels match on identity
@@ -193,6 +196,23 @@ def test_reduced_coproduct(weyl_plus):
     red = weyl_plus.reduced_coproduct(xlab(2))
     assert red.terms == {(xlab(1), xlab(1)): q_int(2)}
     assert weyl_plus.reduced_coproduct(xlab(1)).is_zero
+
+
+@three_instances
+def test_unit_rule_agrees_with_equality(build):
+    # counit, reduced coproduct and antipode tell the unit by identity or by
+    # degree zero; on every basis label that agrees with == unit_label
+    inst = build()
+    for H in (inst.plus, inst.minus):
+        unit = H.unit_label
+        for label in H.labels_up_to(4):
+            is_unit = label == unit
+            assert H.counit_label(label) == (ONE if is_unit else ZERO)
+            assert (antipode(H, Element.from_label(label)) == H.unit_element()) == is_unit
+            red = H.reduced_coproduct(label)
+            assert all(l1 != unit and l2 != unit for l1, l2 in red.terms)
+            # an equal label that is not the basis's own object is accepted
+            assert H.reduced_coproduct(BasisLabel(label.key, label.degree)) == red
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, and every
-function and class a library module defines is used by the program: the
-library, the demos or the benchmark, not only by tests."""
+function, class and method a library module defines is used by the program:
+the library, the demos or the benchmark, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -48,23 +48,35 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def nodes_outside(tree, skip):
+    """The nodes of tree, leaving out the subtree at the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def referenced_names(tree, skip=None):
     """Names read in tree outside the node skip: bare names, attribute
     names and imported names."""
     out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in nodes_outside(tree, skip):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
-        stack.extend(ast.iter_child_nodes(node))
     return out
+
+
+def attribute_names(tree, skip=None):
+    """Names read as attributes (the name in x.name) in tree outside the
+    node skip."""
+    return {node.attr for node in nodes_outside(tree, skip)
+            if isinstance(node, ast.Attribute)}
 
 
 def uncalled_definitions(source, elsewhere):
@@ -100,3 +112,41 @@ def test_every_definition_has_a_caller(path):
         if other != path:
             elsewhere |= referenced_names(ast.parse(other.read_text()))
     assert uncalled_definitions(path.read_text(), elsewhere) == []
+
+
+def uncalled_methods(source, elsewhere):
+    """Methods of the top-level classes of source, dunders aside, whose names
+    are neither in the set elsewhere nor read as an attribute in source
+    outside their own definition.  Only attribute reads count: a bare name
+    spelled like a method is something else, a local variable say."""
+    tree = ast.parse(source)
+    return sorted(
+        "%s.%s" % (cls.name, node.name)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in elsewhere
+        and node.name not in attribute_names(tree, skip=node))
+
+
+def test_scanner_finds_uncalled_methods():
+    source = ("class A:\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def used(self):\n        return self.helper()\n"
+              "    def helper(self):\n        return 1\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    def shift(self):\n        return 0\n"
+              "    @property\n    def prop(self):\n        return 2\n"
+              "def f(x):\n    shift = x\n    return shift\n")
+    elsewhere = attribute_names(ast.parse("a.used()\nb.prop\nused = 1\n"))
+    assert uncalled_methods(source, elsewhere) == ["A.recursive", "A.shift"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_method_has_a_caller(path):
+    elsewhere = set()
+    for other in PROGRAM:
+        if other != path:
+            elsewhere |= attribute_names(ast.parse(other.read_text()))
+    assert uncalled_methods(path.read_text(), elsewhere) == []

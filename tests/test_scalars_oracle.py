@@ -91,12 +91,18 @@ def test_division_axioms(a, b):
 # -- exact division in Z[q, q^-1] -----------------------------------------
 
 
+def lowest_at_zero(p):
+    """p times the power of q that moves its lowest exponent to 0."""
+    m = p.min_exp()
+    return LaurentPoly({e - m: c for e, c in p.items()})
+
+
 def laurent_quotient(num, den):
     """num/den as a Laurent polynomial with integer coefficients, by sympy,
     or None when it is not one.  Both are shifted to polynomials with a
     nonzero constant term, so divisibility in Z[q, q^-1] is divisibility of
     the shifted polynomials."""
-    n, d = poly(num.shift(-num.min_exp())), poly(den.shift(-den.min_exp()))
+    n, d = poly(lowest_at_zero(num)), poly(lowest_at_zero(den))
     quo, rem = sympy.div(n.set_domain(sympy.QQ), d.set_domain(sympy.QQ))
     if not rem.is_zero or not all(c.is_integer for c in quo.all_coeffs()):
         return None
