@@ -36,10 +36,11 @@ class IncompatiblePairError(ValueError):
 
 def _label_action(P, x, a):
     """x(a) on basis labels: the sum over Delta(a) = a1 (x) a2 of
-    q^(gamma'(|a1|,|a2|)) <x, a2> a1."""
+    q^(gamma'(|a1|,|a2|)) <x, a2> a1; only terms with |a2| = |x| can pair."""
     gp = P.gamma.prime.evaluate
+    xd = x.degree
     paired = {(a1, a2): c * v for (a1, a2), c in P.plus.coproduct(a).terms.items()
-              if not (v := P.pair_labels(x, a2)).is_zero}
+              if a2.degree == xd and not (v := P.pair_labels(x, a2)).is_zero}
     return linear(lambda p: Element.from_label(
         p[0], q_power(gp(p[0].degree, p[1].degree))), Element._raw(paired))
 
@@ -191,9 +192,9 @@ class HeisenbergDouble:
     def pair_text(self, pair):
         a, x = pair
         pu, mu = self.plus.unit_label, self.minus.unit_label
-        if x == mu:
+        if x is mu:
             return self.plus.label_text(a)
-        if a == pu:
+        if a is pu:
             return self.minus.label_text(x)
         return self.plus.label_text(a) + "#" + self.minus.label_text(x)
 
@@ -264,9 +265,9 @@ def fock_matrix(D, u, Nin, Nout=None):
 
 
 def _gen_labels(H, hook, N):
-    """Generator labels of H of total degree <= N, as H's basis objects."""
+    """Generator labels of H of total degree <= N."""
     if hook is not None:
-        return [H.canonical_label(l) for l in hook(N) if deg_total(l.degree) <= N]
+        return [l for l in hook(N) if deg_total(l.degree) <= N]
     return H.labels_up_to(N)
 
 

@@ -284,7 +284,7 @@ def pure_plus(D, el):
     mu = D.minus.unit_label
     out = {}
     for (a, x), c in el.terms.items():
-        if x != mu:
+        if x is not mu:
             return None
         out[a] = c
     return Element._raw(out)
@@ -295,7 +295,7 @@ def pure_minus(D, el):
     pu = D.plus.unit_label
     out = {}
     for (a, x), c in el.terms.items():
-        if a != pu:
+        if a is not pu:
             return None
         out[x] = c
     return Element._raw(out)

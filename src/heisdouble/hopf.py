@@ -2,10 +2,11 @@
 
 A presentation supplies a homogeneous basis per degree together with
 structure constants for the product and coproduct; everything else (counit,
-antipode, axiom checking, degree-shift wrapping) is derived here.  Structure
-constants are cached on their labels so each one is computed once, and
-every map on elements is the linear (or bilinear) extension of a map on
-labels: ``linear`` and ``bilinear`` are the only loops that extend one.
+antipode, axiom checking, degree-shift wrapping) is derived here.  Basis
+labels are interned, so structure constants are cached on their labels by
+identity and each one is computed once, and every map on elements is the
+linear (or bilinear) extension of a map on labels: ``linear`` and
+``bilinear`` are the only loops that extend one.
 """
 
 from __future__ import annotations
@@ -21,23 +22,32 @@ class PresentationError(ValueError):
     """A presentation violated a structural requirement."""
 
 
+_INTERNED = {}
+
+
 class BasisLabel:
-    """Name of one homogeneous basis element: an opaque key plus a degree."""
+    """Name of one homogeneous basis element: an opaque key plus a degree.
 
-    __slots__ = ("key", "degree", "_hash")
+    Labels are interned: equal (key, degree) always gives the same object,
+    so labels hash and compare by identity, in C, with the default
+    object.__hash__ and object.__eq__.  The intern table is process-wide and
+    holds every label made so far.
+    """
 
-    def __init__(self, key, degree):
-        self.key = key
-        self.degree = tuple(degree)
-        self._hash = hash((key, self.degree))
+    __slots__ = ("key", "degree")
 
-    def __eq__(self, other):
-        if not isinstance(other, BasisLabel):
-            return NotImplemented
-        return self.key == other.key and self.degree == other.degree
+    def __new__(cls, key, degree):
+        degree = tuple(degree)
+        hit = _INTERNED.get((key, degree))
+        if hit is None:
+            hit = object.__new__(cls)
+            hit.key = key
+            hit.degree = degree
+            hit = _INTERNED.setdefault((key, degree), hit)
+        return hit
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return BasisLabel, (self.key, self.degree)
 
     def __repr__(self):
         return "BasisLabel(%r, %r)" % (self.key, self.degree)
@@ -179,10 +189,9 @@ class HopfPresentation:
     The callables supply raw structure constants; they are invoked at most
     once per argument and their output is validated (grading of products,
     bidegree additivity of coproducts, membership of result labels in the
-    declared basis).  Cached images and cache keys hold the basis's own
-    label objects, so lookups of labels taken from them match on identity.
-    Connectedness (degree-0 stratum = the unit alone) is checked at
-    construction.
+    declared basis).  Labels are interned, so every cache is keyed and
+    matched by identity.  Connectedness (degree-0 stratum = the unit alone)
+    is checked at construction.
     """
 
     def __init__(self, name, rank, twisting, unit_label, basis_fn, product_fn,
@@ -212,7 +221,7 @@ class HopfPresentation:
         if z != (unit_label,):
             raise PresentationError(
                 "%s is not connected: degree-0 basis is %r" % (name, z))
-        self.unit_label = z[0]
+        self.unit_label = unit_label
 
     # -- basis -----------------------------------------------------------
 
@@ -232,33 +241,28 @@ class HopfPresentation:
         return hit
 
     def _positions(self, degree):
-        """Label -> (basis position, the basis's own label object) at one
-        degree, cached."""
+        """Label -> basis position at one degree, cached."""
         idx = self._index.get(degree)
         if idx is None:
             idx = self._index.setdefault(
-                degree, {l: (i, l) for i, l in enumerate(self.basis(degree))})
+                degree, {l: i for i, l in enumerate(self.basis(degree))})
         return idx
 
-    def canonical_label(self, label):
-        """The basis's own object equal to label; PresentationError when
-        label is not in the basis."""
-        hit = self._positions(label.degree).get(label)
-        if hit is None:
-            raise PresentationError(
-                "label %r is not in the %s basis at degree %r"
-                % (label, self.name, label.degree))
-        return hit[1]
-
-    def label_index(self, label):
-        return self._positions(label.degree)[label][0]
+    def require_labels(self, *labels):
+        """PresentationError unless every label is in the basis."""
+        for label in labels:
+            if label not in self._positions(label.degree):
+                raise PresentationError(
+                    "label %r is not in the %s basis at degree %r"
+                    % (label, self.name, label.degree))
 
     def label_sort_key(self, label):
         """(total degree, degree, basis position), cached per label."""
         hit = self._sort_key.get(label)
         if hit is None:
             hit = self._sort_key.setdefault(
-                label, (deg_total(label.degree), label.degree, self.label_index(label)))
+                label, (deg_total(label.degree), label.degree,
+                        self._positions(label.degree)[label]))
         return hit
 
     def labels_up_to(self, N):
@@ -283,8 +287,7 @@ class HopfPresentation:
     def product(self, l1, l2):
         hit = self._prod.get((l1, l2))
         if hit is None:
-            canon = self.canonical_label
-            l1, l2 = canon(l1), canon(l2)
+            self.require_labels(l1, l2)
             d = deg_add(l1.degree, l2.degree)
             terms = {}
             for l, c in self._product_fn(l1, l2).terms.items():
@@ -292,22 +295,23 @@ class HopfPresentation:
                     raise PresentationError(
                         "product %s * %s not homogeneous of degree %r"
                         % (self.label_text(l1), self.label_text(l2), d))
-                terms[canon(l)] = c
+                self.require_labels(l)
+                terms[l] = c
             hit = self._prod.setdefault((l1, l2), Element._raw(terms))
         return hit
 
     def coproduct(self, label):
         hit = self._coprod.get(label)
         if hit is None:
-            canon = self.canonical_label
-            label = canon(label)
+            self.require_labels(label)
             terms = {}
             for (l1, l2), c in self._coproduct_fn(label).terms.items():
                 if deg_add(l1.degree, l2.degree) != label.degree:
                     raise PresentationError(
                         "coproduct of %s has a term of bidegree (%r, %r)"
                         % (self.label_text(label), l1.degree, l2.degree))
-                terms[canon(l1), canon(l2)] = c
+                self.require_labels(l1, l2)
+                terms[l1, l2] = c
             hit = self._coprod.setdefault(label, Element._raw(terms))
         return hit
 
@@ -320,8 +324,6 @@ class HopfPresentation:
         """
         unit = self.unit_label
         terms = self.coproduct(label).terms
-        # the cached terms hold the basis's own objects: compare by identity
-        label = self.canonical_label(label)
         out = {}
         for (l1, l2), c in terms.items():
             if l1 is unit or l2 is unit:

@@ -80,9 +80,8 @@ def _bareiss(m, one, zero, mul, div):
     """Determinant of the square matrix m (n >= 1), eliminated in place.
 
     one and zero are the ring's constants, mul(a, b) its product and
-    div(a, b) its exact division; a row whose pivot-column entry is already
-    zero only scales, and skips the division while the previous pivot is
-    still one.
+    div(a, b) its exact division, skipped while the previous pivot is still
+    one; a row whose pivot-column entry is already zero only scales.
     """
     n = len(m)
     sign = 1
@@ -100,16 +99,11 @@ def _bareiss(m, one, zero, mul, div):
         for i in range(k + 1, n):
             row = m[i]
             lead = row[k]
-            if lead.is_zero:
-                if prev is one:
-                    for j in range(k + 1, n):
-                        row[j] = mul(row[j], pivot)
-                else:
-                    for j in range(k + 1, n):
-                        row[j] = div(mul(row[j], pivot), prev)
-                continue
             for j in range(k + 1, n):
-                row[j] = div(mul(row[j], pivot) - mul(lead, m[k][j]), prev)
+                v = mul(row[j], pivot)
+                if not lead.is_zero:
+                    v = v - mul(lead, m[k][j])
+                row[j] = v if prev is one else div(v, prev)
             row[k] = zero
         prev = pivot
     det = m[n - 1][n - 1]

@@ -426,7 +426,7 @@ class RatFunc:
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num._c
 
     @property
     def is_laurent(self):

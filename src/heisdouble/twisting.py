@@ -34,7 +34,7 @@ def deg_total(a):
 class BiadditiveMap:
     """Biadditive integer form on the degree lattice, stored as a matrix."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_nonzero")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -45,6 +45,8 @@ class BiadditiveMap:
         if any(len(row) != r for row in rows):
             raise ValueError("biadditive map matrix must be square")
         self.rows = rows
+        self._nonzero = tuple((i, j, v) for i, row in enumerate(rows)
+                              for j, v in enumerate(row) if v)
 
     @classmethod
     def zero(cls, rank):
@@ -65,10 +67,8 @@ class BiadditiveMap:
             raise ValueError(
                 "degree rank mismatch: map has rank %d, degrees %r, %r" % (r, lam, mu))
         total = 0
-        for i, li in enumerate(lam):
-            if li:
-                row = self.rows[i]
-                total += li * sum(row[j] * mj for j, mj in enumerate(mu) if mj)
+        for i, j, v in self._nonzero:
+            total += v * lam[i] * mu[j]
         return total
 
     def transpose(self):

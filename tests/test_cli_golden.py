@@ -4,8 +4,15 @@ The files under tests/golden/ hold the output of passing runs: `verify` on
 Weyl (N=6) and lattice I2 (N=4), `verify --json` on qheis A2 (N=3), and one
 `fock-matrix --json` and one `normal-order` answer on A2.  A change that
 keeps every verdict must keep this output byte for byte.
+
+Basis labels hash by address, so `verify --json` is also run in fresh
+interpreters under two hash seeds, which must print the same bytes.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +20,7 @@ import pytest
 from heisdouble import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 CASES = [
     ("verify-weyl-6.txt", "weyl.json", ["verify", "--max-degree", "6"]),
@@ -33,3 +41,27 @@ def test_cli_output_matches_golden(expected, config, argv, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (GOLDEN / expected).read_text()
+
+
+SEED_CASES = [
+    (GOLDEN / "weyl.json", "8"),
+    (ROOT / "bench" / "configs" / "qheis-a2.json", "4"),
+    (ROOT / "bench" / "configs" / "lattice-i2.json", "5"),
+]
+
+
+@pytest.mark.parametrize("config, degree", SEED_CASES,
+                         ids=["weyl-8", "qheis-a2-4", "lattice-i2-5"])
+def test_verify_json_is_independent_of_the_hash_seed(config, degree):
+    argv = [sys.executable, "-m", "heisdouble.cli", "verify", "--instance",
+            str(config), "--max-degree", degree, "--json"]
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONHASHSEED=seed,
+                                       PYTHONPATH=pythonpath))
+             for seed in ("0", "1")]
+    outs = [p.communicate()[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["status"] == "pass"

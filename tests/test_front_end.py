@@ -167,9 +167,10 @@ def test_cached_label_text_and_sort_key_match_a_fresh_presentation():
     for l in labels:
         H.label_text(l), H.label_sort_key(l)
     for l in labels:
-        copy = BasisLabel(l.key, l.degree)
-        assert H.label_text(l) == H.label_text(copy) == fresh.label_text(copy)
-        assert H.label_sort_key(copy) == fresh.label_sort_key(l)
+        # a label built again from its key and degree is the basis object
+        assert BasisLabel(l.key, l.degree) is l
+        assert H.label_text(l) == fresh.label_text(l)
+        assert H.label_sort_key(l) == fresh.label_sort_key(l)
 
 
 def test_label_texts_are_made_once_and_only_when_printed():

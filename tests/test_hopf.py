@@ -1,5 +1,7 @@
 """Generic twisted bialgebra engine, exercised mostly on the Weyl presentations."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -133,6 +135,55 @@ def test_foreign_label_rejected(weyl_plus):
         multiply(weyl_plus, foreign, weyl_plus.unit_element())
 
 
+# ---------------------------------------------------------------------------
+# Interned labels
+
+
+def test_labels_are_interned():
+    assert BasisLabel("k", [2]) is BasisLabel("k", (2,))
+    assert BasisLabel("k", (2,)) is not BasisLabel("k", (3,))
+    assert BasisLabel.__hash__ is object.__hash__
+    assert BasisLabel.__eq__ is object.__eq__
+    label = BasisLabel(((1,), ()), (1,))
+    assert copy.copy(label) is copy.deepcopy(label) is label
+    assert pickle.loads(pickle.dumps(label)) is label
+
+
+def test_plus_and_minus_labels_with_one_key_are_one_object():
+    inst = build_qheis(cartan_a(2))
+    plus, minus = inst.plus.labels_up_to(3), inst.minus.labels_up_to(3)
+    assert len(plus) == len(minus) > 1
+    assert all(a is x for a, x in zip(plus, minus))
+    assert inst.plus.unit_label is inst.minus.unit_label
+
+
+def test_labels_outside_the_basis_are_still_refused(weyl_plus):
+    unit = weyl_plus.unit_label
+    for foreign in (BasisLabel("nope", (1,)), BasisLabel("extra", (0,))):
+        with pytest.raises(PresentationError):
+            weyl_plus.product(foreign, unit)
+        with pytest.raises(PresentationError):
+            weyl_plus.product(unit, foreign)
+        with pytest.raises(PresentationError):
+            weyl_plus.coproduct(foreign)
+        with pytest.raises(PresentationError):
+            weyl_plus.reduced_coproduct(foreign)
+    extra = BasisLabel("extra", (0,))
+
+    def product_fn(a, b):
+        return Element.from_label(extra)
+
+    def coproduct_fn(a):
+        return Element.tensor(Element.from_label(extra), Element.from_label(a))
+
+    H = HopfPresentation("leaky", 1, TwistingDatum.zero(1), unit,
+                         weyl_plus.basis, product_fn, coproduct_fn)
+    with pytest.raises(PresentationError, match="not in the leaky basis"):
+        H.product(unit, unit)
+    with pytest.raises(PresentationError, match="not in the leaky basis"):
+        H.coproduct(unit)
+
+
 three_instances = pytest.mark.parametrize("build", [
     build_weyl,
     lambda: build_qheis(cartan_a(2)),
@@ -211,8 +262,8 @@ def test_unit_rule_agrees_with_equality(build):
             assert (antipode(H, Element.from_label(label)) == H.unit_element()) == is_unit
             red = H.reduced_coproduct(label)
             assert all(l1 != unit and l2 != unit for l1, l2 in red.terms)
-            # an equal label that is not the basis's own object is accepted
-            assert H.reduced_coproduct(BasisLabel(label.key, label.degree)) == red
+            # a label built again from its key and degree is the basis object
+            assert BasisLabel(label.key, label.degree) is label
 
 
 # ---------------------------------------------------------------------------

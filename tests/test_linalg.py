@@ -5,15 +5,16 @@ whole matrix, on random matrices and on Gram blocks."""
 
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from heisdouble import hopf
+from heisdouble import cli, hopf, linalg
 from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
                                   identity_form)
 from heisdouble.linalg import components, det_bareiss
 from heisdouble.pairing import perfectness_check
-from heisdouble.scalars import ONE, Q, ZERO, LaurentPoly, RatFunc
+from heisdouble.scalars import LP_ONE, ONE, Q, ZERO, LaurentPoly, RatFunc
 from oracles import cartan_affine_d4
 
 # Entries with non-constant denominators: 1/(1+q) and q/(1-q^2).
@@ -87,6 +88,21 @@ def test_det_bareiss_does_not_modify_its_input():
     copy = [list(r) for r in m]
     det_bareiss(m)
     assert m == copy
+
+
+def test_laurent_elimination_never_divides_by_one(monkeypatch, capsys):
+    divisors = []
+    exact_div = linalg.laurent_exact_div
+
+    def counting(num, den):
+        divisors.append(den)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(linalg, "laurent_exact_div", counting)
+    config = Path(__file__).parent.parent / "bench" / "configs" / "qheis-a2.json"
+    assert cli.main(["verify", "--instance", str(config), "--max-degree", "4"]) == 0
+    assert divisors
+    assert not any(d == LP_ONE for d in divisors)
 
 
 # ---------------------------------------------------------------------------
