@@ -15,7 +15,9 @@ deg(a#x) = |a| - |x|.
 A context caches the action and the smash product on labels, and the
 embedded element of each generator it has built, under (name, args).  A
 builder that raises leaves nothing in the cache, registering a generator
-drops that name's entries, and a shifted context starts with empty caches.
+drops that name's entries, and a shifted context starts with empty caches;
+only the Gram rows of its pairing are shared, since a shift leaves the
+Gram values unchanged.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ class IncompatiblePairError(ValueError):
 
 def _label_action(P, x, a):
     """x(a) on basis labels: the sum over Delta(a) = a1 (x) a2 of
-    q^(gamma'(|a1|,|a2|)) <x, a2> a1; only terms with |a2| = |x| can pair."""
+    q^(gamma'(|a1|,|a2|)) <x, a2> a1; only the a2 in the row of x pair."""
     gp = P.gamma.prime.evaluate
-    xd = x.degree
+    row = P.row(x)
     paired = {(a1, a2): c * v for (a1, a2), c in P.plus.coproduct(a).terms.items()
-              if a2.degree == xd and not (v := P.pair_labels(x, a2)).is_zero}
+              if (v := row.get(a2)) is not None}
     return linear(lambda p: Element.from_label(
         p[0], q_power(gp(p[0].degree, p[1].degree))), Element._raw(paired))
 
@@ -174,9 +176,8 @@ class HeisenbergDouble:
         minus_s = shifted_presentation(self.minus, alpha, beta)
         gamma_s = TwistingDatum(self.gamma.prime - alpha + beta,
                                 self.gamma.doubleprime - alpha + beta)
-        pairing_s = TwistedPairing(minus_s, plus_s, gamma_s,
-                                   self.pairing._gram_fn,
-                                   name=self.pairing.name + "~shifted")
+        pairing_s = self.pairing.retwisted(minus_s, plus_s, gamma_s,
+                                           self.pairing.name + "~shifted")
         out = HeisenbergDouble(pairing_s, name=self.name + "~shifted",
                                perfect=self.perfect)
         out._generators = dict(self._generators)

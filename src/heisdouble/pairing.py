@@ -8,11 +8,16 @@ coproducts:
 
     <x y, a> = c^(gamma'(|x|,|y|)) <x tensor y, Delta(a)>
     <x, a b> = c^(gamma''(|a|,|b|)) <Delta(x), a tensor b>
+
+Gram values are kept as sparse rows: row(x) holds the nonzero <x, a> over
+the plus basis of degree |x|, made once per minus label, and col(a) is its
+transpose.  Every pairing loop walks these rows, so a zero of the form is
+never visited.
 """
 
 from __future__ import annotations
 
-from .hopf import Element
+from .hopf import Element, _acc
 from .linalg import components, det_bareiss
 from .report import failing, passing
 from .scalars import ONE, ZERO, q_power
@@ -23,9 +28,9 @@ from . import hopf
 class TwistedPairing:
     """Bilinear form H- x H+ -> k(q) twisted by gamma.
 
-    gram_fn(x_label, a_label) is consulted only for equal degrees and its
-    values are cached; pairing of inhomogeneous elements is the bilinear
-    extension.
+    gram_fn(x_label, a_label) is consulted only for equal degrees, once per
+    pair, and its nonzero values are kept as rows (see row); pairing of
+    inhomogeneous elements is the bilinear extension.
     """
 
     def __init__(self, minus, plus, gamma, gram_fn, name=None):
@@ -40,46 +45,79 @@ class TwistedPairing:
         self.gamma = gamma
         self._gram_fn = gram_fn
         self.name = name or "%s|%s" % (minus.name, plus.name)
-        self._values = {}
+        self._rows = {}
+        self._cols = {}
+
+    def retwisted(self, minus, plus, gamma, name):
+        """The pairing with twisting gamma of minus and plus, which have the
+        bases of this pairing's sides (shifted presentations do): the Gram
+        values are the same, so both pairings share one store of rows."""
+        out = TwistedPairing(minus, plus, gamma, self._gram_fn, name)
+        out._rows = self._rows
+        out._cols = self._cols
+        return out
+
+    def row(self, x):
+        """{a: <x, a>} over the plus basis of degree |x|, nonzero values only,
+        in basis order; made once per minus label."""
+        hit = self._rows.get(x)
+        if hit is None:
+            gram = self._gram_fn
+            out = {}
+            for a in self.plus.basis(x.degree):
+                v = gram(x, a)
+                if not v.is_zero:
+                    out[a] = v
+            hit = self._rows.setdefault(x, out)
+        return hit
+
+    def col(self, a):
+        """{x: <x, a>} over the minus basis of degree |a|, nonzero values
+        only, in basis order: the transpose of the rows, made once per plus
+        label."""
+        hit = self._cols.get(a)
+        if hit is None:
+            out = {}
+            for x in self.minus.basis(a.degree):
+                v = self.row(x).get(a)
+                if v is not None:
+                    out[x] = v
+            hit = self._cols.setdefault(a, out)
+        return hit
 
     def pair_labels(self, x_label, a_label):
         if x_label.degree != a_label.degree:
             return ZERO
-        key = (x_label, a_label)
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._values.setdefault(key, self._gram_fn(x_label, a_label))
-        return hit
+        return self.row(x_label).get(a_label, ZERO)
 
     def pair(self, x, a):
         """Pairing of a minus element with a plus element."""
         total = ZERO
+        at = a.terms
         for xl, xc in x.terms.items():
-            for al, ac in a.terms.items():
-                if xl.degree == al.degree:
-                    v = self.pair_labels(xl, al)
-                    if not v.is_zero:
-                        total = total + xc * ac * v
+            for al, v in self.row(xl).items():
+                ac = at.get(al)
+                if ac is not None:
+                    total = total + xc * ac * v
         return total
 
     def pair_tensor(self, s, t):
         """Pairing of tensor squares: <x tensor y, a tensor b> factorwise."""
         total = ZERO
+        tt = t.terms
         for (xl, yl), c in s.terms.items():
-            for (al, bl), d in t.terms.items():
-                if xl.degree == al.degree and yl.degree == bl.degree:
-                    v = self.pair_labels(xl, al)
-                    if v.is_zero:
-                        continue
-                    w = self.pair_labels(yl, bl)
-                    if w.is_zero:
-                        continue
-                    total = total + c * d * v * w
+            ry = self.row(yl)
+            for al, v in self.row(xl).items():
+                cv = c * v
+                for bl, w in ry.items():
+                    d = tt.get((al, bl))
+                    if d is not None:
+                        total = total + cv * d * w
         return total
 
     def gram_block(self, degree):
         """Minus labels, plus labels, and the Gram matrix at one degree,
-        read from the cached pairing values."""
+        read from the rows."""
         rows = self.minus.basis(degree)
         cols = self.plus.basis(degree)
         matrix = tuple(tuple(self.pair_labels(x, a) for a in cols) for x in rows)
@@ -109,60 +147,87 @@ def check_pairing_axioms(P, N):
     """Verify both multiplicativity identities and the unit/counit laws on
     basis triples of total degree <= N."""
     minus, plus = P.minus, P.plus
-    gp = P.gamma.prime
-    gpp = P.gamma.doubleprime
+    e = Element.from_label
 
     # unit rows: <1, a> = eps(a), <x, 1> = eps(x)
     for a in plus.labels_up_to(N):
-        lhs = P.pair(minus.unit_element(), Element.from_label(a))
+        lhs = P.pair(minus.unit_element(), e(a))
         if lhs != plus.counit_label(a):
             return failing("check_pairing_axioms", P.name, N,
                            identity="unit against plus", label=plus.label_text(a),
                            lhs=lhs, rhs=plus.counit_label(a))
     for x in minus.labels_up_to(N):
-        lhs = P.pair(Element.from_label(x), plus.unit_element())
+        lhs = P.pair(e(x), plus.unit_element())
         if lhs != minus.counit_label(x):
             return failing("check_pairing_axioms", P.name, N,
                            identity="unit against minus", label=minus.label_text(x),
                            lhs=lhs, rhs=minus.counit_label(x))
 
     # <xy, a> = c^gamma'(|x|,|y|) <x tensor y, Delta a>
-    # Only |a| = |x|+|y| is visited (and |x| = |a|+|b| below): across degrees
-    # both sides are zero by construction, since pair_labels returns ZERO for
-    # unequal degrees and product and coproduct degrees are validated by the
-    # presentation, so no identity that could fail is skipped.
-    for x, y in hopf.bounded_tuples([minus.labels_up_to(N)] * 2, N):
-        xy = minus.product(x, y)
-        s = Element._raw({(x, y): ONE})
-        twist = q_power(gp.evaluate(x.degree, y.degree))
-        for a in plus.basis(deg_add(x.degree, y.degree)):
-            lhs = P.pair(xy, Element.from_label(a))
-            rhs = twist * P.pair_tensor(s, plus.coproduct(a))
-            if lhs != rhs:
-                return failing(
-                    "check_pairing_axioms", P.name, N,
-                    identity="product-coproduct (minus side)",
-                    labels="%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
-                                            plus.label_text(a)),
-                    lhs=lhs, rhs=rhs)
+    hit = _first_mismatch(minus, plus, P.row, P.gamma.prime, N)
+    if hit is not None:
+        x, y, a = hit
+        twist = q_power(P.gamma.prime.evaluate(x.degree, y.degree))
+        return failing(
+            "check_pairing_axioms", P.name, N,
+            identity="product-coproduct (minus side)",
+            labels="%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
+                                    plus.label_text(a)),
+            lhs=P.pair(minus.product(x, y), e(a)),
+            rhs=twist * P.pair_tensor(Element._raw({(x, y): ONE}), plus.coproduct(a)))
 
     # <x, ab> = c^gamma''(|a|,|b|) <Delta x, a tensor b>
-    for a, b in hopf.bounded_tuples([plus.labels_up_to(N)] * 2, N):
-        ab = plus.product(a, b)
-        t = Element._raw({(a, b): ONE})
-        twist = q_power(gpp.evaluate(a.degree, b.degree))
-        for x in minus.basis(deg_add(a.degree, b.degree)):
-            lhs = P.pair(Element.from_label(x), ab)
-            rhs = twist * P.pair_tensor(minus.coproduct(x), t)
-            if lhs != rhs:
-                return failing(
-                    "check_pairing_axioms", P.name, N,
-                    identity="coproduct-product (plus side)",
-                    labels="%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
-                                            plus.label_text(b)),
-                    lhs=lhs, rhs=rhs)
+    hit = _first_mismatch(plus, minus, P.col, P.gamma.doubleprime, N)
+    if hit is not None:
+        a, b, x = hit
+        twist = q_power(P.gamma.doubleprime.evaluate(a.degree, b.degree))
+        return failing(
+            "check_pairing_axioms", P.name, N,
+            identity="coproduct-product (plus side)",
+            labels="%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
+                                    plus.label_text(b)),
+            lhs=P.pair(e(x), plus.product(a, b)),
+            rhs=twist * P.pair_tensor(minus.coproduct(x), Element._raw({(a, b): ONE})))
 
     return passing("check_pairing_axioms", P.name, N)
+
+
+def _first_mismatch(H, K, store, twist, N):
+    """The first (u, v, k) at which <uv, k> = q^twist(|u|,|v|) <u (x) v, Delta k>
+    fails, over basis labels u, v of H with |u| + |v| <= N in bounded_tuples
+    order and k in K's basis of degree |u| + |v| in basis order; None when
+    every one holds.  <z, k> is the pairing of z in H with k in K, whichever
+    side each is on.
+
+    store(z) is {k: <z, k>}, nonzero values only: the rows for H = minus,
+    the columns for H = plus.  Both sides of each pair
+    (u, v) are summed over the nonzero values, as dicts over k: the right
+    side reads an inverse-coproduct table (k1, k2) -> [(k, c)] of K.  Only
+    |k| = |u| + |v| can pair, since the store holds degree-matched values
+    and products and coproducts are graded, so no identity that could fail
+    is skipped."""
+    inverse = {}
+    for k in K.labels_up_to(N):
+        for k12, c in K.coproduct(k).terms.items():
+            inverse.setdefault(k12, []).append((k, c))
+    for u, v in hopf.bounded_tuples([H.labels_up_to(N)] * 2, N):
+        lhs = {}
+        for z, cz in H.product(u, v).terms.items():
+            for k, w in store(z).items():
+                _acc(lhs, k, cz * w)
+        rhs = {}
+        q = q_power(twist.evaluate(u.degree, v.degree))
+        sv = store(v)
+        for k1, w1 in store(u).items():
+            for k2, w2 in sv.items():
+                w = q * w1 * w2
+                for k, c in inverse.get((k1, k2), ()):
+                    _acc(rhs, k, c * w)
+        if lhs != rhs:
+            for k in K.basis(deg_add(u.degree, v.degree)):
+                if lhs.get(k, ZERO) != rhs.get(k, ZERO):
+                    return u, v, k
+    return None
 
 
 def perfectness_check(P, N):

@@ -122,7 +122,34 @@ def z_classical(lam):
     return out
 
 
-# -- the left regular action ---------------------------------------------
+# -- the pairing and the action from their definitions -------------------
+
+
+def gram_value(P, x, a):
+    """<x, a> on basis labels straight from the Gram callable, zero across
+    degrees; nothing is read from the pairing's rows."""
+    return P._gram_fn(x, a) if x.degree == a.degree else ZERO
+
+
+def pair_brute(P, x, a):
+    """<x, a> as the bilinear extension over every pair of terms:
+    the sum of c d <k, l> over the terms c k of x and d l of a."""
+    total = ZERO
+    for k, c in x.terms.items():
+        for l, d in a.terms.items():
+            total = total + c * d * gram_value(P, k, l)
+    return total
+
+
+def pair_tensor_brute(P, s, t):
+    """<s, t> on the tensor square, factorwise over every pair of terms:
+    the sum of c d <k1, l1> <k2, l2> over the terms c k1 (x) k2 of s and
+    d l1 (x) l2 of t."""
+    total = ZERO
+    for (k1, k2), c in s.terms.items():
+        for (l1, l2), d in t.terms.items():
+            total = total + c * d * gram_value(P, k1, l1) * gram_value(P, k2, l2)
+    return total
 
 
 def left_regular_action(P, x, a):
@@ -131,11 +158,12 @@ def left_regular_action(P, x, a):
 
         x(a) = sum over Delta(a) = a1 (x) a2 of q^(gamma'(|a1|,|a2|)) <x, a2> a1,
 
-    with the coproduct and pairing of whole elements and no cached action."""
+    with the coproduct of whole elements, the pairing of pair_brute and no
+    cached action."""
     gp = P.gamma.prime
     out = {}
     for (a1, a2), c in comultiply(P.plus, a).terms.items():
-        v = P.pair(x, Element.from_label(a2))
+        v = pair_brute(P, x, Element.from_label(a2))
         if not v.is_zero:
             _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
     return Element._raw(out)

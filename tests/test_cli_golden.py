@@ -1,9 +1,11 @@
 """Byte-exact CLI output against recorded answers.
 
 The files under tests/golden/ hold the output of passing runs: `verify` on
-Weyl (N=6) and lattice I2 (N=4), `verify --json` on qheis A2 (N=3), and one
-`fock-matrix --json` and one `normal-order` answer on A2.  A change that
-keeps every verdict must keep this output byte for byte.
+Weyl (N=6), lattice I2 (N=4), I2 with its coproducts shifted by alpha = 1
+(N=4) and the degenerate rank-one lattice form (N=4), `verify --json` on
+qheis A2 (N=3), and one `fock-matrix --json` and one `normal-order` answer
+on A2.  A change that keeps every verdict must keep this output byte for
+byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
 interpreters under two hash seeds, which must print the same bytes.
@@ -25,6 +27,10 @@ ROOT = Path(__file__).parent.parent
 CASES = [
     ("verify-weyl-6.txt", "weyl.json", ["verify", "--max-degree", "6"]),
     ("verify-lattice-i2-4.txt", "lattice-i2.json", ["verify", "--max-degree", "4"]),
+    ("verify-lattice-i2-shift-4.txt", "lattice-i2-shift.json",
+     ["verify", "--max-degree", "4"]),
+    ("verify-lattice-rank-one-4.txt", "lattice-rank-one.json",
+     ["verify", "--max-degree", "4"]),
     ("verify-qheis-a2-3.json", "qheis-a2.json",
      ["verify", "--max-degree", "3", "--json"]),
     ("fock-matrix-qheis-a2.json", "qheis-a2.json",

@@ -1,6 +1,7 @@
 """Twisted pairings: axioms, Gram blocks, perfectness, adjointness, duality."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from oracles import HypothesisError, antipode_adjointness_check, cartan_affine_d
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def xlab(n):
@@ -153,6 +155,80 @@ def test_axioms_corrupted_degree_two_gram_entry_fails(weyl):
 def test_axioms_qheis_pass(a2):
     rep = check_pairing_axioms(a2.pairing, 4)
     assert rep.passed, str(rep)
+
+
+# Failing runs of check_pairing_axioms, each printed report pinned byte for
+# byte in tests/golden/pairing-witnesses.json: one wrong twist, and one
+# corrupted Gram entry caught by each side.
+
+
+def weyl_wrong_gamma():
+    weyl = build_weyl()
+    return TwistedPairing(weyl.minus, weyl.plus, TwistingDatum.zero(1),
+                          lambda x, a: q_factorial(a.key), name="weyl-gamma0"), 2
+
+
+def weyl_corrupt_degree_two():
+    P = build_weyl().pairing
+    gram = P._gram_fn
+
+    def corrupted(x, a):
+        v = gram(x, a)
+        return v + ONE if a.degree == (2,) else v
+
+    return TwistedPairing(P.minus, P.plus, P.gamma, corrupted,
+                          name="weyl-corrupt"), 3
+
+
+def a2_corrupt_degree_three():
+    # <p'[2,1]*p'[1,1], p[1,1]*p[1,1]*p[1,1]> = 1 where it is 0: a zero of
+    # the Gram block becomes an entry of its row
+    P = build_qheis(cartan_a(2)).pairing
+    gram = P._gram_fn
+    target = ("p'[2,1]*p'[1,1]", "p[1,1]*p[1,1]*p[1,1]")
+
+    def corrupted(x, a):
+        if (P.minus.label_text(x), P.plus.label_text(a)) == target:
+            return ONE
+        return gram(x, a)
+
+    return TwistedPairing(P.minus, P.plus, P.gamma, corrupted,
+                          name="a2-corrupt"), 3
+
+
+def i2_wrong_gamma_doubleprime():
+    # gamma' is right, so only <x, ab> = c^gamma''(|a|,|b|) <Delta x, a (x) b>
+    # can fail
+    P = build_lattice(((1, 0), (0, 1))).pairing
+    gamma = TwistingDatum(P.gamma.prime, P.gamma.doubleprime + ZETA)
+    return TwistedPairing(P.minus, P.plus, gamma, P._gram_fn,
+                          name="i2-gamma''"), 3
+
+
+def a2_wrong_gamma_prime():
+    # every nonzero <x y, a> of the first failing pair (x, y) is off by q:
+    # the witness is the first such a in basis order
+    P = build_qheis(cartan_a(2)).pairing
+    gamma = TwistingDatum(P.gamma.prime + ZETA, P.gamma.doubleprime)
+    return TwistedPairing(P.minus, P.plus, gamma, P._gram_fn,
+                          name="a2-gamma'"), 2
+
+
+WITNESS_CASES = {
+    "weyl-wrong-gamma": weyl_wrong_gamma,
+    "a2-wrong-gamma-prime": a2_wrong_gamma_prime,
+    "weyl-corrupt-degree-2": weyl_corrupt_degree_two,
+    "a2-corrupt-degree-3": a2_corrupt_degree_three,
+    "i2-wrong-gamma-doubleprime": i2_wrong_gamma_doubleprime,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_axiom_failure_reports_match_golden(case):
+    golden = json.loads((GOLDEN / "pairing-witnesses.json").read_text())
+    rep = check_pairing_axioms(*WITNESS_CASES[case]())
+    assert not rep.passed
+    assert str(rep) == golden[case]
 
 
 # ---------------------------------------------------------------------------
