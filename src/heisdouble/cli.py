@@ -71,8 +71,11 @@ def build_parser():
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ConfigError("cannot write output: %s" % e) from None
     else:
         print(text)
 

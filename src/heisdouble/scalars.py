@@ -381,6 +381,15 @@ def _canonical(num, den):
     return _laurent(a, v - m), LP_ONE if b == [1] else _laurent(b, 0)
 
 
+# The scalars n and q^e with n, e in _INTERNED_RANGE, one object per value,
+# made when first asked for: coproduct multiplicities, Gram values and
+# twist powers repeat the same few constants.  The range keeps integer
+# literals read from user input from growing the tables without bound.
+_INTERNED_RANGE = range(-1024, 1025)
+_INTS = {}
+_POWERS = {}
+
+
 class RatFunc:
     """Element of Q(q) in canonical reduced form.
 
@@ -389,7 +398,8 @@ class RatFunc:
     share no integer content.  A denominator equal to 1 is always the object
     LP_ONE, so ``den is LP_ONE`` tests for a Laurent value.  Equality is
     structural, and equal values hash equal, also across the int, Fraction
-    and LaurentPoly operands that ``==`` accepts.
+    and LaurentPoly operands that ``==`` accepts.  Instances are immutable,
+    so from_int and q_power may hand out shared objects.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -413,7 +423,12 @@ class RatFunc:
 
     @classmethod
     def from_int(cls, n):
-        return cls._make(LaurentPoly.const(n), LP_ONE)
+        hit = _INTS.get(n)
+        if hit is None:
+            hit = cls._make(LaurentPoly.const(n), LP_ONE)
+            if n in _INTERNED_RANGE:
+                hit = _INTS.setdefault(n, hit)
+        return hit
 
     @classmethod
     def from_fraction(cls, f):
@@ -422,7 +437,12 @@ class RatFunc:
 
     @classmethod
     def q_power(cls, e):
-        return cls._make(LaurentPoly.q_power(e), LP_ONE)
+        hit = _POWERS.get(e)
+        if hit is None:
+            hit = cls._make(LaurentPoly.q_power(e), LP_ONE) if e else cls.from_int(1)
+            if e in _INTERNED_RANGE:
+                hit = _POWERS.setdefault(e, hit)
+        return hit
 
     @property
     def is_zero(self):

@@ -2,7 +2,8 @@
 tests compare the library against.  The library itself never calls them.
 """
 
-from math import factorial
+from itertools import combinations_with_replacement, permutations
+from math import comb, factorial, prod
 
 from heisdouble.hopf import Element, _acc, antipode, comultiply
 from heisdouble.instances import h_element, mp_label, q_factor
@@ -119,6 +120,48 @@ def z_classical(lam):
     out = 1
     for k, m in multiplicities(lam).items():
         out *= k ** m * factorial(m)
+    return out
+
+
+def det_leibniz(m):
+    """Determinant of a small square matrix by the permutation expansion."""
+    n = len(m)
+    out = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
+def qheis_gram_det(A, lam):
+    """Closed-form determinant of the lambda-component of a qheis Gram block.
+
+    With M_k = ([k<i,j>][k]/k) the r x r color matrix and m_k the
+    multiplicity of the part k in lam, the component is the Kronecker
+    product over k of the matrices of permanents perm(M_k[S, T]) on color
+    multisets S, T of size m_k.  That matrix is diag(S!) Sym^(m_k)(M_k), so
+
+        det = c * prod_k det(M_k)^(C(m_k+r-1, r) * prod_{k'!=k} C(m_k'+r-1, m_k'))
+
+    with c = prod_k (prod_S S!)^(prod_{k'!=k} C(m_k'+r-1, m_k')), where S!
+    is the product of the factorials of the color multiplicities in S.
+    The determinant is taken with rows and columns in the same order.
+    """
+    factor = q_factor(A)
+    r = len(A)
+    mult = multiplicities(check_partition(lam))
+    dims = {k: comb(m + r - 1, m) for k, m in mult.items()}
+    out = ONE
+    for k, m in mult.items():
+        others = prod(dims[j] for j in mult if j != k)
+        det_m = det_leibniz([[factor(k, i, j) for j in range(1, r + 1)]
+                             for i in range(1, r + 1)])
+        c = prod(prod(factorial(S.count(i)) for i in set(S))
+                 for S in combinations_with_replacement(range(r), m))
+        out = out * (det_m ** (comb(m + r - 1, r) * others) * c ** others)
     return out
 
 

@@ -242,6 +242,17 @@ def test_fock_matrix_out_file(cfg, capsys, tmp_path):
     assert payload["expr"] == "x"
 
 
+@pytest.mark.parametrize("target", ["missing/x.txt", "."])
+def test_unwritable_out_is_reported(cfg, capsys, tmp_path, target):
+    # a missing directory, or a directory in place of the file
+    rc, out, err = run(capsys, ["info", "--instance", cfg["weyl"],
+                                "--out", str(tmp_path / target)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
 def test_fock_matrix_rejects_negative_in_degree(cfg, capsys):
     rc, _, err = run(capsys, ["fock-matrix", "--instance", cfg["weyl"],
                               "--expr", "x", "--in-degree", "-2"])

@@ -486,14 +486,32 @@ def test_verify_vacuum_catches_nonzero_vacuum_image():
 
 
 def test_verify_shift_invariance_catches_corrupted_smash():
+    # the sweep computes both sides uncached, so corrupt what the left side
+    # reads: the cached action d(x), which is 1
     D = build_weyl().double
     assert verify_shift_invariance(D, ZETA, 3).passed
-    D._smash[(xlab(0), xlab(1), xlab(1), xlab(0))] = Element(
-        {(xlab(1), xlab(1)): Q})  # d x is q x#d + 1
+    D._action[(xlab(1), xlab(1))] = Element.zero()
     rep = verify_shift_invariance(D, ZETA, 3)
     assert not rep.passed
     assert rep.witness == {"labels": "(1 # d)(x # 1)", "lhs": "q*x#d",
                            "rhs": "q*x#d + 1"}
+
+
+@pytest.mark.parametrize("build, N", [
+    (build_weyl, 6),
+    (lambda: build_qheis(cartan_a(2)), 4),
+    (lambda: build_lattice(((1, 0), (0, 1))), 5),
+], ids=["weyl", "qheis-a2", "lattice-i2"])
+def test_shift_invariance_fills_no_smash_cache(build, N):
+    # each product of the sweep is read once, so none is kept; the products
+    # the commutation sweep cached before stay as they were
+    D = build().double
+    assert verify_commutation(D, N).passed
+    before = dict(D._smash)
+    assert before
+    assert verify_shift_invariance(D, ZETA, N).passed
+    assert len(D._smash) == len(before)
+    assert all(D._smash[k] is v for k, v in before.items())
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from heisdouble.pairing import (
     dual_presentation_check,
     perfectness_check,
 )
+from heisdouble.partitions import partitions_of
 from heisdouble.scalars import ONE, ZERO, q_factorial, q_int, q_int_sym
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
-from oracles import HypothesisError, antipode_adjointness_check, cartan_affine_d4
+from oracles import (HypothesisError, antipode_adjointness_check, cartan_affine_d4,
+                     qheis_gram_det)
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
@@ -289,6 +291,27 @@ def test_perfectness_affine_d4_degree_three():
     # the lambda = (1,1,1) component is 35 x 35
     rep = perfectness_check(build_qheis(cartan_affine_d4()).pairing, 3)
     assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("A, N", [(cartan_a(2), 4), (cartan_affine_d4(), 2)],
+                         ids=["a2", "affine-d4"])
+def test_gram_components_match_the_closed_form(A, N):
+    # a component gathers the labels whose parts, colors forgotten, form lam;
+    # a plus and a minus label with one key are one object, so rows and
+    # columns come in the same order
+    P = build_qheis(A).pairing
+    seen = []
+    for n in range(1, N + 1):
+        comps = {}
+        for x in P.minus.basis((n,)):
+            lam = tuple(sorted((k for part in x.key for k in part), reverse=True))
+            comps.setdefault(lam, []).append(x)
+        for lam, labels in comps.items():
+            mat = [[P.pair_labels(x, a) for a in labels] for x in labels]
+            assert det_bareiss(mat) == qheis_gram_det(A, lam), lam
+        seen.extend(sorted(comps))
+    assert sorted(seen) == sorted(lam for n in range(1, N + 1)
+                                  for lam in partitions_of(n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from heisdouble.scalars import (
     ONE,
     Q,
     QINV,
+    TWO,
     ZERO,
     LaurentPoly,
     RatFunc,
@@ -25,7 +26,7 @@ from heisdouble.scalars import (
 )
 from heisdouble import cli
 from heisdouble.expr import as_scalar, evaluate_text
-from heisdouble.instances import build_weyl
+from heisdouble.instances import build_lattice, build_weyl
 
 
 def lp(coeffs):
@@ -378,3 +379,52 @@ def test_verify_multiplies_no_laurent_polynomial_by_one_or_zero(monkeypatch, cap
     assert calls
     trivial = [(a, b) for a, b in calls if {a, b} & {LP_ONE, LP_ZERO}]
     assert trivial == []
+
+
+# ---------------------------------------------------------------------------
+# Interned constants: one object per small integer and per power of q
+
+
+@pytest.mark.parametrize("n", [-1024, -7, -1, 0, 1, 2, 3, 10, 1024])
+def test_from_int_is_interned(n):
+    assert RatFunc.from_int(n) is RatFunc.from_int(n)
+    assert RatFunc.from_int(n) == n
+
+
+@pytest.mark.parametrize("e", [-1024, -3, -1, 1, 2, 1024])
+def test_q_power_is_interned(e):
+    assert q_power(e) is q_power(e)
+    assert q_power(e) is RatFunc.q_power(e)
+    assert q_power(e) == lp({e: 1})
+
+
+def test_named_constants_are_the_interned_objects():
+    assert RatFunc.from_int(0) is ZERO
+    assert RatFunc.from_int(1) is ONE
+    assert RatFunc.from_int(2) is TWO
+    assert q_power(0) is ONE
+    assert q_power(1) is Q
+    assert q_power(-1) is QINV
+
+
+def test_large_constants_are_equal_but_not_kept():
+    # values read from input can be arbitrarily large: they stay correct
+    # but do not grow the tables
+    D = build_weyl().double
+    ints, powers = len(scalars._INTS), len(scalars._POWERS)
+    for v in (1025, -1025, 10**30):
+        assert RatFunc.from_int(v) == RatFunc.from_int(v) == v
+        assert q_power(v) == q_power(v) == lp({v: 1})
+    assert as_scalar(D, evaluate_text(D, "123456789")) == 123456789
+    assert (len(scalars._INTS), len(scalars._POWERS)) == (ints, powers)
+
+
+def test_i2_coproduct_coefficients_of_equal_value_are_one_object():
+    H = build_lattice(((1, 0), (0, 1))).plus
+    first = {}
+    seen = 0
+    for a in H.labels_up_to(5):
+        for c in H.coproduct(a).terms.values():
+            assert first.setdefault(c, c) is c
+            seen += 1
+    assert seen > len(first) > 1
