@@ -18,13 +18,17 @@ builder that raises leaves nothing in the cache, registering a generator
 drops that name's entries, and a shifted context starts with empty caches;
 only the Gram rows of its pairing are shared, since a shift leaves the
 Gram values unchanged.  The shift-invariance sweep reads each product once,
-so it computes them uncached and leaves both smash caches as they were.
+so it computes them uncached and leaves both smash caches as they were; the
+commutation sweep likewise caches no action on an input above its bound.
 """
 
 from __future__ import annotations
 
-from .hopf import (Element, _acc, bilinear, bounded_tuples, degrees_up_to,
-                   element_str, linear, multiply, shifted_presentation, terms_str)
+from functools import partial
+
+from .hopf import (Element, _acc, _sum_terms, bilinear, bounded_tuples,
+                   degrees_up_to, element_str, linear, multiply,
+                   shifted_presentation, terms_str)
 from .linalg import sparse_rank
 from .pairing import TwistedPairing
 from .report import failing, passing
@@ -42,10 +46,12 @@ def _label_action(P, x, a):
     q^(gamma'(|a1|,|a2|)) <x, a2> a1; only the a2 in the row of x pair."""
     gp = P.gamma.prime.evaluate
     row = P.row(x)
-    paired = {(a1, a2): c * v for (a1, a2), c in P.plus.coproduct(a).terms.items()
-              if (v := row.get(a2)) is not None}
-    return linear(lambda p: Element.from_label(
-        p[0], q_power(gp(p[0].degree, p[1].degree))), Element._raw(paired))
+    out = {}
+    for (a1, a2), c in P.plus.coproduct(a).terms.items():
+        v = row.get(a2)
+        if v is not None:
+            _acc(out, a1, c * v * q_power(gp(a1.degree, a2.degree)))
+    return Element._raw(out)
 
 
 def _smash(D, s, t):
@@ -286,23 +292,32 @@ def verify_commutation(D, N):
                = sum q^(gamma''(|a|,|x2|) + xi''(|a|-|x1|,|x2|)) x1(a) x2(b),
 
     the Fock action of the cached smash product (1#x)(a#1), checked for all
-    generator pairs and all basis inputs b of degree <= N."""
+    generator pairs and all basis inputs b of degree <= N.  Both sides are
+    summed into term dicts; x(ab) is cached only when |ab| <= N, since an
+    action on a larger input is read about once and never again."""
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
-    inputs = D.plus.labels_up_to(N)
+    inputs = [(b, deg_total(b.degree)) for b in D.plus.labels_up_to(N)]
+    prod = D.plus.product
+    cached = D.action_label
+    uncached = partial(_label_action, D.pairing)
     for a in plus_gens:
         for x in minus_gens:
             xa = D.smash_labels((D.plus.unit_label, x), (a, D.minus.unit_label))
-            for b in inputs:
-                lhs = D.action(x, D.plus.product(a, b))
-                rhs = fock_apply(D, xa, Element.from_label(b))
+            for b, nb in inputs:
+                act = cached if deg_total(a.degree) + nb <= N else uncached
+                lhs = _sum_terms((c, act(x, l).terms) for l, c in prod(a, b).terms.items())
+                rhs = _sum_terms((c * d, prod(u, l).terms)
+                                 for (u, y), c in xa.terms.items()
+                                 for l, d in cached(y, b).terms.items())
                 if lhs != rhs:
                     return failing(
                         "verify_commutation", D.name, N,
                         labels="x=%s, a=%s, b=%s" % (D.minus.label_text(x),
                                                      D.plus.label_text(a),
                                                      D.plus.label_text(b)),
-                        lhs=element_str(D.plus, lhs), rhs=element_str(D.plus, rhs))
+                        lhs=element_str(D.plus, Element._raw(lhs)),
+                        rhs=element_str(D.plus, Element._raw(rhs)))
     return passing("verify_commutation", D.name, N)
 
 

@@ -6,7 +6,9 @@ antipode, axiom checking, degree-shift wrapping) is derived here.  Basis
 labels are interned, so structure constants are cached on their labels by
 identity and each one is computed once, and every map on elements is the
 linear (or bilinear) extension of a map on labels: ``linear`` and
-``bilinear`` are the only loops that extend one.
+``bilinear`` are the only loops that extend one to Elements.  The verify
+sweeps sum cached constants straight into plain term dicts instead, with
+``_sum_terms``, and build an Element only to print a failure.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ class Element:
             return cls._raw({})
         return cls._raw({label: coeff})
 
-    @classmethod
-    def tensor(cls, u, v):
-        return cls._raw({(l1, l2): c1 * c2 for l1, c1 in u.terms.items()
-                         for l2, c2 in v.terms.items()})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -148,7 +145,10 @@ class Element:
 
 def degrees_up_to(rank, N):
     """All degree tuples with nonnegative entries and total <= N, sorted by
-    (total, tuple)."""
+    (total, tuple).  A negative N is refused: a sweep over no degrees
+    would check nothing."""
+    if N < 0:
+        raise ValueError("degree bound must be nonnegative, got %d" % N)
     out = [d for d in iproduct(range(N + 1), repeat=rank) if sum(d) <= N]
     out.sort(key=lambda d: (sum(d), d))
     return out
@@ -358,6 +358,16 @@ def linear(f, u):
     return Element._raw(t)
 
 
+def _sum_terms(pairs):
+    """The term dict of the sum of c t over the pairs (c, t), where t is a
+    term dict: linear's loop, with no Element per term."""
+    out = {}
+    for c, t in pairs:
+        for m, e in t.items():
+            _acc(out, m, c * e)
+    return out
+
+
 def bilinear(f, u, v):
     """Bilinear extension of the label map f: the sum of c d f(k, l) over the
     terms c k of u and d l of v.  f(k, l) is an Element."""
@@ -389,14 +399,16 @@ def twisted_tensor_multiply(H, s, t):
     """
     chi_p = H.twisting.prime.evaluate
     chi_pp = H.twisting.doubleprime.evaluate
-
-    def on_labels(a, b):
-        (a1, a2), (b1, b2) = a, b
-        e = chi_p(a2.degree, b1.degree) + chi_pp(a1.degree, b2.degree)
-        t = Element.tensor(H.product(a1, b1), H.product(a2, b2))
-        return t.scale(q_power(e)) if e else t
-
-    return bilinear(on_labels, s, t)
+    out = {}
+    for (a1, a2), c in s.terms.items():
+        for (b1, b2), d in t.terms.items():
+            left, right = H.product(a1, b1).terms, H.product(a2, b2).terms
+            cd = c * d * q_power(chi_p(a2.degree, b1.degree) + chi_pp(a1.degree, b2.degree))
+            for l1, c1 in left.items():
+                k = cd * c1
+                for l2, c2 in right.items():
+                    _acc(out, (l1, l2), k * c2)
+    return Element._raw(out)
 
 
 def antipode(H, u):
@@ -493,54 +505,53 @@ def check_bialgebra(H, N):
     <= N: grading, unit and counit laws, associativity, coassociativity,
     twisted associativity on the tensor square (on degrees), multiplicativity
     of the coproduct for the twisted tensor product, and both antipode
-    identities.
+    identities.  Both sides of each identity are summed from the cached
+    structure constants into term dicts.
 
     Stops at the first failing identity and reports it with witnesses.
     """
     labels = H.labels_up_to(N)
-    unit = H.unit_element()
-    eps = H.counit_label
-    e = Element.from_label
+    unit = H.unit_label
+    prod = H.product
+    cop = H.coproduct
 
     def fail(identity, labels_involved, lhs, rhs):
         return failing("check_bialgebra", H.name, N, identity=identity,
                        labels=labels_involved, lhs=lhs, rhs=rhs)
 
+    def show(terms):
+        return element_str(H, Element._raw(terms))
+
     # unit and counit laws on single labels
     for a in labels:
-        ea = e(a)
-        if multiply(H, unit, ea) != ea or multiply(H, ea, unit) != ea:
+        ea = {a: ONE}
+        if prod(unit, a).terms != ea or prod(a, unit).terms != ea:
             return fail("unit law", H.label_text(a),
-                        element_str(H, multiply(H, unit, ea)), element_str(H, ea))
-        left = linear(lambda p: e(p[1], eps(p[0])), H.coproduct(a))
-        right = linear(lambda p: e(p[0], eps(p[1])), H.coproduct(a))
+                        element_str(H, prod(unit, a)), show(ea))
+        ca = cop(a).terms.items()
+        left = {a2: c for (a1, a2), c in ca if a1 is unit}
+        right = {a1: c for (a1, a2), c in ca if a2 is unit}
         if left != ea or right != ea:
-            return fail("counit law", H.label_text(a),
-                        element_str(H, left), element_str(H, ea))
+            return fail("counit law", H.label_text(a), show(left), show(ea))
 
     # associativity on basis triples
     for a, b, c in bounded_tuples([labels] * 3, N):
-        lhs = multiply(H, H.product(a, b), e(c))
-        rhs = multiply(H, e(a), H.product(b, c))
+        lhs = _sum_terms((d, prod(k, c).terms) for k, d in prod(a, b).terms.items())
+        rhs = _sum_terms((d, prod(a, k).terms) for k, d in prod(b, c).terms.items())
         if lhs != rhs:
             return fail("associativity", ", ".join(map(H.label_text, (a, b, c))),
-                        element_str(H, lhs), element_str(H, rhs))
+                        show(lhs), show(rhs))
 
     # coassociativity on single labels: (Delta x id) Delta = (id x Delta) Delta
-    def left_triples(p):
-        return Element._raw({(u, v, p[1]): d
-                             for (u, v), d in H.coproduct(p[0]).terms.items()})
-
-    def right_triples(p):
-        return Element._raw({(p[0], u, v): d
-                             for (u, v), d in H.coproduct(p[1]).terms.items()})
-
     for a in labels:
-        l3 = linear(left_triples, H.coproduct(a))
-        r3 = linear(right_triples, H.coproduct(a))
+        l3, r3 = {}, {}
+        for (a1, a2), c in cop(a).terms.items():
+            for (u, v), d in cop(a1).terms.items():
+                _acc(l3, (u, v, a2), c * d)
+            for (u, v), d in cop(a2).terms.items():
+                _acc(r3, (a1, u, v), c * d)
         if l3 != r3:
-            return fail("coassociativity", H.label_text(a),
-                        repr(l3.terms), repr(r3.terms))
+            return fail("coassociativity", H.label_text(a), repr(l3), repr(r3))
 
     # twisted associativity on the tensor square, on degrees.  For basis
     # tensors a1 x a2, b1 x b2, c1 x c2 both bracketings are a power of q
@@ -563,21 +574,22 @@ def check_bialgebra(H, N):
 
     # coproduct is an algebra map for the twisted tensor product
     for a, b in bounded_tuples([labels] * 2, N):
-        lhs = comultiply(H, H.product(a, b))
-        rhs = twisted_tensor_multiply(H, H.coproduct(a), H.coproduct(b))
+        lhs = _sum_terms((d, cop(k).terms) for k, d in prod(a, b).terms.items())
+        rhs = twisted_tensor_multiply(H, cop(a), cop(b)).terms
         if lhs != rhs:
             return fail("coproduct multiplicativity",
                         "%s, %s" % (H.label_text(a), H.label_text(b)),
-                        repr(lhs.terms), repr(rhs.terms))
+                        repr(lhs), repr(rhs))
 
     # antipode laws: sum S(a') a'' = eps(a) 1 = sum a' S(a'')
     for a in labels:
-        target = unit.scale(eps(a))
-        cop = H.coproduct(a)
-        left = linear(lambda p: multiply(H, antipode(H, e(p[0])), e(p[1])), cop)
-        right = linear(lambda p: multiply(H, e(p[0]), antipode(H, e(p[1]))), cop)
+        target = {unit: ONE} if a is unit else {}
+        ca = cop(a).terms.items()
+        left = _sum_terms((c * s, prod(k, a2).terms) for (a1, a2), c in ca
+                          for k, s in _antipode_label(H, a1).terms.items())
+        right = _sum_terms((c * s, prod(a1, k).terms) for (a1, a2), c in ca
+                           for k, s in _antipode_label(H, a2).terms.items())
         if left != target or right != target:
-            return fail("antipode law", H.label_text(a),
-                        element_str(H, left), element_str(H, right))
+            return fail("antipode law", H.label_text(a), show(left), show(right))
 
     return passing("check_bialgebra", H.name, N)

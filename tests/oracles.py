@@ -165,6 +165,32 @@ def qheis_gram_det(A, lam):
     return out
 
 
+# -- the tensor square ---------------------------------------------------
+
+
+def tensor(u, v):
+    """u (x) v in the tensor square: c d (k, l) over the terms c k of u and
+    d l of v."""
+    return Element._raw({(k, l): c * d for k, c in u.terms.items()
+                         for l, d in v.terms.items()})
+
+
+def twisted_tensor_multiply_brute(H, s, t):
+    """The twisted product on H (x) H from its definition, one pair of terms
+    at a time: the sum of c d q^(chi'(|a2|,|b1|) + chi''(|a1|,|b2|))
+    a1 b1 (x) a2 b2 over the terms c a1 (x) a2 of s and d b1 (x) b2 of t,
+    each summand an Element made by tensor and scale."""
+    chi = H.twisting
+    total = Element.zero()
+    for (a1, a2), c in s.terms.items():
+        for (b1, b2), d in t.terms.items():
+            e = (chi.prime.evaluate(a2.degree, b1.degree)
+                 + chi.doubleprime.evaluate(a1.degree, b2.degree))
+            total = total + tensor(H.product(a1, b1), H.product(a2, b2)).scale(
+                c * d * q_power(e))
+    return total
+
+
 # -- the pairing and the action from their definitions -------------------
 
 

@@ -71,3 +71,15 @@ def test_verify_json_is_independent_of_the_hash_seed(config, degree):
     assert [p.returncode for p in procs] == [0, 0]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["status"] == "pass"
+
+
+def test_python_m_heisdouble_matches_golden():
+    # the package runs as a module, as the console script does
+    argv = [sys.executable, "-m", "heisdouble", "verify", "--instance",
+            str(GOLDEN / "lattice-i2.json"), "--max-degree", "4"]
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run(argv, capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "verify-lattice-i2-4.txt").read_text()

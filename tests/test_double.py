@@ -17,7 +17,7 @@ from heisdouble.double import (
     verify_vacuum,
 )
 from heisdouble.expr import ExprEvalError, evaluate_text
-from heisdouble.hopf import BasisLabel, Element
+from heisdouble.hopf import BasisLabel, Element, check_bialgebra
 from heisdouble.instances import (
     build_lattice,
     build_qheis,
@@ -27,7 +27,8 @@ from heisdouble.instances import (
     shifted_instance,
     zero_form,
 )
-from heisdouble.pairing import TwistedPairing
+from heisdouble.pairing import (TwistedPairing, check_pairing_axioms, dual_presentation_check,
+                                perfectness_check)
 from heisdouble.scalars import ONE, Q, RatFunc, q_int, q_int_sym, q_power
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, deg_total
 from oracles import left_regular_action, shift_twisting
@@ -376,6 +377,43 @@ def test_commutation_coefficient_independent_of_b(a2):
             part = multiply(D.plus, D.action_label(x1, a), D.action_label(x2, b))
             rhs = rhs + part.scale(coeff)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("build, N", [
+    (build_weyl, 6),
+    (lambda: build_qheis(cartan_a(2)), 4),
+    (lambda: build_lattice(((1, 0), (0, 1))), 5),
+], ids=["weyl", "qheis-a2", "lattice-i2"])
+def test_commutation_caches_no_action_above_n(build, N):
+    # x(ab) on an input of degree above N is read about once: not cached
+    D = build().double
+    assert verify_commutation(D, N).passed
+    assert D._action
+    assert max(deg_total(a.degree) for _, a in D._action) <= N
+
+
+NEGATIVE_BOUND_CHECKS = {
+    "check_bialgebra": lambda inst, N: check_bialgebra(inst.plus, N),
+    "check_pairing_axioms": lambda inst, N: check_pairing_axioms(inst.pairing, N),
+    "perfectness_check": lambda inst, N: perfectness_check(inst.pairing, N),
+    "dual_presentation_check": lambda inst, N: dual_presentation_check(inst.pairing, N),
+    "verify_commutation": lambda inst, N: verify_commutation(inst.double, N),
+    "verify_vacuum": lambda inst, N: verify_vacuum(inst.double, N),
+    "verify_shift_invariance":
+        lambda inst, N: verify_shift_invariance(inst.double, BiadditiveMap.ones(1), N),
+    "verify_faithful": lambda inst, N: verify_faithful(inst.double, (0,), N),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NEGATIVE_BOUND_CHECKS))
+def test_negative_degree_bound_is_refused(check):
+    # a sweep over no degrees would pass having checked nothing; N = 0
+    # still checks the unit and passes
+    inst = build_lattice(((1, 0), (0, 1)))
+    run = NEGATIVE_BOUND_CHECKS[check]
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(inst, -1)
+    assert run(inst, 0).passed
 
 
 def test_verify_vacuum(wd, a2):

@@ -17,7 +17,8 @@ from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan
                                   rank_one_form)
 from heisdouble.scalars import ONE, RatFunc, q_int, q_power
 from heisdouble.twisting import BiadditiveMap
-from oracles import gram_value, left_regular_action, pair_brute, pair_tensor_brute
+from oracles import (gram_value, left_regular_action, pair_brute, pair_tensor_brute,
+                     tensor)
 
 INSTANCES = {
     "weyl": (build_weyl, 6),
@@ -78,15 +79,14 @@ def test_pair_tensor_matches_brute_force(instance):
     rng = random.Random(7889)
     minus, plus = P.minus.labels_up_to(N), P.plus.labels_up_to(N)
 
-    def tensor(H, labels):
+    def random_tensor(H, labels):
         if rng.random() < 0.5:
             return H.coproduct(rng.choice(labels))
-        return Element.tensor(random_element(rng, labels, 2),
-                              random_element(rng, labels, 2))
+        return tensor(random_element(rng, labels, 2), random_element(rng, labels, 2))
 
     for _ in range(60):
-        s = tensor(P.minus, minus)
-        t = tensor(P.plus, plus)
+        s = random_tensor(P.minus, minus)
+        t = random_tensor(P.plus, plus)
         assert P.pair_tensor(s, t) == pair_tensor_brute(P, s, t)
 
 

@@ -25,6 +25,7 @@ from heisdouble.instances import (_weyl_presentation, build_lattice, build_qheis
                                   build_weyl, cartan_a)
 from heisdouble.scalars import ONE, Q, ZERO, q_binomial, q_factorial, q_int
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
+from oracles import tensor, twisted_tensor_multiply_brute
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
@@ -67,14 +68,14 @@ def test_element_hash_agrees_with_eq():
     assert u == v == w
     assert hash(u) == hash(v) == hash(w)
     assert len({u, v, w, xel(1)}) == 2
-    s = Element.tensor(xel(1), xel(2, Q))
+    s = tensor(xel(1), xel(2, Q))
     t = Element({(xlab(1), xlab(2)): Q})
     assert s == t and hash(s) == hash(t)
     assert len({s, t, s.scale(2)}) == 2
 
 
 def test_tensor_element_arithmetic():
-    s = Element.tensor(xel(1), xel(2, Q))
+    s = tensor(xel(1), xel(2, Q))
     assert s.terms == {(xlab(1), xlab(2)): Q}
     assert (s - s).is_zero
     assert s + s == s.scale(2)
@@ -83,6 +84,9 @@ def test_tensor_element_arithmetic():
 def test_degrees_up_to():
     assert degrees_up_to(1, 2) == [(0,), (1,), (2,)]
     assert degrees_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
+    assert degrees_up_to(2, 0) == [(0, 0)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        degrees_up_to(1, -1)
 
 
 def test_bounded_tuples_matches_filtered_product(weyl_plus, weyl_minus):
@@ -122,7 +126,7 @@ def test_connectedness_enforced():
             unit,
             bad_basis,
             lambda a, b: Element.from_label(unit),
-            lambda a: Element.tensor(
+            lambda a: tensor(
                 Element.from_label(unit), Element.from_label(unit)
             ),
             lambda a: "1",
@@ -174,7 +178,7 @@ def test_labels_outside_the_basis_are_still_refused(weyl_plus):
         return Element.from_label(extra)
 
     def coproduct_fn(a):
-        return Element.tensor(Element.from_label(extra), Element.from_label(a))
+        return tensor(Element.from_label(extra), Element.from_label(a))
 
     H = HopfPresentation("leaky", 1, TwistingDatum.zero(1), unit,
                          weyl_plus.basis, product_fn, coproduct_fn)
@@ -271,16 +275,33 @@ def test_unit_rule_agrees_with_equality(build):
 
 
 def test_twisted_tensor_weyl_exponents(weyl_plus):
-    x_one = Element.tensor(xel(1), xel(0))
-    one_x = Element.tensor(xel(0), xel(1))
-    x_x = Element.tensor(xel(1), xel(1))
+    x_one = tensor(xel(1), xel(0))
+    one_x = tensor(xel(0), xel(1))
+    x_x = tensor(xel(1), xel(1))
     # chi'' contributes on (x (x) 1) * (1 (x) x), chi' on the reverse order.
     assert twisted_tensor_multiply(weyl_plus, x_one, one_x) == x_x.scale(Q)
     assert twisted_tensor_multiply(weyl_plus, one_x, x_one) == x_x
-    unit_t = Element.tensor(xel(0), xel(0))
-    s = Element.tensor(xel(2, Q), xel(1))
+    unit_t = tensor(xel(0), xel(0))
+    s = tensor(xel(2, Q), xel(1))
     assert twisted_tensor_multiply(weyl_plus, unit_t, s) == s
     assert twisted_tensor_multiply(weyl_plus, s, unit_t) == s
+
+
+@pytest.mark.parametrize("build, N", [
+    (lambda: build_weyl().plus, 5),
+    (lambda: build_weyl().minus, 5),
+    (lambda: build_qheis(cartan_a(2)).plus, 3),
+    (lambda: build_lattice(((1, 0), (0, 1))).minus, 3),
+    (lambda: shifted_presentation(build_qheis(cartan_a(2)).plus, ZETA, ZETA + ZETA), 3),
+], ids=["weyl+", "weyl-", "qheis-a2+", "lattice-i2-", "qheis-a2+shifted"])
+def test_twisted_tensor_multiply_matches_brute_force(build, N):
+    # every pair of basis coproducts up to degree N, against the product
+    # summed one tensor at a time
+    H = build()
+    labels = H.labels_up_to(N)
+    for a, b in product(labels, labels):
+        s, t = H.coproduct(a), H.coproduct(b)
+        assert twisted_tensor_multiply(H, s, t) == twisted_tensor_multiply_brute(H, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from heisdouble.pairing import check_pairing_axioms
 from heisdouble.partitions import multipartitions_of, multiplicities, partitions_of
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_factorial, q_int_sym
 from oracles import (cartan_affine_a, cartan_affine_d4, h_adjoint, left_regular_action,
-                     phi_derivation, sym_pair_perm, z_classical)
+                     phi_derivation, sym_pair_perm, tensor, z_classical)
 from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
 
 A2 = cartan_a(2)
@@ -313,7 +313,7 @@ def test_h_coproduct_is_grouplike_sum(sc, a2):
         for n in range(top):
             expected = Element.zero()
             for k in range(n + 1):
-                expected = expected + Element.tensor(
+                expected = expected + tensor(
                     h_element(ncolors, k, i), h_element(ncolors, n - k, i))
             assert comultiply(H, h_element(ncolors, n, i)) == expected
 

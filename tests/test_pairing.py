@@ -26,7 +26,7 @@ from heisdouble.partitions import partitions_of
 from heisdouble.scalars import ONE, ZERO, q_factorial, q_int, q_int_sym
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
 from oracles import (HypothesisError, antipode_adjointness_check, cartan_affine_d4,
-                     qheis_gram_det)
+                     qheis_gram_det, tensor)
 
 ZETA = BiadditiveMap(((1,),))
 ZERO1 = BiadditiveMap.zero(1)
@@ -102,10 +102,10 @@ def test_pair_bilinear(weyl):
 
 def test_pair_tensor(weyl):
     P = weyl.pairing
-    s = Element.tensor(xel(1), xel(1))
-    t = Element.tensor(xel(1), xel(1))
+    s = tensor(xel(1), xel(1))
+    t = tensor(xel(1), xel(1))
     assert P.pair_tensor(s, t) == ONE
-    mixed = Element.tensor(xel(1), xel(2))
+    mixed = tensor(xel(1), xel(2))
     assert P.pair_tensor(s, mixed) == ZERO
 
 

@@ -1,0 +1,141 @@
+"""Failing runs of check_bialgebra and verify_commutation on A2 and I2, each
+printed report pinned byte for byte in tests/golden/bialgebra-witnesses.json.
+
+Each case corrupts one cached structure constant (or the twist) of a fresh
+instance so that exactly one identity breaks first.  The coassociativity and
+coproduct multiplicativity witnesses print the term dicts of both sides, so
+they also pin the order in which the sweeps sum their terms.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from heisdouble.double import verify_commutation
+from heisdouble.hopf import Element, HopfPresentation, check_bialgebra
+from heisdouble.instances import build_lattice, build_qheis, cartan_a, mp_label
+from heisdouble.scalars import ONE, Q
+from heisdouble.twisting import BiadditiveMap, TwistingDatum
+
+GOLDEN = Path(__file__).parent / "golden" / "bialgebra-witnesses.json"
+ZETA = BiadditiveMap(((1,),))
+TWO = ONE + ONE
+UNIT = mp_label(((), ()))
+P11 = mp_label(((1,), ()))  # p[1,1]
+P12 = mp_label(((), (1,)))  # p[1,2]
+
+
+def a2():
+    return build_qheis(cartan_a(2))
+
+
+def i2():
+    return build_lattice(((1, 0), (0, 1)))
+
+
+def scaled(el, c):
+    return Element._raw({k: c * v for k, v in el.terms.items()})
+
+
+def i2_unit_law():
+    # p[1,1]*p[1,2] . 1 is off by q; the report prints 1 . a on the left
+    H = i2().plus
+    a = mp_label(((1,), (1,)))
+    H._prod[(a, UNIT)] = scaled(H.product(a, UNIT), Q)
+    return check_bialgebra(H, 3)
+
+
+def a2_counit_law():
+    # Delta(p[2,1]) carries 1 (x) p[2,1] twice over
+    H = a2().plus
+    a = mp_label(((2,), ()))
+    terms = dict(H.coproduct(a).terms)
+    terms[(UNIT, a)] = TWO
+    H._coprod[a] = Element._raw(terms)
+    return check_bialgebra(H, 3)
+
+
+def a2_associativity():
+    H = a2().plus
+    H._prod[(P11, P12)] = scaled(H.product(P11, P12), Q)
+    return check_bialgebra(H, 3)
+
+
+def a2_coassociativity():
+    # one reduced term of Delta(p[2,1]*p[1,1]) doubled: the counit law holds
+    H = a2().plus
+    a = mp_label(((2, 1), ()))
+    terms = dict(H.coproduct(a).terms)
+    terms[(P11, mp_label(((2,), ())))] = TWO
+    H._coprod[a] = Element._raw(terms)
+    return check_bialgebra(H, 4)
+
+
+def a2_wrong_twist():
+    # chi'' + zeta is biadditive, so the tensor square stays associative,
+    # but Delta is no longer multiplicative
+    H = a2().plus
+    twisting = TwistingDatum(H.twisting.prime, H.twisting.doubleprime + ZETA)
+    broken = HopfPresentation("qheis[2]+chi''", 1, twisting, H.unit_label, H.basis,
+                              H.product, H.coproduct, H.label_text)
+    return check_bialgebra(broken, 3)
+
+
+def i2_scaled_reduced_coproduct():
+    # the reduced part of Delta(p[1,1]*p[1,2]) doubled: coassociative and
+    # counital still at N = 2, but Delta(p[1,1] p[1,2]) is no longer
+    # Delta(p[1,1]) Delta(p[1,2])
+    H = i2().plus
+    a = mp_label(((1,), (1,)))
+    H._coprod[a] = Element._raw({
+        k: c if UNIT in k else c + c for k, c in H.coproduct(a).terms.items()})
+    return check_bialgebra(H, 2)
+
+
+def a2_antipode_law():
+    H = a2().plus
+    a = mp_label(((1, 1), ()))
+    H._antipode[a] = Element.from_label(a, Q)
+    return check_bialgebra(H, 3)
+
+
+def i2_commutation_coproduct_above_n():
+    # Delta(p[2,1]*p[1,1]) has degree 3 > N: only the action x(ab) on the
+    # product ab reads it
+    D = i2().double
+    a = mp_label(((2, 1), ()))
+    H = D.plus
+    terms = dict(H.coproduct(a).terms)
+    terms[(P11, mp_label(((2,), ())))] = TWO
+    H._coprod[a] = Element._raw(terms)
+    return verify_commutation(D, 2)
+
+
+def a2_commutation_product_above_n():
+    # p[2,1] p[1,2] has degree 3 > N and is off by q
+    D = a2().double
+    a = mp_label(((2,), ()))
+    D.plus._prod[(a, P12)] = scaled(D.plus.product(a, P12), Q)
+    return verify_commutation(D, 2)
+
+
+WITNESS_CASES = {
+    "i2-unit-law": i2_unit_law,
+    "a2-counit-law": a2_counit_law,
+    "a2-associativity": a2_associativity,
+    "a2-coassociativity": a2_coassociativity,
+    "a2-wrong-twist": a2_wrong_twist,
+    "i2-scaled-reduced-coproduct": i2_scaled_reduced_coproduct,
+    "a2-antipode-law": a2_antipode_law,
+    "i2-commutation-coproduct-above-n": i2_commutation_coproduct_above_n,
+    "a2-commutation-product-above-n": a2_commutation_product_above_n,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_failure_reports_match_golden(case):
+    golden = json.loads(GOLDEN.read_text())
+    rep = WITNESS_CASES[case]()
+    assert not rep.passed
+    assert str(rep) == golden[case]
