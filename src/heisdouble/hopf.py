@@ -5,10 +5,18 @@ structure constants for the product and coproduct; everything else (counit,
 antipode, axiom checking, degree-shift wrapping) is derived here.  Basis
 labels are interned, so structure constants are cached on their labels by
 identity and each one is computed once, and every map on elements is the
-linear (or bilinear) extension of a map on labels: ``linear`` and
-``bilinear`` are the only loops that extend one to Elements.  The verify
-sweeps sum cached constants straight into plain term dicts instead, with
-``_sum_terms``, and build an Element only to print a failure.
+linear (or bilinear) extension of a map on labels: ``linear`` (a wrapper
+around ``_sum_terms``) and ``bilinear`` are the only loops that extend one
+to Elements.  The verify sweeps sum cached constants straight into plain
+term dicts instead, with ``_sum_terms``, and build an Element only to print
+a failure.
+
+``check_bialgebra`` runs associativity and coproduct multiplicativity with
+their first factor in a generating set only, which ``generating_set`` reads
+off the cached products: x for Weyl, the power sums for the symmetric
+algebras.  Its docstring proves, by induction on degree, that these reduced
+sweeps pass exactly when the full ones do and report the same first
+failure.
 """
 
 from __future__ import annotations
@@ -351,16 +359,12 @@ class HopfPresentation:
 def linear(f, u):
     """Linear extension of the label map f: the sum of c f(k) over the terms
     c k of u.  f(k) is an Element."""
-    t = {}
-    for k, c in u.terms.items():
-        for m, e in f(k).terms.items():
-            _acc(t, m, c * e)
-    return Element._raw(t)
+    return Element._raw(_sum_terms((c, f(k).terms) for k, c in u.terms.items()))
 
 
 def _sum_terms(pairs):
     """The term dict of the sum of c t over the pairs (c, t), where t is a
-    term dict: linear's loop, with no Element per term."""
+    term dict, with no Element per term."""
     out = {}
     for c, t in pairs:
         for m, e in t.items():
@@ -500,6 +504,34 @@ def shifted_presentation(H, alpha, beta):
 # -- axiom verification -------------------------------------------------
 
 
+def generating_set(H, N):
+    """Labels that generate H up to degree N, found from the cached products.
+
+    Degree by degree, a label of positive degree joins the set unless it is
+    the single term of a cached product g*b, with g already in the set and
+    b a basis label of positive degree; the unit never joins.  Every label
+    a of positive degree is then either in the set or a = c^-1 g*b with c
+    the coefficient of that single term, which is nonzero (a term dict
+    holds no zero coefficient), and |b| < |a|.  For Weyl this gives x alone
+    (d on the minus side), for qheis and lattice algebras the power sums;
+    at worst it is every label of positive degree.
+    """
+    labels = H.labels_up_to(N)
+    gens, covered = [], set()
+    for a in labels[1:]:
+        if a in covered:
+            continue
+        gens.append(a)
+        budget = N - deg_total(a.degree)
+        for b in labels[1:]:
+            if deg_total(b.degree) > budget:
+                break
+            terms = H.product(a, b).terms
+            if len(terms) == 1:
+                covered.update(terms)
+    return gens
+
+
 def check_bialgebra(H, N):
     """Verify every bialgebra axiom of H on basis elements of total degree
     <= N: grading, unit and counit laws, associativity, coassociativity,
@@ -508,7 +540,39 @@ def check_bialgebra(H, N):
     identities.  Both sides of each identity are summed from the cached
     structure constants into term dicts.
 
-    Stops at the first failing identity and reports it with witnesses.
+    Associativity and multiplicativity take their first factor from the
+    generating set G (``generating_set``) and the others from the basis B:
+    (g b) c = g (b c) and Delta(g b) = Delta(g) Delta(b) for g in G, of
+    total degree at most N.  Each full identity follows, by induction on
+    |a|, the degree of its first factor:
+
+    - a = 1 needs no triple or pair.  The unit law gives (1 b) c = b c =
+      1 (b c), and the counit law at 1 gives Delta(1) = 1 x 1, so
+      Delta(1 b) = Delta(b) = Delta(1) Delta(b): a biadditive twist
+      vanishes on degree zero.  Both laws are checked first.
+    - a in G is checked directly.
+    - Otherwise a = c^-1 g a' with g in G, |g|, |a'| < |a| and c != 0.
+      The generator identities on the basis terms of a' b, of b c and of
+      a' (b c), and the induction hypothesis for a', give
+      (a b) c = c^-1 ((g a') b) c = c^-1 (g (a' b)) c = c^-1 g ((a' b) c)
+              = c^-1 g (a' (b c)) = c^-1 (g a') (b c) = a (b c).
+    - For the coproduct, associativity is then known on every triple up to
+      N, and so is the associativity of the twisted tensor square, which
+      is checked just before on degrees:
+      Delta(a b) = c^-1 Delta(g (a' b)) = c^-1 Delta(g) (Delta(a') Delta(b))
+                 = c^-1 (Delta(g) Delta(a')) Delta(b)
+                 = c^-1 Delta(g a') Delta(b) = Delta(a) Delta(b).
+
+    For a outside G the proof uses only identities of generators g with
+    |g| < |a|, which come before a in basis order.  So the first failing
+    identity of the full sweep, if there is one, has a generator first: it
+    is the first failing identity of the reduced sweep, and the report
+    names the identity the full sweep would.  On lattice I2 at N=5 (G: the
+    10 power sums, |B| = 74) the sweeps compare 496 triples instead of
+    1,365 and 136 pairs instead of 416.
+
+    Stops at the first failing identity and reports it with witnesses; a
+    unit or counit law reports the side that fails.
     """
     labels = H.labels_up_to(N)
     unit = H.unit_label
@@ -525,17 +589,20 @@ def check_bialgebra(H, N):
     # unit and counit laws on single labels
     for a in labels:
         ea = {a: ONE}
-        if prod(unit, a).terms != ea or prod(a, unit).terms != ea:
+        left, right = prod(unit, a).terms, prod(a, unit).terms
+        if left != ea or right != ea:
             return fail("unit law", H.label_text(a),
-                        element_str(H, prod(unit, a)), show(ea))
+                        show(left if left != ea else right), show(ea))
         ca = cop(a).terms.items()
         left = {a2: c for (a1, a2), c in ca if a1 is unit}
         right = {a1: c for (a1, a2), c in ca if a2 is unit}
         if left != ea or right != ea:
-            return fail("counit law", H.label_text(a), show(left), show(ea))
+            return fail("counit law", H.label_text(a),
+                        show(left if left != ea else right), show(ea))
 
-    # associativity on basis triples
-    for a, b, c in bounded_tuples([labels] * 3, N):
+    # associativity on triples with a generator first
+    gens = generating_set(H, N)
+    for a, b, c in bounded_tuples([gens, labels, labels], N):
         lhs = _sum_terms((d, prod(k, c).terms) for k, d in prod(a, b).terms.items())
         rhs = _sum_terms((d, prod(a, k).terms) for k, d in prod(b, c).terms.items())
         if lhs != rhs:
@@ -572,8 +639,9 @@ def check_bialgebra(H, N):
                         % (a1, a2, b1, b2, c1, c2),
                         "q^%d" % lhs, "q^%d" % rhs)
 
-    # coproduct is an algebra map for the twisted tensor product
-    for a, b in bounded_tuples([labels] * 2, N):
+    # coproduct is an algebra map for the twisted tensor product, on pairs
+    # with a generator first
+    for a, b in bounded_tuples([gens, labels], N):
         lhs = _sum_terms((d, cop(k).terms) for k, d in prod(a, b).terms.items())
         rhs = twisted_tensor_multiply(H, cop(a), cop(b)).terms
         if lhs != rhs:

@@ -3,9 +3,11 @@ tests compare the library against.  The library itself never calls them.
 """
 
 from itertools import combinations_with_replacement, permutations
+from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from heisdouble.hopf import Element, _acc, antipode, comultiply
+from heisdouble.hopf import (Element, _acc, antipode, check_bialgebra, comultiply,
+                             element_str, multiply, twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.partitions import check_partition, multiplicities
 from heisdouble.report import failing, passing
@@ -189,6 +191,73 @@ def twisted_tensor_multiply_brute(H, s, t):
             total = total + tensor(H.product(a1, b1), H.product(a2, b2)).scale(
                 c * d * q_power(e))
     return total
+
+
+# -- the full bialgebra sweeps ------------------------------------------
+
+
+def _label_tuples(H, N, arity):
+    """Every tuple of arity basis labels of total degree <= N, in
+    lexicographic order of basis positions."""
+    labels = H.labels_up_to(N)
+    total = {l: sum(l.degree) for l in labels}
+    return [t for t in iproduct(labels, repeat=arity)
+            if sum(total[l] for l in t) <= N]
+
+
+def associativity_witness(H, N):
+    """The first failing triple of the full associativity sweep, over every
+    basis triple (a, b, c) of total degree <= N, as check_bialgebra words its
+    witness; None when (ab)c = a(bc) on all of them.  Each side is a product
+    of Elements."""
+    for a, b, c in _label_tuples(H, N, 3):
+        ea, eb, ec = (Element.from_label(l) for l in (a, b, c))
+        lhs = multiply(H, multiply(H, ea, eb), ec)
+        rhs = multiply(H, ea, multiply(H, eb, ec))
+        if lhs != rhs:
+            return {"identity": "associativity",
+                    "labels": ", ".join(map(H.label_text, (a, b, c))),
+                    "lhs": element_str(H, lhs), "rhs": element_str(H, rhs)}
+    return None
+
+
+def multiplicativity_witness(H, N):
+    """The first failing pair of the full coproduct-multiplicativity sweep,
+    over every basis pair (a, b) of total degree <= N, as check_bialgebra
+    words its witness; None when Delta(ab) = Delta(a) Delta(b) on all of
+    them."""
+    for a, b in _label_tuples(H, N, 2):
+        ea, eb = Element.from_label(a), Element.from_label(b)
+        lhs = comultiply(H, multiply(H, ea, eb))
+        rhs = twisted_tensor_multiply(H, comultiply(H, ea), comultiply(H, eb))
+        if lhs != rhs:
+            return {"identity": "coproduct multiplicativity",
+                    "labels": "%s, %s" % (H.label_text(a), H.label_text(b)),
+                    "lhs": repr(lhs.terms), "rhs": repr(rhs.terms)}
+    return None
+
+
+BIALGEBRA_ORDER = ("unit law", "counit law", "associativity", "coassociativity",
+                   "twisted tensor associativity", "coproduct multiplicativity",
+                   "antipode law")
+FULL_SWEEPS = (("associativity", associativity_witness),
+               ("coproduct multiplicativity", multiplicativity_witness))
+
+
+def assert_agrees_with_full_sweeps(H, N):
+    """check_bialgebra(H, N) against the full sweeps: a full sweep passes
+    when check_bialgebra got past its identity, and gives check_bialgebra's
+    witness when that is where it stopped.  Returns the report."""
+    rep = check_bialgebra(H, N)
+    stop = (BIALGEBRA_ORDER.index(rep.witness["identity"]) if rep.witness
+            else len(BIALGEBRA_ORDER))
+    for identity, witness in FULL_SWEEPS:
+        at = BIALGEBRA_ORDER.index(identity)
+        if at < stop:
+            assert witness(H, N) is None, str(rep)
+        elif at == stop:
+            assert rep.witness == witness(H, N)
+    return rep
 
 
 # -- the pairing and the action from their definitions -------------------

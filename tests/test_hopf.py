@@ -462,6 +462,28 @@ def test_check_bialgebra_counit_failure_witness(weyl_plus):
                            "lhs": "0", "rhs": "x"}
 
 
+def test_unit_and_counit_witnesses_print_the_right_law_when_it_fails(weyl_plus):
+    H = weyl_plus
+    x, unit = xlab(1), H.unit_label
+
+    def product_fn(l1, l2):
+        val = H.product(l1, l2)
+        return val.scale(Q) if (l1, l2) == (x, unit) else val
+
+    def coproduct_fn(label):
+        terms = dict(H.coproduct(label).terms)
+        if label is x:
+            terms[(x, unit)] = terms[(x, unit)] * Q
+        return Element(terms)
+
+    broken = HopfPresentation("weyl-right-unit", 1, H.twisting, unit, H.basis,
+                              product_fn, H.coproduct, H.label_text)
+    assert check_bialgebra(broken, 2).witness == {
+        "identity": "unit law", "labels": "x", "lhs": "q*x", "rhs": "x"}
+    assert check_bialgebra(_weyl_with_coproduct(H, coproduct_fn), 2).witness == {
+        "identity": "counit law", "labels": "x", "lhs": "q*x", "rhs": "x"}
+
+
 def test_check_bialgebra_coproduct_multiplicativity_failure_witness():
     # chi'' = 2 zeta is biadditive, so the tensor square stays associative,
     # but the twisted square of Delta(x) no longer matches Delta(x^2).

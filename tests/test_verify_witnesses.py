@@ -4,7 +4,9 @@ printed report pinned byte for byte in tests/golden/bialgebra-witnesses.json.
 Each case corrupts one cached structure constant (or the twist) of a fresh
 instance so that exactly one identity breaks first.  The coassociativity and
 coproduct multiplicativity witnesses print the term dicts of both sides, so
-they also pin the order in which the sweeps sum their terms.
+they also pin the order in which the sweeps sum their terms.  On every
+corrupted presentation, check_bialgebra's generator-reduced sweeps are also
+compared with the full sweeps of tests/oracles.py.
 """
 
 import json
@@ -17,6 +19,7 @@ from heisdouble.hopf import Element, HopfPresentation, check_bialgebra
 from heisdouble.instances import build_lattice, build_qheis, cartan_a, mp_label
 from heisdouble.scalars import ONE, Q
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
+from oracles import assert_agrees_with_full_sweeps
 
 GOLDEN = Path(__file__).parent / "golden" / "bialgebra-witnesses.json"
 ZETA = BiadditiveMap(((1,),))
@@ -39,11 +42,11 @@ def scaled(el, c):
 
 
 def i2_unit_law():
-    # p[1,1]*p[1,2] . 1 is off by q; the report prints 1 . a on the left
+    # p[1,1]*p[1,2] . 1 is off by q; the report prints the failing side a . 1
     H = i2().plus
     a = mp_label(((1,), (1,)))
     H._prod[(a, UNIT)] = scaled(H.product(a, UNIT), Q)
-    return check_bialgebra(H, 3)
+    return H, 3
 
 
 def a2_counit_law():
@@ -53,13 +56,13 @@ def a2_counit_law():
     terms = dict(H.coproduct(a).terms)
     terms[(UNIT, a)] = TWO
     H._coprod[a] = Element._raw(terms)
-    return check_bialgebra(H, 3)
+    return H, 3
 
 
 def a2_associativity():
     H = a2().plus
     H._prod[(P11, P12)] = scaled(H.product(P11, P12), Q)
-    return check_bialgebra(H, 3)
+    return H, 3
 
 
 def a2_coassociativity():
@@ -69,7 +72,7 @@ def a2_coassociativity():
     terms = dict(H.coproduct(a).terms)
     terms[(P11, mp_label(((2,), ())))] = TWO
     H._coprod[a] = Element._raw(terms)
-    return check_bialgebra(H, 4)
+    return H, 4
 
 
 def a2_wrong_twist():
@@ -79,7 +82,7 @@ def a2_wrong_twist():
     twisting = TwistingDatum(H.twisting.prime, H.twisting.doubleprime + ZETA)
     broken = HopfPresentation("qheis[2]+chi''", 1, twisting, H.unit_label, H.basis,
                               H.product, H.coproduct, H.label_text)
-    return check_bialgebra(broken, 3)
+    return broken, 3
 
 
 def i2_scaled_reduced_coproduct():
@@ -90,14 +93,14 @@ def i2_scaled_reduced_coproduct():
     a = mp_label(((1,), (1,)))
     H._coprod[a] = Element._raw({
         k: c if UNIT in k else c + c for k, c in H.coproduct(a).terms.items()})
-    return check_bialgebra(H, 2)
+    return H, 2
 
 
 def a2_antipode_law():
     H = a2().plus
     a = mp_label(((1, 1), ()))
     H._antipode[a] = Element.from_label(a, Q)
-    return check_bialgebra(H, 3)
+    return H, 3
 
 
 def i2_commutation_coproduct_above_n():
@@ -109,7 +112,7 @@ def i2_commutation_coproduct_above_n():
     terms = dict(H.coproduct(a).terms)
     terms[(P11, mp_label(((2,), ())))] = TWO
     H._coprod[a] = Element._raw(terms)
-    return verify_commutation(D, 2)
+    return D, 2
 
 
 def a2_commutation_product_above_n():
@@ -117,10 +120,10 @@ def a2_commutation_product_above_n():
     D = a2().double
     a = mp_label(((2,), ()))
     D.plus._prod[(a, P12)] = scaled(D.plus.product(a, P12), Q)
-    return verify_commutation(D, 2)
+    return D, 2
 
 
-WITNESS_CASES = {
+BIALGEBRA_CASES = {
     "i2-unit-law": i2_unit_law,
     "a2-counit-law": a2_counit_law,
     "a2-associativity": a2_associativity,
@@ -128,14 +131,31 @@ WITNESS_CASES = {
     "a2-wrong-twist": a2_wrong_twist,
     "i2-scaled-reduced-coproduct": i2_scaled_reduced_coproduct,
     "a2-antipode-law": a2_antipode_law,
+}
+COMMUTATION_CASES = {
     "i2-commutation-coproduct-above-n": i2_commutation_coproduct_above_n,
     "a2-commutation-product-above-n": a2_commutation_product_above_n,
 }
 
 
-@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+@pytest.mark.parametrize("case", sorted({**BIALGEBRA_CASES, **COMMUTATION_CASES}))
 def test_failure_reports_match_golden(case):
     golden = json.loads(GOLDEN.read_text())
-    rep = WITNESS_CASES[case]()
+    if case in BIALGEBRA_CASES:
+        rep = check_bialgebra(*BIALGEBRA_CASES[case]())
+    else:
+        rep = verify_commutation(*COMMUTATION_CASES[case]())
     assert not rep.passed
     assert str(rep) == golden[case]
+
+
+@pytest.mark.parametrize("case", sorted({**BIALGEBRA_CASES, **COMMUTATION_CASES}))
+def test_reduced_sweeps_agree_with_full_sweeps(case):
+    # a commutation case corrupts a plus entry of degree N + 1, where
+    # check_bialgebra reaches it
+    if case in BIALGEBRA_CASES:
+        H, N = BIALGEBRA_CASES[case]()
+    else:
+        D, N = COMMUTATION_CASES[case]()
+        H, N = D.plus, N + 1
+    assert not assert_agrees_with_full_sweeps(H, N).passed
