@@ -34,7 +34,8 @@ v = evaluate_text(shifted.double, "d^2 * x^2")
 print("  d^2 x^2 normal forms agree:",
       weyl.double.element_str(u) == shifted.double.element_str(v))
 
-# the systematic check, over all basis pairs of bounded degree
+# the systematic check: the cores (1#x)(b#1) of bounded degree, from which
+# every smash product of bounded degree is built
 print("\nshift invariance reports")
 print(" ", verify_shift_invariance(weyl.double, alpha, 5))
 a2 = build_qheis(cartan_a(2))

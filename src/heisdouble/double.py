@@ -17,9 +17,19 @@ embedded element of each generator it has built, under (name, args).  A
 builder that raises leaves nothing in the cache, registering a generator
 drops that name's entries, and a shifted context starts with empty caches;
 only the Gram rows of its pairing are shared, since a shift leaves the
-Gram values unchanged.  The shift-invariance sweep reads each product once,
-so it computes them uncached and leaves both smash caches as they were; the
-commutation sweep likewise caches no action on an input above its bound.
+Gram values unchanged.  The commutation sweep caches no action on an input
+above its bound.
+
+The product is the core (1#x)(b#1) lifted by the products a*u and x2*y, so
+the shift-invariance sweep compares the cores of the double and of its
+shifted copy, for |x| + |b| <= N, instead of every smash product of total
+degree <= N; the proof that this is exactly as strong, witness included,
+is in verify_shift_invariance.  It computes each core once and caches none:
+
+    instance      N   cores   smash products
+    qheis A2      4     164              971
+    lattice I2    5     416            3,435
+    lattice I2    6     990           11,139
 """
 
 from __future__ import annotations
@@ -54,21 +64,39 @@ def _label_action(P, x, a):
     return Element._raw(out)
 
 
-def _smash(D, s, t):
-    """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), from the
-    cached actions and structure constants of D; the result is not cached."""
-    (a, x), (b, y) = s, t
-    gpp = D.gamma.doubleprime
-    xipp = D.xi.doubleprime
+def _core_terms(D, x, b):
+    """The core (1#x)(b#1) = sum over Delta(x) = x1 (x) x2 of
+    q^(gamma''(|b|,|x2|) + xi''(|b|-|x1|,|x2|)) x1(b) # x2, as the triples
+    (x2, c, x1(b)) with c the coproduct coefficient times that q-power,
+    skipping a zero action.  The smash product's q-exponent is written here
+    only."""
+    gpp = D.gamma.doubleprime.evaluate
+    xipp = D.xi.doubleprime.evaluate
     bdeg = b.degree
-    out = {}
     for (x1, x2), c in D.minus.coproduct(x).terms.items():
         act = D.action_label(x1, b)
-        if act.is_zero:
-            continue
-        e = gpp.evaluate(bdeg, x2.degree) + \
-            xipp.evaluate(deg_sub(bdeg, x1.degree), x2.degree)
-        coeff = c * q_power(e)
+        if not act.is_zero:
+            e = gpp(bdeg, x2.degree) + xipp(deg_sub(bdeg, x1.degree), x2.degree)
+            yield x2, c * q_power(e), act
+
+
+def _core(D, x, b):
+    """The core (1#x)(b#1) as a term dict on normal-form pairs (u, x2), with
+    no product applied."""
+    out = {}
+    for x2, coeff, act in _core_terms(D, x, b):
+        for u, cu in act.terms.items():
+            _acc(out, (u, x2), coeff * cu)
+    return out
+
+
+def _smash(D, s, t):
+    """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y): the sum of
+    k (a*u) # (x2*y) over the terms k u # x2 of the core (1#x)(b#1), from the
+    cached actions and structure constants of D; the result is not cached."""
+    (a, x), (b, y) = s, t
+    out = {}
+    for x2, coeff, act in _core_terms(D, x, b):
         right = D.minus.product(x2, y)
         for u, cu in act.terms.items():
             left = D.plus.product(a, u)
@@ -182,9 +210,18 @@ class HeisenbergDouble:
         basis is unchanged.
 
         Compatibility is re-checked, and holds exactly when beta is
-        antisymmetric; otherwise IncompatiblePairError is raised."""
+        antisymmetric; otherwise IncompatiblePairError is raised.  An alpha
+        or beta that is not a BiadditiveMap of the double's rank is refused
+        up front."""
         if beta is None:
             beta = BiadditiveMap.zero(self.rank)
+        for what, m in (("alpha", alpha), ("beta", beta)):
+            if not isinstance(m, BiadditiveMap):
+                raise TypeError("%s must be a BiadditiveMap of rank %d, the rank of %s; "
+                                "got %s" % (what, self.rank, self.name, type(m).__name__))
+            if m.rank != self.rank:
+                raise ValueError("%s has rank %d, but %s has rank %d"
+                                 % (what, m.rank, self.name, self.rank))
         plus_s = shifted_presentation(self.plus, alpha, beta)
         minus_s = shifted_presentation(self.minus, alpha, beta)
         gamma_s = TwistingDatum(self.gamma.prime - alpha + beta,
@@ -408,21 +445,37 @@ def verify_faithful(D, lam, N):
 
 def verify_shift_invariance(D, alpha, N):
     """Structure constants of the double are unchanged by a simultaneous
-    coproduct shift alpha on both sides: smash products of all normal-form
-    basis pairs with total degree sum <= N agree coefficientwise.  Each
-    product is read once, so the sweep uses _smash and caches none."""
+    coproduct shift alpha on both sides: every smash product (a#x)(b#y) of
+    normal-form pairs with total degree sum <= N agrees coefficientwise on
+    the double and on D.shifted(alpha).
+
+    The sweep compares only the cores (1#x)(b#1), for |x| + |b| <= N, which
+    is exactly as strong.  _smash builds (a#x)(b#y) as the sum of
+    k (a*u) # (x2*y) over the terms k u # x2 of the core, and the shift
+    scales each product by q^beta with beta = 0, so both doubles apply the
+    same products to their cores: if every core agrees, every smash product
+    does.  Conversely, by the unit law, which check_bialgebra checks first,
+    the smash product ((1,x),(b,1)) is the core itself, so a differing core
+    is a failing identity of the full sweep.  It is also the full sweep's
+    first failure.  That sweep runs over pairs s, then t, in bounded_tuples
+    order, and the unit label comes first in each basis.  So its pairs
+    s = (1, x) come first, in the order of x, and for each b the pair
+    t = (b, 1) comes before every (b, y).  A failure at
+    ((1,x),(b,1)) needs a differing core (x, b), and with x outer and b
+    inner the first differing core names the full sweep's first failing
+    pair; the witness prints _smash of that pair on both doubles.
+
+    Each core is read once, so the sweep caches no smash product."""
     D2 = D.shifted(alpha)
-    pairs = list(bounded_tuples(
-        [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
-    for s, t in bounded_tuples([pairs, pairs], N):
-        lhs = _smash(D, s, t)
-        rhs = _smash(D2, s, t)
-        if lhs != rhs:
-            (a, x), (b, y) = s, t
+    pu, mu = D.plus.unit_label, D.minus.unit_label
+    for x, b in bounded_tuples([D.minus.labels_up_to(N), D.plus.labels_up_to(N)], N):
+        if _core(D, x, b) != _core(D2, x, b):
+            s, t = (pu, x), (b, mu)
             return failing(
                 "verify_shift_invariance", D.name, N,
                 labels="(%s # %s)(%s # %s)" % (
-                    D.plus.label_text(a), D.minus.label_text(x),
-                    D.plus.label_text(b), D.minus.label_text(y)),
-                lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
+                    D.plus.label_text(pu), D.minus.label_text(x),
+                    D.plus.label_text(b), D.minus.label_text(mu)),
+                lhs=D.element_str(_smash(D, s, t)),
+                rhs=D2.element_str(_smash(D2, s, t)))
     return passing("verify_shift_invariance", D.name, N)

@@ -6,8 +6,9 @@ from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from heisdouble.hopf import (Element, _acc, antipode, check_bialgebra, comultiply,
-                             element_str, multiply, twisted_tensor_multiply)
+from heisdouble.double import _smash
+from heisdouble.hopf import (Element, _acc, antipode, bounded_tuples, check_bialgebra,
+                             comultiply, element_str, multiply, twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.partitions import check_partition, multiplicities
 from heisdouble.report import failing, passing
@@ -258,6 +259,32 @@ def assert_agrees_with_full_sweeps(H, N):
         elif at == stop:
             assert rep.witness == witness(H, N)
     return rep
+
+
+# -- the full shift-invariance sweep -------------------------------------
+
+
+def shift_invariance_witness(D, alpha, N):
+    """The full shift-invariance sweep: the smash products (a#x)(b#y) of D
+    and of D.shifted(alpha) compared for every pair of normal-form pairs of
+    total degree <= N, in bounded_tuples order.  Returns the report that
+    verify_shift_invariance gives, whose witness is the first pair that
+    differs."""
+    D2 = D.shifted(alpha)
+    pairs = list(bounded_tuples(
+        [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
+    for s, t in bounded_tuples([pairs, pairs], N):
+        lhs = _smash(D, s, t)
+        rhs = _smash(D2, s, t)
+        if lhs != rhs:
+            (a, x), (b, y) = s, t
+            return failing(
+                "verify_shift_invariance", D.name, N,
+                labels="(%s # %s)(%s # %s)" % (
+                    D.plus.label_text(a), D.minus.label_text(x),
+                    D.plus.label_text(b), D.minus.label_text(y)),
+                lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
+    return passing("verify_shift_invariance", D.name, N)
 
 
 # -- the pairing and the action from their definitions -------------------

@@ -453,6 +453,22 @@ def test_verify_shift_invariance_qheis(a2):
     assert verify_shift_invariance(a2.double, BiadditiveMap.ones(1), 3).passed
 
 
+@pytest.mark.parametrize("kw", ["alpha", "beta"])
+def test_shifted_refuses_a_map_of_another_rank(wd, kw):
+    maps = {"alpha": ZERO1, "beta": None, kw: BiadditiveMap.zero(2)}
+    with pytest.raises(ValueError, match="%s has rank 2, but weyl has rank 1" % kw):
+        wd.shifted(**maps)
+
+
+@pytest.mark.parametrize("kw", ["alpha", "beta"])
+def test_shifted_refuses_what_is_not_a_biadditive_map(wd, kw):
+    maps = {"alpha": ZERO1, "beta": None, kw: [[1]]}
+    with pytest.raises(TypeError,
+                       match="%s must be a BiadditiveMap of rank 1, the rank of weyl; "
+                             "got list" % kw):
+        wd.shifted(**maps)
+
+
 def test_shifted_context_keeps_generators(wd):
     shifted = wd.shifted(ZETA)
     assert shifted.generator_names() == wd.generator_names()
