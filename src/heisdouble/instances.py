@@ -4,6 +4,12 @@ attached to a symmetric integer matrix, and lattice Heisenberg algebras.
 Each builder returns an :class:`Instance` bundling the two presentations,
 the twisted pairing, and the double context, with the instance's generator
 names registered for expression evaluation.
+
+The quantum Heisenberg and lattice instances share one symmetric-algebra
+presentation on colored power sums.  Its coproduct reads the split tables
+of partitions.mp_sub_multisets, one call per coproduct: each term comes
+with its complement and the size of each tensor factor, so its two labels
+are made directly, in the order of the colors' sub-multisets.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .double import HeisenbergDouble, IncompatiblePairError
 from .hopf import BasisLabel, Element, HopfPresentation
 from .linalg import det_bareiss
 from .pairing import TwistedPairing
-from .partitions import (check_partition, difference, mp_empty,
+from .partitions import (check_partition, mp_empty,
                          mp_sub_multisets, mp_union, multipartitions_of,
                          multiplicities, partitions_of)
 from .report import failing, passing
@@ -135,10 +141,10 @@ def _sym_presentation(name, ncolors, letter):
         return Element.from_label(mp_label(mp_union(l1.key, l2.key)))
 
     def coproduct_fn(label):
+        n = label.degree[0]
         t = {}
-        for mu, ways in mp_sub_multisets(label.key):
-            rest = tuple(difference(lam, m) for lam, m in zip(label.key, mu))
-            t[(mp_label(mu), mp_label(rest))] = RatFunc.from_int(ways)
+        for mu, rest, k, ways in mp_sub_multisets(label.key):
+            t[(BasisLabel(mu, (k,)), BasisLabel(rest, (n - k,)))] = RatFunc.from_int(ways)
         return Element._raw(t)
 
     def text_fn(label):

@@ -5,10 +5,18 @@ multipartition is a tuple of partitions, one per color.  Colors are
 1-based.  The colored sequence of a multipartition lists its (part, color)
 pairs in ascending lexicographic order; it determines the multipartition and
 drives the canonical basis order of the symmetric-algebra instances.
+
+The coproduct of a colored power sum p_lam splits each color lam_i into a
+sub-multiset mu_i and its complement.  split_table(lam_i) lists these
+splits with their sizes and counts, once per partition and cached (there
+are 139 partitions of n <= 10), and mp_sub_multisets runs over the product
+of a multipartition's tables, so a coproduct term costs no multiset
+difference and no degree sum.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iproduct
 from math import comb, prod
 
@@ -135,10 +143,20 @@ def multipartitions_of(n, ncolors):
     return out
 
 
+@cache
+def split_table(lam):
+    """The split table of the partition lam: the tuples (mu, lam - mu, |mu|,
+    ways) over sub_multisets(lam), in its order.  Made once per partition,
+    so a coproduct reads its splits instead of computing differences."""
+    return tuple((mu, difference(lam, mu), sum(mu), ways)
+                 for mu, ways in sub_multisets(lam))
+
+
 def mp_sub_multisets(mp):
-    """Sub-multipartitions with multiplicities, color by color."""
-    per_color = [list(sub_multisets(lam)) for lam in mp]
-    for combo in iproduct(*per_color):
-        mu = tuple(c[0] for c in combo)
-        ways = prod(c[1] for c in combo)
-        yield mu, ways
+    """Sub-multipartitions of mp, color by color, from the split tables of
+    its colors: yields (mu, mp - mu, |mu|, ways), where |mu| is the total
+    size of mu and ways is the product of the colors' counts.  mp has at
+    least one color."""
+    for combo in iproduct(*map(split_table, mp)):
+        mu, rest, sizes, ways = zip(*combo)
+        yield mu, rest, sum(sizes), prod(ways)

@@ -2,17 +2,19 @@
 tests compare the library against.  The library itself never calls them.
 """
 
+from functools import partial
 from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from heisdouble.double import _smash
-from heisdouble.hopf import (Element, _acc, antipode, bounded_tuples, check_bialgebra,
-                             comultiply, element_str, multiply, twisted_tensor_multiply)
+from heisdouble.double import _gen_labels, _label_action, _smash
+from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bounded_tuples,
+                             check_bialgebra, comultiply, element_str, multiply,
+                             twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
-from heisdouble.partitions import check_partition, multiplicities
+from heisdouble.partitions import check_partition, difference, multiplicities, sub_multisets
 from heisdouble.report import failing, passing
-from heisdouble.scalars import ONE, ZERO, q_int_sym, q_power
+from heisdouble.scalars import ONE, ZERO, RatFunc, q_int_sym, q_power
 from heisdouble.twisting import TwistingDatum
 
 
@@ -32,6 +34,20 @@ def remove_part(lam, k):
 def mp_remove_part(mp, k, color):
     i = color - 1
     return mp[:i] + (remove_part(mp[i], k),) + mp[i + 1:]
+
+
+def sym_coproduct(label):
+    """Delta(p_mp) for the multipartition mp = label.key of a qheis or
+    lattice presentation, built with no split table: the product over the
+    colors of sub_multisets, in its order, with each complement taken by
+    difference and each label made by mp_label."""
+    mp = label.key
+    t = {}
+    for combo in iproduct(*(list(sub_multisets(lam)) for lam in mp)):
+        mu = tuple(c[0] for c in combo)
+        rest = tuple(difference(lam, m) for lam, m in zip(mp, mu))
+        t[(mp_label(mu), mp_label(rest))] = RatFunc.from_int(prod(c[1] for c in combo))
+    return Element._raw(t)
 
 
 # -- standard matrices ---------------------------------------------------
@@ -285,6 +301,40 @@ def shift_invariance_witness(D, alpha, N):
                     D.plus.label_text(b), D.minus.label_text(y)),
                 lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
     return passing("verify_shift_invariance", D.name, N)
+
+
+# -- the commutation sweep, one action at a time ------------------------
+
+
+def commutation_witness(D, N):
+    """The commutation sweep with every x(ab) summed on its own, from the
+    cached action when |a| + |b| <= N and from _label_action, uncached,
+    above: no action is shared between generators.  Returns the report
+    that verify_commutation gives."""
+    plus_gens = _gen_labels(D.plus, D.gen_fn, N)
+    minus_gens = _gen_labels(D.minus, D.gen_fn, N)
+    inputs = [(b, sum(b.degree)) for b in D.plus.labels_up_to(N)]
+    product = D.plus.product
+    cached = D.action_label
+    uncached = partial(_label_action, D.pairing)
+    for a in plus_gens:
+        for x in minus_gens:
+            xa = D.smash_labels((D.plus.unit_label, x), (a, D.minus.unit_label))
+            for b, nb in inputs:
+                act = cached if sum(a.degree) + nb <= N else uncached
+                lhs = _sum_terms((c, act(x, l).terms) for l, c in product(a, b).terms.items())
+                rhs = _sum_terms((c * d, product(u, l).terms)
+                                 for (u, y), c in xa.terms.items()
+                                 for l, d in cached(y, b).terms.items())
+                if lhs != rhs:
+                    return failing(
+                        "verify_commutation", D.name, N,
+                        labels="x=%s, a=%s, b=%s" % (D.minus.label_text(x),
+                                                     D.plus.label_text(a),
+                                                     D.plus.label_text(b)),
+                        lhs=element_str(D.plus, Element._raw(lhs)),
+                        rhs=element_str(D.plus, Element._raw(rhs)))
+    return passing("verify_commutation", D.name, N)
 
 
 # -- the pairing and the action from their definitions -------------------

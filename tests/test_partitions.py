@@ -14,6 +14,7 @@ from heisdouble.partitions import (
     multipartitions_of,
     multiplicities,
     partitions_of,
+    split_table,
     sub_multisets,
     union,
 )
@@ -141,9 +142,20 @@ def test_multipartitions_of():
     assert seqs == sorted(seqs)
 
 
+def test_split_table():
+    lam = (2, 1, 1)
+    table = split_table(lam)
+    assert [(mu, ways) for mu, _, _, ways in table] == list(sub_multisets(lam))
+    for mu, rest, size, _ in table:
+        assert union(mu, rest) == lam
+        assert size == sum(mu)
+    assert split_table(lam) is table
+    assert split_table(()) == (((), (), 0, 1),)
+
+
 def test_mp_sub_multisets():
     mp = ((2, 1), (1,))
-    out = dict(mp_sub_multisets(mp))
+    out = {mu: ways for mu, _, _, ways in mp_sub_multisets(mp)}
     assert out == {
         ((), ()): 1,
         ((1,), ()): 1,
@@ -154,7 +166,11 @@ def test_mp_sub_multisets():
         ((2,), (1,)): 1,
         ((2, 1), (1,)): 1,
     }
+    # each split also carries its complement and its total size
+    for mu, rest, size, _ in mp_sub_multisets(mp):
+        assert mp_union(mu, rest) == mp
+        assert size == sum(sum(lam) for lam in mu)
     # Multiplicities multiply across colors.
-    out2 = dict(mp_sub_multisets(((1, 1), (1, 1))))
+    out2 = {mu: ways for mu, _, _, ways in mp_sub_multisets(((1, 1), (1, 1)))}
     assert out2[((1,), (1,))] == 4
     assert out2[((1, 1), (1, 1))] == 1
