@@ -41,6 +41,11 @@ is in verify_shift_invariance.  It computes each core once and caches none:
     qheis A2      4     164              971
     lattice I2    5     416            3,435
     lattice I2    6     990           11,139
+
+The vacuum and faithfulness suites need a full rank, which its image in F_p
+certifies (linalg.rank_image).  Only an image rank below the number of rows,
+or an entry undefined at the specialization, is eliminated over Q(q) by
+sparse_rank, which then decides the verdict and the rank in its report.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 from .hopf import (Element, _acc, _sum_terms, bilinear, bounded_tuples,
                    degrees_up_to, element_str, linear, multiply,
                    shifted_presentation, terms_str)
-from .linalg import sparse_rank
+from .linalg import rank_image, sparse_rank
 from .pairing import TwistedPairing
 from .report import failing, passing
 from .scalars import ONE, ZERO, q_power
@@ -423,7 +428,10 @@ def _require_perfect(D, check, N):
 def verify_vacuum(D, N):
     """The unit of the plus side is a vacuum vector: every positive-degree
     minus element annihilates it, and the joint kernel of the minus action
-    on each positive stratum of total degree <= N is zero."""
+    on each positive stratum of total degree <= N is zero.
+
+    The joint kernel is zero when the rank in F_p is full (see the module
+    docstring); otherwise sparse_rank gives its dimension."""
     _require_perfect(D, "verify_vacuum", N)
     unit = Element.from_label(D.plus.unit_label)
     for x in D.minus.labels_up_to(N):
@@ -450,7 +458,9 @@ def verify_vacuum(D, N):
                     k = ids.setdefault((x, l), len(ids))
                     col[k] = c
             rows.append(col)
-        rank = sparse_rank(rows)
+        rank = rank_image(rows)
+        if rank != len(stratum):
+            rank = sparse_rank(rows)
         if rank != len(stratum):
             return failing("verify_vacuum", D.name, N, degree=degree,
                            reason="joint kernel has dimension %d"
@@ -464,7 +474,9 @@ def verify_faithful(D, lam, N):
 
     Inputs up to the largest minus degree in the stratum suffice: inputs of
     degree m only see minus factors of degree <= m, so the strata are
-    triangular and perfectness clears them bottom-up."""
+    triangular and perfectness clears them bottom-up.  The rank is certified
+    in F_p, and computed by sparse_rank when that falls short (see the
+    module docstring)."""
     _require_perfect(D, "verify_faithful", N)
     lam = tuple(lam)
     pairs = []
@@ -490,7 +502,9 @@ def verify_faithful(D, lam, N):
                 k = ids.setdefault((b, l), len(ids))
                 flat[k] = c
         rows.append(flat)
-    rank = sparse_rank(rows)
+    rank = rank_image(rows)
+    if rank != len(pairs):
+        rank = sparse_rank(rows)
     if rank != len(pairs):
         return failing("verify_faithful", D.name, N, stratum=lam,
                        reason="representation matrix has rank %d on %d pairs"

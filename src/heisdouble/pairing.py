@@ -13,12 +13,17 @@ Gram values are kept as sparse rows: row(x) holds the nonzero <x, a> over
 the plus basis of degree |x|, made once per minus label, and col(a) is its
 transpose.  Every pairing loop walks these rows, so a zero of the form is
 never visited.
+
+Perfectness certifies each nonzero Gram determinant by its image in F_p
+(linalg.det_image) and eliminates over Q(q), with det_bareiss, only a
+component whose image is zero or undefined; the 35 x 35 component of qheis
+affine D4 in degree 3 then takes milliseconds instead of seconds.
 """
 
 from __future__ import annotations
 
 from .hopf import Element, _acc
-from .linalg import components, det_bareiss
+from .linalg import components, det_bareiss, det_image
 from .report import failing, passing
 from .scalars import ONE, ZERO, q_power
 from .twisting import TwistingDatum, deg_add, dual_twisting
@@ -237,17 +242,23 @@ def perfectness_check(P, N):
     Each block is tested component by component on its nonzero pattern
     (see linalg.components): for qheis and lattice the pairing vanishes
     unless the uncolored parts agree, so the components are far smaller
-    than the block.  A non-square component makes the block singular."""
+    than the block.  A non-square component makes the block singular.
+
+    A component whose determinant maps to a nonzero residue of F_p is
+    nonsingular (linalg.det_image); only a zero or undefined image is
+    eliminated exactly, by det_bareiss, which decides the verdict."""
     for degree in hopf.degrees_up_to(P.plus.rank, N):
         rows, cols, matrix = P.gram_block(degree)
         if len(rows) != len(cols):
             return failing("perfectness_check", P.name, N, degree=degree,
                            reason="basis sizes differ (%d vs %d)" % (len(rows), len(cols)))
         for r, c in components(matrix):
-            if (len(r) != len(c)
-                    or det_bareiss([[matrix[i][j] for j in c] for i in r]).is_zero):
-                return failing("perfectness_check", P.name, N, degree=degree,
-                               reason="singular Gram block")
+            if len(r) == len(c):
+                block = [[matrix[i][j] for j in c] for i in r]
+                if det_image(block) or not det_bareiss(block).is_zero:
+                    continue
+            return failing("perfectness_check", P.name, N, degree=degree,
+                           reason="singular Gram block")
     return passing("perfectness_check", P.name, N)
 
 

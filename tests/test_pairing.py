@@ -15,7 +15,7 @@ from heisdouble.instances import (
     mp_label,
     zero_form,
 )
-from heisdouble.linalg import components, det_bareiss
+from heisdouble.linalg import components, det_bareiss, det_image, specialize
 from heisdouble.pairing import (
     TwistedPairing,
     check_pairing_axioms,
@@ -299,19 +299,39 @@ def test_gram_components_match_the_closed_form(A, N):
     # a component gathers the labels whose parts, colors forgotten, form lam;
     # a plus and a minus label with one key are one object, so rows and
     # columns come in the same order
-    P = build_qheis(A).pairing
     seen = []
+    for lam, mat in lambda_components(build_qheis(A).pairing, N):
+        assert det_bareiss(mat) == qheis_gram_det(A, lam), lam
+        seen.append(lam)
+    assert sorted(seen) == sorted(lam for n in range(1, N + 1)
+                                  for lam in partitions_of(n))
+
+
+def lambda_components(P, N):
+    """(lam, matrix) for every lambda-component of the qheis pairing P in
+    degrees 1..N: the Gram matrix on the labels whose parts, colors
+    forgotten, form lam, with rows and columns in the same order."""
     for n in range(1, N + 1):
         comps = {}
         for x in P.minus.basis((n,)):
             lam = tuple(sorted((k for part in x.key for k in part), reverse=True))
             comps.setdefault(lam, []).append(x)
-        for lam, labels in comps.items():
-            mat = [[P.pair_labels(x, a) for a in labels] for x in labels]
-            assert det_bareiss(mat) == qheis_gram_det(A, lam), lam
-        seen.extend(sorted(comps))
-    assert sorted(seen) == sorted(lam for n in range(1, N + 1)
-                                  for lam in partitions_of(n))
+        for lam, labels in sorted(comps.items()):
+            yield lam, [[P.pair_labels(x, a) for a in labels] for x in labels]
+
+
+@pytest.mark.parametrize("A, N", [(cartan_a(2), 5), (cartan_affine_d4(), 3)],
+                         ids=["a2", "affine-d4"])
+def test_gram_component_images_match_the_closed_form(A, N):
+    # the certificate's determinant in F_p is the image of the closed form,
+    # on every lambda-component; this is exact, and cheap where det_bareiss
+    # is not (the 35 x 35 component of affine D4 at lam = (1,1,1))
+    count = 0
+    for lam, mat in lambda_components(build_qheis(A).pairing, N):
+        d = det_image(mat)
+        assert d and d == specialize(qheis_gram_det(A, lam), {}), lam
+        count += 1
+    assert count == sum(len(partitions_of(n)) for n in range(1, N + 1))
 
 
 # ---------------------------------------------------------------------------

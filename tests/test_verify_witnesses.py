@@ -1,5 +1,7 @@
 """Failing runs of check_bialgebra and verify_commutation on A2 and I2, each
-printed report pinned byte for byte in tests/golden/bialgebra-witnesses.json.
+printed report pinned byte for byte in tests/golden/bialgebra-witnesses.json,
+and failing runs of verify_vacuum and verify_faithful, pinned in
+tests/golden/fock-witnesses.json.
 
 Each case corrupts one cached structure constant (or the twist) of a fresh
 instance so that exactly one identity breaks first.  The coassociativity and
@@ -14,14 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from heisdouble.double import verify_commutation
+from heisdouble import double
+from heisdouble.double import verify_commutation, verify_faithful, verify_vacuum
 from heisdouble.hopf import Element, HopfPresentation, check_bialgebra
-from heisdouble.instances import build_lattice, build_qheis, cartan_a, mp_label
+from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a, mp_label
 from heisdouble.scalars import ONE, Q
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
 from oracles import assert_agrees_with_full_sweeps
 
 GOLDEN = Path(__file__).parent / "golden" / "bialgebra-witnesses.json"
+FOCK_GOLDEN = Path(__file__).parent / "golden" / "fock-witnesses.json"
 ZETA = BiadditiveMap(((1,),))
 TWO = ONE + ONE
 UNIT = mp_label(((), ()))
@@ -159,3 +163,74 @@ def test_reduced_sweeps_agree_with_full_sweeps(case):
         D, N = COMMUTATION_CASES[case]()
         H, N = D.plus, N + 1
     assert not assert_agrees_with_full_sweeps(H, N).passed
+
+
+# ---------------------------------------------------------------------------
+# Rank-deficient Fock strata: the verdict and its report come from the exact
+# rank
+
+
+def copy_actions(D, degree, source, targets):
+    """Make every positive minus label act on the plus labels at the indices
+    targets of the basis of degree as it acts on the one at source."""
+    basis = D.plus.basis(degree)
+    n = sum(degree)
+    for x in D.minus.labels_up_to(n):
+        if sum(x.degree):
+            act = D.action_label(x, basis[source])
+            for t in targets:
+                D._action[(x, basis[t])] = act
+
+
+def a2_vacuum_copied_actions():
+    # p[1,2]*p[1,2] and p[2,1] are read as p[1,1]*p[1,1]: the joint kernel
+    # of the degree-2 stratum gains two dimensions
+    D = a2().double
+    assert verify_vacuum(D, 3).passed
+    copy_actions(D, (2,), 0, (2, 3))
+    return verify_vacuum, (D, 3)
+
+
+def i2_vacuum_zero_column():
+    # nothing acts on p[1,1]*p[1,2] any more
+    D = i2().double
+    assert verify_vacuum(D, 3).passed
+    b = D.plus.basis((2,))[1]
+    for x in D.minus.labels_up_to(2):
+        if sum(x.degree):
+            D._action[(x, b)] = Element.zero()
+    return verify_vacuum, (D, 3)
+
+
+def weyl_faithful_dead_d():
+    # d acts as zero on every input, so the row of x#d on the stratum 0 dies
+    D = build_weyl().double
+    assert verify_faithful(D, (0,), 2).passed
+    d = D.minus.basis((1,))[0]
+    for b in D.plus.labels_up_to(2):
+        D._action[(d, b)] = Element.zero()
+    return verify_faithful, (D, (0,), 2)
+
+
+FOCK_CASES = {
+    "a2-vacuum-copied-actions": a2_vacuum_copied_actions,
+    "i2-vacuum-zero-column": i2_vacuum_zero_column,
+    "weyl-faithful-dead-d": weyl_faithful_dead_d,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOCK_CASES))
+def test_fock_failure_reports_match_golden(case, monkeypatch):
+    exact = double.sparse_rank
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    check, args = FOCK_CASES[case]()
+    monkeypatch.setattr(double, "sparse_rank", counting)
+    rep = check(*args)
+    assert not rep.passed
+    assert str(rep) == json.loads(FOCK_GOLDEN.read_text())[case]
+    assert calls  # the failing verdict is the exact rank's
