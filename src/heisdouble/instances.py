@@ -10,6 +10,19 @@ presentation on colored power sums.  Its coproduct reads the split tables
 of partitions.mp_sub_multisets, one call per coproduct: each term comes
 with its complement and the size of each tensor factor, so its two labels
 are made directly, in the order of the colors' sub-multisets.
+
+Their Gram values come from sym_pair: a product, over part values k, of
+permanents of the color matrices (factor(k, i, j)).  Columns of one color
+are interchangeable, so each permanent runs over its rows with the
+remaining count of each column color as state, at most m prod_j (b_j + 1)
+states for m parts of value k whose plus colors occur b_j times, instead
+of m! permutations.  factor computes each value once per (k, i, j) and
+keeps it with the instance, not in a module-level table.  A value is zero
+unless the two uncolored partitions (mp_shape) agree, which is exact:
+every permutation the sum runs over matches part values one to one.  So
+each minus label's Gram row is built on its support alone, the plus labels
+of its degree with its uncolored partition, from an index made once per
+degree.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from .double import HeisenbergDouble, IncompatiblePairError
 from .hopf import BasisLabel, Element, HopfPresentation
 from .linalg import det_bareiss
 from .pairing import TwistedPairing
-from .partitions import (check_partition, mp_empty,
+from .partitions import (check_partition, mp_empty, mp_shape,
                          mp_sub_multisets, mp_union, multipartitions_of,
                          multiplicities, partitions_of)
 from .report import failing, passing
@@ -171,54 +184,65 @@ def _in_color(lam, i, ncolors):
 def sym_pair(factor, mp_minus, mp_plus):
     """Pairing of two power-sum monomials: the permutation sum collapses to
     a product, over part values k, of permanents of the color matrices
-    (factor(k, i_a, j_b))."""
-    by_value = {}
+    (factor(k, i, j)), with a row for each part k of mp_minus in its color i
+    and a column for each part k of mp_plus in its color j.  It is zero
+    unless the two uncolored partitions agree, since every permutation of
+    the sum matches part values one to one; so the plus labels with the
+    uncolored partition of mp_minus hold every nonzero value of its row.
+
+    Columns of one color are interchangeable, so the permanent of the m
+    parts of value k is f(0, b), where b_j counts the columns of color j,
+        f(i, c) = sum_j c_j factor(k, row_i, j) f(i + 1, c - e_j)
+    and f(m, 0) = 1: c_j is the number of color-j columns that rows
+    0..i-1 left free.  The rows are taken one at a time, each state c
+    carrying the sum over the ways of reaching it, so there are at most
+    m prod_j (b_j + 1) states, against m! permutations."""
+    if mp_shape(mp_minus) != mp_shape(mp_plus):
+        return ZERO
+    rows = {}
     for i, lam in enumerate(mp_minus, start=1):
         for k in lam:
-            by_value.setdefault(k, ([], []))[0].append(i)
+            rows.setdefault(k, []).append(i)
+    cols = {}
     for j, lam in enumerate(mp_plus, start=1):
         for k in lam:
-            by_value.setdefault(k, ([], []))[1].append(j)
+            counts = cols.setdefault(k, {})
+            counts[j] = counts.get(j, 0) + 1
     total = ONE
-    for k, (rows, cols) in sorted(by_value.items()):
-        if len(rows) != len(cols):
-            return ZERO
-        total = total * _permanent([[factor(k, i, j) for j in cols] for i in rows])
+    for k, row_colors in sorted(rows.items()):
+        colors, counts = zip(*sorted(cols[k].items()))
+        level = {counts: ONE}
+        for i in row_colors:
+            entries = [factor(k, i, j) for j in colors]
+            nxt = {}
+            for c, v in level.items():
+                for t, ct in enumerate(c):
+                    if ct and not entries[t].is_zero:
+                        c2 = c[:t] + (ct - 1,) + c[t + 1:]
+                        w = v * entries[t] * ct
+                        prev = nxt.get(c2)
+                        nxt[c2] = w if prev is None else prev + w
+            level = nxt
+        # one state is left after the last row, all counts zero
+        total = total * level.get((0,) * len(colors), ZERO)
         if total.is_zero:
             return ZERO
     return total
 
 
-def _permanent(m):
-    n = len(m)
-    if n == 0:
-        return ONE
-    used = [False] * n
-
-    def rec(i):
-        if i == n:
-            return ONE
-        acc = ZERO
-        row = m[i]
-        for j in range(n):
-            if not used[j] and not row[j].is_zero:
-                used[j] = True
-                acc = acc + row[j] * rec(i + 1)
-                used[j] = False
-        return acc
-
-    return rec(0)
-
-
 def q_factor(A):
-    """factor(k, i, j) = [k <i,j>] [k] / k for the quantum Heisenberg form."""
+    """factor(k, i, j) = [k <i,j>] [k] / k for the quantum Heisenberg form,
+    computed once per (k, i, j) and kept with the returned function."""
+    @cache
     def factor(k, i, j):
         return q_int_sym(k * A[i - 1][j - 1]) * q_int_sym(k) / k
     return factor
 
 
 def lattice_factor(B):
-    """factor(k, i, j) = k <v_i, v_j> for the lattice form."""
+    """factor(k, i, j) = k <v_i, v_j> for the lattice form, computed once per
+    (k, i, j) and kept with the returned function."""
+    @cache
     def factor(k, i, j):
         return RatFunc.from_int(k * B[i - 1][j - 1])
     return factor
@@ -314,7 +338,21 @@ def _sym_instance(kind, key, M, name, factor, perfect, generators):
     def gram_fn(x_label, a_label):
         return sym_pair(factor, x_label.key, a_label.key)
 
-    pairing = TwistedPairing(minus, plus, TwistingDatum.zero(1), gram_fn, name=name)
+    by_shape = {}   # degree -> {uncolored partition: plus labels}
+
+    def support(x_label):
+        """The plus labels of degree |x| with the uncolored partition of x,
+        in basis order: every other value of sym_pair is zero."""
+        index = by_shape.get(x_label.degree)
+        if index is None:
+            index = {}
+            for a in plus.basis(x_label.degree):
+                index.setdefault(mp_shape(a.key), []).append(a)
+            index = by_shape.setdefault(x_label.degree, index)
+        return index.get(mp_shape(x_label.key), ())
+
+    pairing = TwistedPairing(minus, plus, TwistingDatum.zero(1), gram_fn,
+                             name=name, support=support)
     double = HeisenbergDouble(pairing, name=name, perfect=perfect)
     for gen, side, element in generators:
         double.register_generator(gen, _generator(gen, side, element, ncolors))

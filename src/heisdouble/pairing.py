@@ -10,9 +10,10 @@ coproducts:
     <x, a b> = c^(gamma''(|a|,|b|)) <Delta(x), a tensor b>
 
 Gram values are kept as sparse rows: row(x) holds the nonzero <x, a> over
-the plus basis of degree |x|, made once per minus label, and col(a) is its
-transpose.  Every pairing loop walks these rows, so a zero of the form is
-never visited.
+the support of x, by default the plus basis of degree |x|, made once per
+minus label, and col(a) is its transpose.  Every pairing loop walks these
+rows, so a zero of the form is never visited, and one known to vanish off
+the support is never computed.
 
 Perfectness certifies each nonzero Gram determinant by its image in F_p
 (linalg.det_image) and eliminates over Q(q), with det_bareiss, only a
@@ -36,9 +37,14 @@ class TwistedPairing:
     gram_fn(x_label, a_label) is consulted only for equal degrees, once per
     pair, and its nonzero values are kept as rows (see row); pairing of
     inhomogeneous elements is the bilinear extension.
+
+    support(x_label), when given, lists the plus labels of degree |x| that
+    row(x) consults, in basis order; it must contain every a with
+    <x, a> != 0, since a label outside it reads as zero.  By default it is
+    the whole plus basis of degree |x|.
     """
 
-    def __init__(self, minus, plus, gamma, gram_fn, name=None):
+    def __init__(self, minus, plus, gamma, gram_fn, name=None, support=None):
         if minus.rank != plus.rank:
             raise ValueError("paired presentations must share the grading rank")
         if not isinstance(gamma, TwistingDatum):
@@ -49,6 +55,7 @@ class TwistedPairing:
         self.plus = plus
         self.gamma = gamma
         self._gram_fn = gram_fn
+        self._support = support or (lambda x: plus.basis(x.degree))
         self.name = name or "%s|%s" % (minus.name, plus.name)
         self._rows = {}
         self._cols = {}
@@ -56,20 +63,22 @@ class TwistedPairing:
     def retwisted(self, minus, plus, gamma, name):
         """The pairing with twisting gamma of minus and plus, which have the
         bases of this pairing's sides (shifted presentations do): the Gram
-        values are the same, so both pairings share one store of rows."""
-        out = TwistedPairing(minus, plus, gamma, self._gram_fn, name)
+        values are the same, so both pairings share one store of rows and
+        one support."""
+        out = TwistedPairing(minus, plus, gamma, self._gram_fn, name,
+                             self._support)
         out._rows = self._rows
         out._cols = self._cols
         return out
 
     def row(self, x):
-        """{a: <x, a>} over the plus basis of degree |x|, nonzero values only,
-        in basis order; made once per minus label."""
+        """{a: <x, a>} over support(x), nonzero values only, in basis order;
+        made once per minus label."""
         hit = self._rows.get(x)
         if hit is None:
             gram = self._gram_fn
             out = {}
-            for a in self.plus.basis(x.degree):
+            for a in self._support(x):
                 v = gram(x, a)
                 if not v.is_zero:
                     out[a] = v

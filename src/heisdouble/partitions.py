@@ -117,6 +117,12 @@ def colored_sequence(mp):
     return tuple(seq)
 
 
+def mp_shape(mp):
+    """The uncolored partition of a multipartition: all its parts,
+    decreasing."""
+    return tuple(sorted((x for lam in mp for x in lam), reverse=True))
+
+
 def multipartitions_of(n, ncolors):
     """All multipartitions of total size n, sorted by colored sequence."""
     out = []
