@@ -4,8 +4,9 @@ The files under tests/golden/ hold the output of passing runs: `verify` on
 Weyl (N=6), lattice I2 (N=4), I2 with its coproducts shifted by alpha = 1
 (N=4), the degenerate rank-one lattice form (N=4) and qheis affine D4 (N=3,
 whose 35 x 35 Gram component is certified in F_p), `verify --json` on
-qheis A2 (N=3), and one `fock-matrix --json` and one `normal-order` answer
-on A2.  A change that keeps every verdict must keep this output byte for
+qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
+reports and its skipped list), and one `fock-matrix --json` and one
+`normal-order` answer on A2.  A change that keeps every verdict must keep this output byte for
 byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
@@ -32,6 +33,8 @@ CASES = [
      ["verify", "--max-degree", "4"]),
     ("verify-lattice-rank-one-4.txt", "lattice-rank-one.json",
      ["verify", "--max-degree", "4"]),
+    ("verify-lattice-rank-one-4.json", "lattice-rank-one.json",
+     ["verify", "--max-degree", "4", "--json"]),
     ("verify-qheis-d4-affine-3.txt", "qheis-d4-affine.json",
      ["verify", "--max-degree", "3"]),
     ("verify-qheis-a2-3.json", "qheis-a2.json",

@@ -23,7 +23,7 @@ from heisdouble.pairing import (
     perfectness_check,
 )
 from heisdouble.partitions import partitions_of
-from heisdouble.scalars import ONE, ZERO, q_factorial, q_int, q_int_sym
+from heisdouble.scalars import ONE, Q, ZERO, q_factorial, q_int, q_int_sym
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
 from oracles import (HypothesisError, antipode_adjointness_check, cartan_affine_d4,
                      qheis_gram_det, tensor)
@@ -471,3 +471,71 @@ def test_dual_presentation_wrong_xi_reported(weyl):
     rep = dual_presentation_check(bad, 3)
     assert not rep.passed
     assert "declared" in rep.witness and "expected" in rep.witness
+
+
+# Failing runs of the pairing checks whose reports no test above pins byte
+# for byte, each pinned as text and as JSON in
+# tests/golden/report-witnesses.json.
+
+
+def weyl_unit_two():
+    # <1, 1> = 2: the unit row against the plus side fails first
+    P = build_weyl().pairing
+    gram = P._gram_fn
+
+    def doubled_unit(x, a):
+        v = gram(x, a)
+        return v + v if a.degree == (0,) else v
+
+    return check_pairing_axioms, TwistedPairing(P.minus, P.plus, P.gamma, doubled_unit,
+                                                name="weyl-unit-two"), 2
+
+
+def weyl_against_a2():
+    # one minus label against two plus labels in degree 1
+    return perfectness_check, TwistedPairing(
+        build_weyl().minus, build_qheis(cartan_a(2)).plus, TwistingDatum.zero(1),
+        lambda x, a: ONE, name="weyl|a2"), 1
+
+
+def zero_form_singular():
+    return perfectness_check, build_lattice(zero_form(2)).pairing, 3
+
+
+def weyl_wrong_xi():
+    weyl = build_weyl()
+    wrong_minus = _weyl_presentation(
+        "weyl-wrong-xi", "d", TwistingDatum.zero(1),
+        lambda n, k: weyl.minus.coproduct(xlab(n)).terms[(xlab(k), xlab(n - k))])
+    return dual_presentation_check, TwistedPairing(
+        wrong_minus, weyl.plus, weyl.pairing.gamma, lambda x, a: q_factorial(a.key),
+        name="weyl-wrong-xi"), 3
+
+
+def weyl_corrupt_minus_product():
+    # d * d is off by q on the minus side, whose twisting is the right one
+    P = build_weyl().pairing
+    d = xlab(1)
+    P.minus._prod[(d, d)] = Element._raw(
+        {k: Q * v for k, v in P.minus.product(d, d).terms.items()})
+    return dual_presentation_check, P, 3
+
+
+REPORT_CASES = {
+    "axioms-unit-against-plus": weyl_unit_two,
+    "perfectness-basis-sizes-differ": weyl_against_a2,
+    "perfectness-singular-block": zero_form_singular,
+    "dual-wrong-xi": weyl_wrong_xi,
+    "dual-corrupt-minus-product": weyl_corrupt_minus_product,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_failure_reports_match_golden(case):
+    golden = json.loads((GOLDEN / "report-witnesses.json").read_text())[case]
+    check, P, N = REPORT_CASES[case]()
+    rep = check(P, N)
+    assert not rep.passed
+    assert str(rep) == golden["text"]
+    # dumped, so that the order of the witness keys is compared too
+    assert json.dumps(rep.to_json()) == json.dumps(golden["json"])
