@@ -51,11 +51,11 @@ sparse_rank, which then decides the verdict and the rank in its report.
 from __future__ import annotations
 
 from .hopf import (Element, _acc, _sum_terms, bilinear, bounded_tuples,
-                   degrees_up_to, element_str, linear, multiply,
-                   shifted_presentation, terms_str)
+                   degrees_up_to, element_str, multiply, shifted_presentation,
+                   terms_str)
 from .linalg import rank_image, sparse_rank
 from .pairing import TwistedPairing
-from .report import failing, passing
+from .report import check
 from .scalars import ONE, ZERO, q_power
 from .twisting import (BiadditiveMap, TwistingDatum, compatibility_check,
                        deg_sub, deg_total)
@@ -207,10 +207,6 @@ class HeisenbergDouble:
                 key, _label_action(self.pairing, x_label, a_label))
         return hit
 
-    def action(self, x_label, b):
-        """Action of a minus basis label on a plus element."""
-        return linear(lambda l: self.action_label(x_label, l), b)
-
     def smash_labels(self, s, t):
         """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), cached
         under the key (a, x, b, y)."""
@@ -306,28 +302,20 @@ def max_term_degree(u):
     return max(deg_total(a.degree) - deg_total(x.degree) for a, x in u.terms)
 
 
-def fock_matrix(D, u, Nin, Nout=None):
+def fock_matrix(D, u, Nin):
     """Matrix of u on the plus algebra, inputs of total degree <= Nin.
 
-    Returns (row_labels, col_labels, rows).  When Nout is omitted the output
-    window is inferred as Nin plus the largest signed term degree of u; an
-    explicit window that cannot hold the image is an error.
+    Returns (row_labels, col_labels, rows).  The rows are the plus labels of
+    total degree at most Nin plus the largest signed term degree of u, which
+    hold every term of the image.
     """
     cols = D.plus.labels_up_to(Nin)
-    images = [fock_apply(D, u, Element.from_label(b)) for b in cols]
-    if Nout is None:
-        Nout = max(0, Nin + max_term_degree(u))
-    rows = D.plus.labels_up_to(Nout)
+    rows = D.plus.labels_up_to(max(0, Nin + max_term_degree(u)))
     index = {l: i for i, l in enumerate(rows)}
     matrix = [[ZERO] * len(cols) for _ in rows]
-    for j, img in enumerate(images):
-        for l, c in img.terms.items():
-            i = index.get(l)
-            if i is None:
-                raise ValueError(
-                    "output window Nout=%d cannot hold a degree-%r term of the image"
-                    % (Nout, l.degree))
-            matrix[i][j] = c
+    for j, b in enumerate(cols):
+        for l, c in fock_apply(D, u, Element.from_label(b)).terms.items():
+            matrix[index[l]][j] = c
     return rows, cols, matrix
 
 
@@ -358,6 +346,7 @@ def _product_actions(P, index, ab):
     return out
 
 
+@check
 def verify_commutation(D, N):
     """Operator identity behind the smash product: for minus x, plus a,
 
@@ -408,23 +397,22 @@ def verify_commutation(D, N):
                                  for (u, y), c in xa.terms.items()
                                  for l, d in cached(y, b).terms.items())
                 if lhs != rhs:
-                    return failing(
-                        "verify_commutation", D.name, N,
-                        labels="x=%s, a=%s, b=%s" % (D.minus.label_text(x),
-                                                     D.plus.label_text(a),
-                                                     D.plus.label_text(b)),
-                        lhs=element_str(D.plus, Element._raw(lhs)),
-                        rhs=element_str(D.plus, Element._raw(rhs)))
-    return passing("verify_commutation", D.name, N)
+                    return {"labels": "x=%s, a=%s, b=%s" % (D.minus.label_text(x),
+                                                            D.plus.label_text(a),
+                                                            D.plus.label_text(b)),
+                            "lhs": element_str(D.plus, Element._raw(lhs)),
+                            "rhs": element_str(D.plus, Element._raw(rhs))}
+    return None
 
 
-def _require_perfect(D, check, N):
+def _require_perfect(D, name):
     if not D.perfect:
         raise ValueError(
             "%s presupposes a nondegenerate pairing; context %s is "
-            "presentation-only" % (check, D.name))
+            "presentation-only" % (name, D.name))
 
 
+@check
 def verify_vacuum(D, N):
     """The unit of the plus side is a vacuum vector: every positive-degree
     minus element annihilates it, and the joint kernel of the minus action
@@ -432,17 +420,15 @@ def verify_vacuum(D, N):
 
     The joint kernel is zero when the rank in F_p is full (see the module
     docstring); otherwise sparse_rank gives its dimension."""
-    _require_perfect(D, "verify_vacuum", N)
-    unit = Element.from_label(D.plus.unit_label)
+    _require_perfect(D, "verify_vacuum")
     for x in D.minus.labels_up_to(N):
         if deg_total(x.degree) == 0:
             continue
-        img = D.action(x, unit)
+        img = D.action_label(x, D.plus.unit_label)
         if not img.is_zero:
-            return failing("verify_vacuum", D.name, N,
-                           reason="minus element does not annihilate the vacuum",
-                           label=D.minus.label_text(x),
-                           image=element_str(D.plus, img))
+            return {"reason": "minus element does not annihilate the vacuum",
+                    "label": D.minus.label_text(x),
+                    "image": element_str(D.plus, img)}
     for degree in degrees_up_to(D.rank, N):
         if deg_total(degree) == 0:
             continue
@@ -462,12 +448,12 @@ def verify_vacuum(D, N):
         if rank != len(stratum):
             rank = sparse_rank(rows)
         if rank != len(stratum):
-            return failing("verify_vacuum", D.name, N, degree=degree,
-                           reason="joint kernel has dimension %d"
-                           % (len(stratum) - rank))
-    return passing("verify_vacuum", D.name, N)
+            return {"degree": degree,
+                    "reason": "joint kernel has dimension %d" % (len(stratum) - rank)}
+    return None
 
 
+@check
 def verify_faithful(D, lam, N):
     """Injectivity of the Fock representation on the signed stratum lam,
     restricted to normal-form pairs with both factor degrees of total <= N.
@@ -477,7 +463,7 @@ def verify_faithful(D, lam, N):
     triangular and perfectness clears them bottom-up.  The rank is certified
     in F_p, and computed by sparse_rank when that falls short (see the
     module docstring)."""
-    _require_perfect(D, "verify_faithful", N)
+    _require_perfect(D, "verify_faithful")
     lam = tuple(lam)
     pairs = []
     for da in degrees_up_to(D.rank, N):
@@ -488,7 +474,7 @@ def verify_faithful(D, lam, N):
                 for x in D.minus.basis(dx):
                     pairs.append((a, x))
     if not pairs:
-        return passing("verify_faithful", D.name, N)
+        return None
     nin = max(deg_total(x.degree) for _, x in pairs)
     inputs = D.plus.labels_up_to(nin)
     ids = {}
@@ -506,12 +492,12 @@ def verify_faithful(D, lam, N):
     if rank != len(pairs):
         rank = sparse_rank(rows)
     if rank != len(pairs):
-        return failing("verify_faithful", D.name, N, stratum=lam,
-                       reason="representation matrix has rank %d on %d pairs"
-                       % (rank, len(pairs)))
-    return passing("verify_faithful", D.name, N)
+        return {"stratum": lam,
+                "reason": "representation matrix has rank %d on %d pairs" % (rank, len(pairs))}
+    return None
 
 
+@check
 def verify_shift_invariance(D, alpha, N):
     """Structure constants of the double are unchanged by a simultaneous
     coproduct shift alpha on both sides: every smash product (a#x)(b#y) of
@@ -540,11 +526,9 @@ def verify_shift_invariance(D, alpha, N):
     for x, b in bounded_tuples([D.minus.labels_up_to(N), D.plus.labels_up_to(N)], N):
         if _core(D, x, b) != _core(D2, x, b):
             s, t = (pu, x), (b, mu)
-            return failing(
-                "verify_shift_invariance", D.name, N,
-                labels="(%s # %s)(%s # %s)" % (
-                    D.plus.label_text(pu), D.minus.label_text(x),
-                    D.plus.label_text(b), D.minus.label_text(mu)),
-                lhs=D.element_str(_smash(D, s, t)),
-                rhs=D2.element_str(_smash(D2, s, t)))
-    return passing("verify_shift_invariance", D.name, N)
+            return {"labels": "(%s # %s)(%s # %s)" % (
+                        D.plus.label_text(pu), D.minus.label_text(x),
+                        D.plus.label_text(b), D.minus.label_text(mu)),
+                    "lhs": D.element_str(_smash(D, s, t)),
+                    "rhs": D2.element_str(_smash(D2, s, t))}
+    return None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .report import failing, passing
+from .report import check
 from .scalars import ONE, ZERO, RatFunc, q_power
 from .twisting import TwistingDatum, deg_add, deg_total, deg_zero
 
@@ -532,6 +532,7 @@ def generating_set(H, N):
     return gens
 
 
+@check
 def check_bialgebra(H, N):
     """Verify every bialgebra axiom of H on basis elements of total degree
     <= N: grading, unit and counit laws, associativity, coassociativity,
@@ -580,8 +581,7 @@ def check_bialgebra(H, N):
     cop = H.coproduct
 
     def fail(identity, labels_involved, lhs, rhs):
-        return failing("check_bialgebra", H.name, N, identity=identity,
-                       labels=labels_involved, lhs=lhs, rhs=rhs)
+        return {"identity": identity, "labels": labels_involved, "lhs": lhs, "rhs": rhs}
 
     def show(terms):
         return element_str(H, Element._raw(terms))
@@ -660,4 +660,4 @@ def check_bialgebra(H, N):
         if left != target or right != target:
             return fail("antipode law", H.label_text(a), show(left), show(right))
 
-    return passing("check_bialgebra", H.name, N)
+    return None

@@ -39,7 +39,6 @@ from .pairing import TwistedPairing
 from .partitions import (check_partition, mp_empty, mp_shape,
                          mp_sub_multisets, mp_union, multipartitions_of,
                          multiplicities, partitions_of)
-from .report import failing, passing
 from .scalars import (ONE, RatFunc, ZERO, q_binomial, q_factorial, q_int_sym)
 from .twisting import BiadditiveMap, TwistingDatum
 
@@ -276,14 +275,13 @@ def h_element(ncolors, n, i):
 
 
 def nonsingularity_check(A, kmax):
-    """Nonsingularity of the color matrices ([k <i,j>]) for 1 <= k <= kmax."""
-    name = "form%s" % (tuple(tuple(r) for r in A),)
+    """The first k in 1..kmax whose color matrix ([k <i,j>]) is singular, or
+    None when all of them are nonsingular."""
     for k in range(1, kmax + 1):
         m = [[q_int_sym(k * aij) for aij in row] for row in A]
         if det_bareiss(m).is_zero:
-            return failing("nonsingularity_check", name, kmax, k=k,
-                           reason="matrix [k<i,j>] is singular")
-    return passing("nonsingularity_check", name, kmax)
+            return k
+    return None
 
 
 # -- builders ------------------------------------------------------------
@@ -369,10 +367,9 @@ def build_qheis(A, name=None):
     naming the offending k.
     """
     A = _check_symmetric(A, "cartan matrix")
-    rep = nonsingularity_check(A, 8)
-    if not rep.passed:
-        raise SingularFormError(
-            "cannot build qheis: [k<i,j>] singular at k=%s" % rep.witness["k"])
+    k = nonsingularity_check(A, 8)
+    if k is not None:
+        raise SingularFormError("cannot build qheis: [k<i,j>] singular at k=%d" % k)
     return _sym_instance("qheis", "cartan", A, name, q_factor(A), True,
                          _GENERATORS)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .hopf import Element, _acc
 from .linalg import components, det_bareiss, det_image
-from .report import failing, passing
+from .report import check
 from .scalars import ONE, ZERO, q_power
 from .twisting import TwistingDatum, deg_add, dual_twisting
 from . import hopf
@@ -157,6 +157,7 @@ class TwistedPairing:
         return "TwistedPairing(%s)" % self.name
 
 
+@check
 def check_pairing_axioms(P, N):
     """Verify both multiplicativity identities and the unit/counit laws on
     basis triples of total degree <= N."""
@@ -167,43 +168,38 @@ def check_pairing_axioms(P, N):
     for a in plus.labels_up_to(N):
         lhs = P.pair(minus.unit_element(), e(a))
         if lhs != plus.counit_label(a):
-            return failing("check_pairing_axioms", P.name, N,
-                           identity="unit against plus", label=plus.label_text(a),
-                           lhs=lhs, rhs=plus.counit_label(a))
+            return {"identity": "unit against plus", "label": plus.label_text(a),
+                    "lhs": lhs, "rhs": plus.counit_label(a)}
     for x in minus.labels_up_to(N):
         lhs = P.pair(e(x), plus.unit_element())
         if lhs != minus.counit_label(x):
-            return failing("check_pairing_axioms", P.name, N,
-                           identity="unit against minus", label=minus.label_text(x),
-                           lhs=lhs, rhs=minus.counit_label(x))
+            return {"identity": "unit against minus", "label": minus.label_text(x),
+                    "lhs": lhs, "rhs": minus.counit_label(x)}
 
     # <xy, a> = c^gamma'(|x|,|y|) <x tensor y, Delta a>
     hit = _first_mismatch(minus, plus, P.row, P.gamma.prime, N)
     if hit is not None:
         x, y, a = hit
         twist = q_power(P.gamma.prime.evaluate(x.degree, y.degree))
-        return failing(
-            "check_pairing_axioms", P.name, N,
-            identity="product-coproduct (minus side)",
-            labels="%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
-                                    plus.label_text(a)),
-            lhs=P.pair(minus.product(x, y), e(a)),
-            rhs=twist * P.pair_tensor(Element._raw({(x, y): ONE}), plus.coproduct(a)))
+        return {
+            "identity": "product-coproduct (minus side)",
+            "labels": "%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
+                                       plus.label_text(a)),
+            "lhs": P.pair(minus.product(x, y), e(a)),
+            "rhs": twist * P.pair_tensor(Element._raw({(x, y): ONE}), plus.coproduct(a))}
 
     # <x, ab> = c^gamma''(|a|,|b|) <Delta x, a tensor b>
     hit = _first_mismatch(plus, minus, P.col, P.gamma.doubleprime, N)
     if hit is not None:
         a, b, x = hit
         twist = q_power(P.gamma.doubleprime.evaluate(a.degree, b.degree))
-        return failing(
-            "check_pairing_axioms", P.name, N,
-            identity="coproduct-product (plus side)",
-            labels="%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
-                                    plus.label_text(b)),
-            lhs=P.pair(e(x), plus.product(a, b)),
-            rhs=twist * P.pair_tensor(minus.coproduct(x), Element._raw({(a, b): ONE})))
-
-    return passing("check_pairing_axioms", P.name, N)
+        return {
+            "identity": "coproduct-product (plus side)",
+            "labels": "%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
+                                       plus.label_text(b)),
+            "lhs": P.pair(e(x), plus.product(a, b)),
+            "rhs": twist * P.pair_tensor(minus.coproduct(x), Element._raw({(a, b): ONE}))}
+    return None
 
 
 def _first_mismatch(H, K, store, twist, N):
@@ -244,6 +240,7 @@ def _first_mismatch(H, K, store, twist, N):
     return None
 
 
+@check
 def perfectness_check(P, N):
     """Nonvanishing of every Gram determinant for degrees of total <= N.
 
@@ -259,28 +256,25 @@ def perfectness_check(P, N):
     for degree in hopf.degrees_up_to(P.plus.rank, N):
         rows, cols, matrix = P.gram_block(degree)
         if len(rows) != len(cols):
-            return failing("perfectness_check", P.name, N, degree=degree,
-                           reason="basis sizes differ (%d vs %d)" % (len(rows), len(cols)))
+            return {"degree": degree,
+                    "reason": "basis sizes differ (%d vs %d)" % (len(rows), len(cols))}
         for r, c in components(matrix):
             if len(r) == len(c):
                 block = [[matrix[i][j] for j in c] for i in r]
                 if det_image(block) or not det_bareiss(block).is_zero:
                     continue
-            return failing("perfectness_check", P.name, N, degree=degree,
-                           reason="singular Gram block")
-    return passing("perfectness_check", P.name, N)
+            return {"degree": degree, "reason": "singular Gram block"}
+    return None
 
 
+@check
 def dual_presentation_check(P, N):
     """Confirm the minus twisting equals the dual of (chi, gamma) and that
     the minus side satisfies the bialgebra axioms with it, up to degree N."""
     expected = dual_twisting(P.plus.twisting, P.gamma)
     if P.minus.twisting != expected:
-        return failing("dual_presentation_check", P.name, N,
-                       declared=P.minus.twisting, expected=expected)
+        return {"declared": P.minus.twisting, "expected": expected}
     inner = hopf.check_bialgebra(P.minus, N)
     if not inner.passed:
-        return failing("dual_presentation_check", P.name, N,
-                       reason="minus side fails bialgebra axioms",
-                       witness=inner.witness)
-    return passing("dual_presentation_check", P.name, N)
+        return {"reason": "minus side fails bialgebra axioms", "witness": inner.witness}
+    return None

@@ -1,7 +1,16 @@
-"""Uniform pass/fail reports for the verification suites."""
+"""Uniform pass/fail reports for the verification suites.
+
+Every check follows one protocol.  It takes its context first (a
+presentation, a pairing or a double, whose ``name`` the report carries) and
+the degree bound N last, as a positional argument, and returns the witness
+of its first failing identity as a dict, or None when every identity holds.
+The ``check`` decorator turns that into a Report named after the function;
+this module is the only place that builds one.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -38,9 +47,15 @@ class Report:
         return head + " (" + detail + ")"
 
 
-def passing(check, instance, N):
-    return Report(check, instance, N, "pass")
-
-
-def failing(check, instance, N, **witness):
-    return Report(check, instance, N, "fail", {k: str(v) for k, v in witness.items()})
+def check(fn):
+    """The check fn(context, ..., N), which returns its first witness or
+    None, as a function returning the Report: named fn.__name__, for
+    context.name at N, with each witness value str()-ed in key order."""
+    @functools.wraps(fn)
+    def run(*args):
+        witness = fn(*args)
+        if witness is None:
+            return Report(fn.__name__, args[0].name, args[-1], "pass")
+        return Report(fn.__name__, args[0].name, args[-1], "fail",
+                      {k: str(v) for k, v in witness.items()})
+    return run

@@ -13,7 +13,7 @@ from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bounded_tuples
                              twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.partitions import check_partition, difference, multiplicities, sub_multisets
-from heisdouble.report import failing, passing
+from heisdouble.report import check
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_int_sym, q_power
 from heisdouble.twisting import TwistingDatum
 
@@ -280,12 +280,13 @@ def assert_agrees_with_full_sweeps(H, N):
 # -- the full shift-invariance sweep -------------------------------------
 
 
-def shift_invariance_witness(D, alpha, N):
+@check
+def verify_shift_invariance(D, alpha, N):
     """The full shift-invariance sweep: the smash products (a#x)(b#y) of D
     and of D.shifted(alpha) compared for every pair of normal-form pairs of
-    total degree <= N, in bounded_tuples order.  Returns the report that
-    verify_shift_invariance gives, whose witness is the first pair that
-    differs."""
+    total degree <= N, in bounded_tuples order.  Named after the library
+    check, so that its report is the one verify_shift_invariance gives,
+    whose witness is the first pair that differs."""
     D2 = D.shifted(alpha)
     pairs = list(bounded_tuples(
         [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
@@ -294,23 +295,26 @@ def shift_invariance_witness(D, alpha, N):
         rhs = _smash(D2, s, t)
         if lhs != rhs:
             (a, x), (b, y) = s, t
-            return failing(
-                "verify_shift_invariance", D.name, N,
-                labels="(%s # %s)(%s # %s)" % (
-                    D.plus.label_text(a), D.minus.label_text(x),
-                    D.plus.label_text(b), D.minus.label_text(y)),
-                lhs=D.element_str(lhs), rhs=D2.element_str(rhs))
-    return passing("verify_shift_invariance", D.name, N)
+            return {"labels": "(%s # %s)(%s # %s)" % (
+                        D.plus.label_text(a), D.minus.label_text(x),
+                        D.plus.label_text(b), D.minus.label_text(y)),
+                    "lhs": D.element_str(lhs), "rhs": D2.element_str(rhs)}
+    return None
+
+
+shift_invariance_witness = verify_shift_invariance
 
 
 # -- the commutation sweep, one action at a time ------------------------
 
 
-def commutation_witness(D, N):
+@check
+def verify_commutation(D, N):
     """The commutation sweep with every x(ab) summed on its own, from the
     cached action when |a| + |b| <= N and from _label_action, uncached,
-    above: no action is shared between generators.  Returns the report
-    that verify_commutation gives."""
+    above: no action is shared between generators.  Named after the
+    library check, so that its report is the one verify_commutation
+    gives."""
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
     inputs = [(b, sum(b.degree)) for b in D.plus.labels_up_to(N)]
@@ -327,14 +331,15 @@ def commutation_witness(D, N):
                                  for (u, y), c in xa.terms.items()
                                  for l, d in cached(y, b).terms.items())
                 if lhs != rhs:
-                    return failing(
-                        "verify_commutation", D.name, N,
-                        labels="x=%s, a=%s, b=%s" % (D.minus.label_text(x),
-                                                     D.plus.label_text(a),
-                                                     D.plus.label_text(b)),
-                        lhs=element_str(D.plus, Element._raw(lhs)),
-                        rhs=element_str(D.plus, Element._raw(rhs)))
-    return passing("verify_commutation", D.name, N)
+                    return {"labels": "x=%s, a=%s, b=%s" % (D.minus.label_text(x),
+                                                            D.plus.label_text(a),
+                                                            D.plus.label_text(b)),
+                            "lhs": element_str(D.plus, Element._raw(lhs)),
+                            "rhs": element_str(D.plus, Element._raw(rhs))}
+    return None
+
+
+commutation_witness = verify_commutation
 
 
 # -- the pairing and the action from their definitions -------------------
@@ -446,6 +451,7 @@ class HypothesisError(ValueError):
     """A check was invoked outside the hypotheses that make it meaningful."""
 
 
+@check
 def antipode_adjointness_check(P, N):
     """Verify <x, S(a)> = <S(x), a> on basis pairs of degree total <= N.
 
@@ -463,8 +469,6 @@ def antipode_adjointness_check(P, N):
             rhs = P.pair(antipode(P.minus, Element.from_label(x)),
                          Element.from_label(a))
             if lhs != rhs:
-                return failing("antipode_adjointness_check", P.name, N,
-                               labels="%s | %s" % (P.minus.label_text(x),
-                                                   P.plus.label_text(a)),
-                               lhs=lhs, rhs=rhs)
-    return passing("antipode_adjointness_check", P.name, N)
+                return {"labels": "%s | %s" % (P.minus.label_text(x), P.plus.label_text(a)),
+                        "lhs": lhs, "rhs": rhs}
+    return None

@@ -265,7 +265,7 @@ def test_acceptance_8_perfectness(weyl, a2):
     ok = (perfectness_check(weyl.pairing, 8).passed
           and perfectness_check(a2.pairing, 4).passed
           and perfectness_check(lat.pairing, 4).passed
-          and nonsingularity_check(A2, 4).passed)
+          and nonsingularity_check(A2, 4) is None)
     report(8, "gram determinants and color matrices nonzero", ok,
            time.monotonic() - t0, 60)
 

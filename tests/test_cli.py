@@ -5,7 +5,7 @@ import json
 import pytest
 
 from heisdouble import cli
-from heisdouble.report import failing
+from heisdouble.report import check
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +163,11 @@ def test_verify_degenerate_form_skips_fock_suites(cfg, capsys):
 
 
 def test_verify_failure_exit_code(cfg, capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "verify_commutation",
-        lambda D, N: failing("verify_commutation", D.name, N, reason="forced"))
+    @check
+    def verify_commutation(D, N):
+        return {"reason": "forced"}
+
+    monkeypatch.setattr(cli, "verify_commutation", verify_commutation)
     rc, out, _ = run(capsys, ["verify", "--instance", cfg["weyl"],
                               "--max-degree", "2"])
     assert rc == 1

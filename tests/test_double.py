@@ -325,11 +325,6 @@ def test_fock_matrix_qheis_degree_one_row(a2):
             assert mat[0][j] == q_int_sym(A[i - 1][j - 1])
 
 
-def test_fock_matrix_window_too_small(wd):
-    with pytest.raises(ValueError):
-        fock_matrix(wd, wd.embed_plus(xel(2)), 2, Nout=3)
-
-
 # ---------------------------------------------------------------------------
 # Verification suites
 

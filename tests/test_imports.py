@@ -150,3 +150,26 @@ def test_every_method_has_a_caller(path):
         if other != path:
             elsewhere |= attribute_names(ast.parse(other.read_text()))
     assert uncalled_methods(path.read_text(), elsewhere) == []
+
+
+def report_constructions(source):
+    """Line numbers of the calls Report(...) in source, by name or as an
+    attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Report"
+                 or getattr(node.func, "attr", None) == "Report")]
+
+
+def test_scanner_finds_report_constructions():
+    source = ("from heisdouble import report\nfrom heisdouble.report import Report\n"
+              "a = Report('c', 'i', 1, 'pass')\nb = report.Report('c', 'i', 1, 'pass')\n"
+              "c = Reporter()\nd = Report\n")
+    assert report_constructions(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_report_module_builds_reports(path):
+    # every check returns its witness and report.check builds the Report
+    if path.name != "report.py":
+        assert report_constructions(path.read_text()) == []
