@@ -12,16 +12,20 @@ where x1(b) is the twisted left regular action of the minus side on the
 plus side through the pairing.  Degrees inside the double are signed:
 deg(a#x) = |a| - |x|.
 
-A context caches the action and the smash product on labels, and the
-embedded element of each generator it has built, under (name, args).  A
-builder that raises leaves nothing in the cache, registering a generator
-drops that name's entries, and a shifted context starts with empty caches;
-only the Gram rows of its pairing are shared, since a shift leaves the
-Gram values unchanged.
+Every action is computed by one kernel, _actions: x(u) for each minus x
+that pairs with a right factor of Delta(u), in one scan of Delta(l) per
+label l of u.  A context caches it once per plus label b, as actions(b) =
+{x: x(b)}; action_label(x, b) is a lookup there, and every Fock-space check
+reads this one cache.  A context also caches the smash product on labels,
+and the embedded element of each generator it has built, under
+(name, args).  A builder that raises leaves nothing in the cache,
+registering a generator drops that name's entries, and a shifted context
+starts with empty caches; only the Gram rows of its pairing are shared,
+since a shift leaves the Gram values unchanged.
 
 The commutation sweep caches no action on an input above its bound N.
-There it computes the actions x(ab) of every minus generator x on a
-product ab together, in one scan of Delta(l) per label l of ab, and keeps
+There the same kernel computes the actions x(ab) of every minus generator
+x on a product ab together, through the generators' Gram rows, and keeps
 them only while the outer generator a stays the same; see
 verify_commutation.  Each product ab above N and each of its coproducts
 is then scanned once per (a, b) instead of once per (a, x, b):
@@ -65,22 +69,26 @@ class IncompatiblePairError(ValueError):
     """The twisting data do not satisfy chi' = -(gamma')^T."""
 
 
-def _twist(P, a1, a2):
-    """q^(gamma'(|a1|,|a2|)), the twist of the term a1 (x) a2 of Delta(a) in
-    every action x(a); the action's q-exponent is written here only."""
-    return q_power(P.gamma.prime.evaluate(a1.degree, a2.degree))
+_NO_ACTION = Element.zero()  # x(b) of an x that actions(b) does not list
 
 
-def _label_action(P, x, a):
-    """x(a) on basis labels: the sum over Delta(a) = a1 (x) a2 of
-    q^(gamma'(|a1|,|a2|)) <x, a2> a1; only the a2 in the row of x pair."""
-    row = P.row(x)
+def _actions(P, terms, col):
+    """x(u) for every minus x at once, where u has the term dict terms: the
+    sum over the terms c l of u and Delta(l) = a1 (x) a2 of
+    c q^(gamma'(|a1|,|a2|)) <x, a2> a1, in one scan of Delta(l) per label l.
+    col(a2) is {x: <x, a2>} over the x with <x, a2> != 0, or None; the
+    result maps each x it lists to the term dict of x(u), and an x missing
+    from it acts as zero.  The action's q-exponent is written here only."""
+    gp = P.gamma.prime.evaluate
     out = {}
-    for (a1, a2), c in P.plus.coproduct(a).terms.items():
-        v = row.get(a2)
-        if v is not None:
-            _acc(out, a1, c * v * _twist(P, a1, a2))
-    return Element._raw(out)
+    for l, cl in terms.items():
+        for (a1, a2), c in P.plus.coproduct(l).terms.items():
+            xs = col(a2)
+            if xs:
+                ct = cl * c * q_power(gp(a1.degree, a2.degree))
+                for x, v in xs.items():
+                    _acc(out.setdefault(x, {}), a1, ct * v)
+    return out
 
 
 def _core_terms(D, x, b):
@@ -92,8 +100,9 @@ def _core_terms(D, x, b):
     gpp = D.gamma.doubleprime.evaluate
     xipp = D.xi.doubleprime.evaluate
     bdeg = b.degree
+    acts = D.actions(b)
     for (x1, x2), c in D.minus.coproduct(x).terms.items():
-        act = D.action_label(x1, b)
+        act = acts.get(x1, _NO_ACTION)
         if not act.is_zero:
             e = gpp(bdeg, x2.degree) + xipp(deg_sub(bdeg, x1.degree), x2.degree)
             yield x2, c * q_power(e), act
@@ -198,14 +207,21 @@ class HeisenbergDouble:
 
     # -- cached structure ------------------------------------------------
 
-    def action_label(self, x_label, a_label):
-        """Left regular action on basis labels, cached."""
-        key = (x_label, a_label)
-        hit = self._action.get(key)
+    def actions(self, b):
+        """{x: x(b)} for the plus label b, over every minus x that pairs with
+        a right factor of Delta(b), cached; an x missing from it acts as
+        zero.  Callers share the returned dict and must not mutate it."""
+        hit = self._action.get(b)
         if hit is None:
+            acts = _actions(self.pairing, {b: ONE}, self.pairing.col)
             hit = self._action.setdefault(
-                key, _label_action(self.pairing, x_label, a_label))
+                b, {x: Element._raw(t) for x, t in acts.items()})
         return hit
+
+    def action_label(self, x_label, a_label):
+        """Left regular action on basis labels, read from actions(a_label):
+        callers share the returned Element and must not mutate it."""
+        return self.actions(a_label).get(x_label, _NO_ACTION)
 
     def smash_labels(self, s, t):
         """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), cached
@@ -329,23 +345,6 @@ def _gen_labels(H, hook, N):
     return H.labels_up_to(N)
 
 
-def _product_actions(P, index, ab):
-    """x(ab) for every minus x of index at once, in one scan of Delta(l) per
-    label l of the plus element ab.  index maps a plus label a2 to the pairs
-    (x, <x, a2>) with <x, a2> != 0; the result maps each x that pairs with
-    some a2 to the term dict of x(ab), and an x missing from it acts as
-    zero."""
-    out = {}
-    for l, cl in ab.terms.items():
-        for (a1, a2), c in P.plus.coproduct(l).terms.items():
-            pairs = index.get(a2)
-            if pairs:
-                ct = cl * c * _twist(P, a1, a2)
-                for x, v in pairs:
-                    _acc(out.setdefault(x, {}), a1, ct * v)
-    return out
-
-
 @check
 def verify_commutation(D, N):
     """Operator identity behind the smash product: for minus x, plus a,
@@ -361,14 +360,14 @@ def verify_commutation(D, N):
     the labels l of ab, which verify_vacuum and the shift sweep read again.
     Above N an action is read about once and never again, so none is
     cached.  Instead, the first time some x reaches (a, b), the actions of
-    every minus generator on ab are computed together by _product_actions:
-    one scan of Delta(l) per label l of ab, through an index
-    {a2: [(x, <x, a2>)]} of the generators' Gram rows.  They are kept for
-    the current a only, until the later x have read them.  Delta(l) is read
-    through the plus coproduct cache, so a corrupted cached coproduct is
-    seen.  The comparisons, their order, and so the first failure and its
-    witness, are those of a sweep that computes each x(ab) on its own; the
-    module docstring counts the scans this saves.
+    every minus generator on ab are computed together by _actions, the
+    kernel behind the cache, through an index {a2: {x: <x, a2>}} of the
+    generators' Gram rows: one scan of Delta(l) per label l of ab.  They
+    are kept for the current a only, until the later x have read them.
+    Delta(l) is read through the plus coproduct cache, so a corrupted
+    cached coproduct is seen.  The comparisons, their order, and so the
+    first failure and its witness, are those of a sweep that computes each
+    x(ab) on its own; the module docstring counts the scans this saves.
     """
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
@@ -378,7 +377,7 @@ def verify_commutation(D, N):
     index = {}
     for x in minus_gens:
         for a2, v in D.pairing.row(x).items():
-            index.setdefault(a2, []).append((x, v))
+            index.setdefault(a2, {})[x] = v
     for a in plus_gens:
         na = deg_total(a.degree)
         above = {}  # b -> {x: x(ab)} for |a| + |b| > N
@@ -391,7 +390,7 @@ def verify_commutation(D, N):
                 else:
                     acts = above.get(b)
                     if acts is None:
-                        acts = above[b] = _product_actions(D.pairing, index, prod(a, b))
+                        acts = above[b] = _actions(D.pairing, prod(a, b).terms, index.get)
                     lhs = acts.get(x, {})
                 rhs = _sum_terms((c * d, prod(u, l).terms)
                                  for (u, y), c in xa.terms.items()
@@ -418,8 +417,10 @@ def verify_vacuum(D, N):
     minus element annihilates it, and the joint kernel of the minus action
     on each positive stratum of total degree <= N is zero.
 
-    The joint kernel is zero when the rank in F_p is full (see the module
-    docstring); otherwise sparse_rank gives its dimension."""
+    Each column is read from the cached actions(b) of one stratum label b,
+    over its minus labels x of positive degree.  The joint kernel is zero
+    when the rank in F_p is full (see the module docstring); otherwise
+    sparse_rank gives its dimension."""
     _require_perfect(D, "verify_vacuum")
     for x in D.minus.labels_up_to(N):
         if deg_total(x.degree) == 0:
@@ -433,16 +434,14 @@ def verify_vacuum(D, N):
         if deg_total(degree) == 0:
             continue
         stratum = D.plus.basis(degree)
-        minus_labels = [x for x in D.minus.labels_up_to(deg_total(degree))
-                        if deg_total(x.degree) > 0]
         ids = {}
         rows = []
         for b in stratum:
             col = {}
-            for x in minus_labels:
-                for l, c in D.action_label(x, b).terms.items():
-                    k = ids.setdefault((x, l), len(ids))
-                    col[k] = c
+            for x, act in D.actions(b).items():
+                if deg_total(x.degree) > 0:
+                    for l, c in act.terms.items():
+                        col[ids.setdefault((x, l), len(ids))] = c
             rows.append(col)
         rank = rank_image(rows)
         if rank != len(stratum):
@@ -460,33 +459,32 @@ def verify_faithful(D, lam, N):
 
     Inputs up to the largest minus degree in the stratum suffice: inputs of
     degree m only see minus factors of degree <= m, so the strata are
-    triangular and perfectness clears them bottom-up.  The rank is certified
+    triangular and perfectness clears them bottom-up.  The row of a pair
+    (a, x) holds (a#x)(b) = a x(b) for every input b, summed from the
+    cached action x(b) and the cached products a*l.  The rank is certified
     in F_p, and computed by sparse_rank when that falls short (see the
     module docstring)."""
     _require_perfect(D, "verify_faithful")
     lam = tuple(lam)
     pairs = []
     for da in degrees_up_to(D.rank, N):
-        for a in D.plus.basis(da):
-            for dx in degrees_up_to(D.rank, N):
-                if deg_sub(da, dx) != lam:
-                    continue
-                for x in D.minus.basis(dx):
-                    pairs.append((a, x))
+        dx = deg_sub(da, lam)
+        if min(dx) >= 0 and deg_total(dx) <= N:
+            pairs.extend((a, x) for a in D.plus.basis(da) for x in D.minus.basis(dx))
     if not pairs:
         return None
     nin = max(deg_total(x.degree) for _, x in pairs)
     inputs = D.plus.labels_up_to(nin)
+    prod = D.plus.product
     ids = {}
     rows = []
     for a, x in pairs:
         flat = {}
         for b in inputs:
-            img = fock_apply(D, Element._raw({(a, x): ONE}),
-                             Element.from_label(b))
-            for l, c in img.terms.items():
-                k = ids.setdefault((b, l), len(ids))
-                flat[k] = c
+            img = _sum_terms((c, prod(a, l).terms)
+                             for l, c in D.action_label(x, b).terms.items())
+            for l, c in img.items():
+                flat[ids.setdefault((b, l), len(ids))] = c
         rows.append(flat)
     rank = rank_image(rows)
     if rank != len(pairs):

@@ -40,8 +40,9 @@ class TwistedPairing:
 
     support(x_label), when given, lists the plus labels of degree |x| that
     row(x) consults, in basis order; it must contain every a with
-    <x, a> != 0, since a label outside it reads as zero.  By default it is
-    the whole plus basis of degree |x|.
+    <x, a> != 0, since a label outside it reads as zero, and row(x) refuses
+    a label of another degree.  By default it is the whole plus basis of
+    degree |x|.
     """
 
     def __init__(self, minus, plus, gamma, gram_fn, name=None, support=None):
@@ -73,12 +74,16 @@ class TwistedPairing:
 
     def row(self, x):
         """{a: <x, a>} over support(x), nonzero values only, in basis order;
-        made once per minus label."""
+        made once per minus label.  ValueError when support(x) lists a label
+        whose degree is not |x|."""
         hit = self._rows.get(x)
         if hit is None:
             gram = self._gram_fn
             out = {}
             for a in self._support(x):
+                if a.degree != x.degree:
+                    raise ValueError("support of %r lists %r, of another degree"
+                                     % (x, a))
                 v = gram(x, a)
                 if not v.is_zero:
                     out[a] = v
@@ -164,17 +169,13 @@ def check_pairing_axioms(P, N):
     minus, plus = P.minus, P.plus
     e = Element.from_label
 
-    # unit rows: <1, a> = eps(a), <x, 1> = eps(x)
-    for a in plus.labels_up_to(N):
-        lhs = P.pair(minus.unit_element(), e(a))
-        if lhs != plus.counit_label(a):
-            return {"identity": "unit against plus", "label": plus.label_text(a),
-                    "lhs": lhs, "rhs": plus.counit_label(a)}
-    for x in minus.labels_up_to(N):
-        lhs = P.pair(e(x), plus.unit_element())
-        if lhs != minus.counit_label(x):
-            return {"identity": "unit against minus", "label": minus.label_text(x),
-                    "lhs": lhs, "rhs": minus.counit_label(x)}
+    # <1, a> = eps(a) and <x, 1> = eps(x) reduce to <1, 1> = eps(1): a row
+    # holds labels of its own degree only; the sweeps refuse a negative N
+    u = plus.unit_label
+    lhs = P.pair_labels(minus.unit_label, u)
+    if N >= 0 and lhs != plus.counit_label(u):
+        return {"identity": "unit against plus", "label": plus.label_text(u),
+                "lhs": lhs, "rhs": plus.counit_label(u)}
 
     # <xy, a> = c^gamma'(|x|,|y|) <x tensor y, Delta a>
     hit = _first_mismatch(minus, plus, P.row, P.gamma.prime, N)

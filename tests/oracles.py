@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from heisdouble.double import _gen_labels, _label_action, _smash
+from heisdouble.double import _gen_labels, _smash
 from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bounded_tuples,
                              check_bialgebra, comultiply, element_str, multiply,
                              twisted_tensor_multiply)
@@ -311,7 +311,7 @@ shift_invariance_witness = verify_shift_invariance
 @check
 def verify_commutation(D, N):
     """The commutation sweep with every x(ab) summed on its own, from the
-    cached action when |a| + |b| <= N and from _label_action, uncached,
+    cached action when |a| + |b| <= N and from label_action, uncached,
     above: no action is shared between generators.  Named after the
     library check, so that its report is the one verify_commutation
     gives."""
@@ -320,7 +320,7 @@ def verify_commutation(D, N):
     inputs = [(b, sum(b.degree)) for b in D.plus.labels_up_to(N)]
     product = D.plus.product
     cached = D.action_label
-    uncached = partial(_label_action, D.pairing)
+    uncached = partial(label_action, D.pairing)
     for a in plus_gens:
         for x in minus_gens:
             xa = D.smash_labels((D.plus.unit_label, x), (a, D.minus.unit_label))
@@ -370,6 +370,20 @@ def pair_tensor_brute(P, s, t):
         for (l1, l2), d in t.terms.items():
             total = total + c * d * gram_value(P, k1, l1) * gram_value(P, k2, l2)
     return total
+
+
+def label_action(P, x, a):
+    """x(a) on basis labels, one pair (x, a) at a time: the sum over
+    Delta(a) = a1 (x) a2 of q^(gamma'(|a1|,|a2|)) <x, a2> a1, reading only
+    the a2 in the row of x."""
+    row = P.row(x)
+    gp = P.gamma.prime
+    out = {}
+    for (a1, a2), c in P.plus.coproduct(a).terms.items():
+        v = row.get(a2)
+        if v is not None:
+            _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
+    return Element._raw(out)
 
 
 def left_regular_action(P, x, a):

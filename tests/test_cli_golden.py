@@ -6,8 +6,8 @@ Weyl (N=6), lattice I2 (N=4), I2 with its coproducts shifted by alpha = 1
 whose 35 x 35 Gram component is certified in F_p), `verify --json` on
 qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
 reports and its skipped list), and one `fock-matrix --json` and one
-`normal-order` answer on A2.  A change that keeps every verdict must keep this output byte for
-byte.
+`normal-order` answer on A2, and the printout of each script in demos/.
+A change that keeps every verdict must keep this output byte for byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
 interpreters under two hash seeds, which must print the same bytes.
@@ -89,3 +89,17 @@ def test_python_m_heisdouble_matches_golden():
                        env=dict(os.environ, PYTHONPATH=pythonpath))
     assert r.returncode == 0, r.stderr
     assert r.stdout == (GOLDEN / "verify-lattice-i2-4.txt").read_text()
+
+
+DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_matches_golden(demo):
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert r.returncode == 0, r.stderr
+    name = demo.stem.removeprefix("demo_")
+    assert r.stdout == (GOLDEN / ("demo-%s.txt" % name)).read_text()

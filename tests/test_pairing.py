@@ -159,6 +159,21 @@ def test_axioms_qheis_pass(a2):
     assert rep.passed, str(rep)
 
 
+def test_row_refuses_a_support_label_of_another_degree(weyl):
+    # check_pairing_axioms reduces its unit laws to <1, 1> = 1 because a row
+    # holds only labels of its own degree; a support that breaks this is
+    # refused when the row is made, not read as a nonzero <x, a>
+    P = weyl.pairing
+    bad = TwistedPairing(P.minus, P.plus, P.gamma, lambda x, a: ONE,
+                         name="weyl-bad-support",
+                         support=lambda x: P.plus.labels_up_to(x.degree[0]))
+    assert bad.row(xlab(0)) == {xlab(0): ONE}
+    with pytest.raises(ValueError, match="another degree"):
+        bad.row(xlab(1))
+    with pytest.raises(ValueError, match="another degree"):
+        check_pairing_axioms(bad, 2)
+
+
 # Failing runs of check_pairing_axioms, each printed report pinned byte for
 # byte in tests/golden/pairing-witnesses.json: one wrong twist, and one
 # corrupted Gram entry caught by each side.

@@ -75,22 +75,20 @@ def weyl_action():
     # d(x^3) is [3] x^2 = (1 + q + q^2) x^2, off by q
     D = build_weyl().double
     d, x3 = D.minus.basis((1,))[0], D.plus.basis((3,))[0]
-    D._action[(d, x3)] = D.action_label(d, x3).scale(Q)
+    D.actions(x3)[d] = D.action_label(d, x3).scale(Q)
     return D, ZETA, 4
 
 
 def i2_action():
     D = i2().double
-    key = (P11, MIXED)
-    D._action[key] = D.action_label(*key).scale(Q)
+    D.actions(MIXED)[P11] = D.action_label(P11, MIXED).scale(Q)
     return D, ZETA, 3
 
 
 def a2_action():
     # p'[1,1](p[1,1]*p[1,2]) has two terms; the one on p[1,1] is off by q
     D = a2().double
-    key = (P11, MIXED)
-    D._action[key] = scaled_term(D.action_label(*key), P11)
+    D.actions(MIXED)[P11] = scaled_term(D.action_label(P11, MIXED), P11)
     return D, ZETA, 3
 
 
@@ -159,11 +157,12 @@ UNCAUGHT = {
 
 
 def _entries(D, N):
-    """(kind, cache, key) for every cached action (x, b) with |x| + |b| <= N
-    and every cached minus coproduct of total degree <= N."""
+    """(kind, cache, key) for every cached action x(b) with |x| + |b| <= N,
+    keyed by x in actions(b), and every cached minus coproduct of total
+    degree <= N."""
     total = lambda l: sum(l.degree)
-    return ([("action", D._action, k) for k in D._action
-             if total(k[0]) + total(k[1]) <= N]
+    return ([("action", acts, x) for b, acts in D._action.items() for x in acts
+             if total(x) + total(b) <= N]
             + [("minus coproduct", D.minus._coprod, k) for k in D.minus._coprod
                if total(k) <= N])
 

@@ -179,7 +179,7 @@ def copy_actions(D, degree, source, targets):
         if sum(x.degree):
             act = D.action_label(x, basis[source])
             for t in targets:
-                D._action[(x, basis[t])] = act
+                D.actions(basis[t])[x] = act
 
 
 def a2_vacuum_copied_actions():
@@ -198,7 +198,7 @@ def i2_vacuum_zero_column():
     b = D.plus.basis((2,))[1]
     for x in D.minus.labels_up_to(2):
         if sum(x.degree):
-            D._action[(x, b)] = Element.zero()
+            D.actions(b)[x] = Element.zero()
     return verify_vacuum, (D, 3)
 
 
@@ -208,7 +208,7 @@ def weyl_faithful_dead_d():
     assert verify_faithful(D, (0,), 2).passed
     d = D.minus.basis((1,))[0]
     for b in D.plus.labels_up_to(2):
-        D._action[(d, b)] = Element.zero()
+        D.actions(b)[d] = Element.zero()
     return verify_faithful, (D, (0,), 2)
 
 
