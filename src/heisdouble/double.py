@@ -23,17 +23,10 @@ registering a generator drops that name's entries, and a shifted context
 starts with empty caches; only the Gram rows of its pairing are shared,
 since a shift leaves the Gram values unchanged.
 
-The commutation sweep caches no action on an input above its bound N.
-There the same kernel computes the actions x(ab) of every minus generator
-x on a product ab together, through the generators' Gram rows, and keeps
-them only while the outer generator a stays the same; see
-verify_commutation.  Each product ab above N and each of its coproducts
-is then scanned once per (a, b) instead of once per (a, x, b):
-
-    instance      N   x(ab) above N   scans of Delta(l)    terms scanned
-    qheis A2      4           1,952         1,952 -> 244   17,280 -> 2,160
-    lattice I2    5           6,040         6,040 -> 604   69,600 -> 6,960
-    lattice I2    6          16,608      16,608 -> 1,384  241,728 -> 20,144
+The commutation sweep computes its left side x(ab) with the same kernel at
+every degree, once per (a, b) for all minus generators x, and caches none
+of it, so it checks the action cache against an independent sum; see
+verify_commutation.
 
 The product is the core (1#x)(b#1) lifted by the products a*u and x2*y, so
 the shift-invariance sweep compares the cores of the double and of its
@@ -91,48 +84,38 @@ def _actions(P, terms, col):
     return out
 
 
-def _core_terms(D, x, b):
+def _core(D, x, b):
     """The core (1#x)(b#1) = sum over Delta(x) = x1 (x) x2 of
-    q^(gamma''(|b|,|x2|) + xi''(|b|-|x1|,|x2|)) x1(b) # x2, as the triples
-    (x2, c, x1(b)) with c the coproduct coefficient times that q-power,
-    skipping a zero action.  The smash product's q-exponent is written here
-    only."""
+    q^(gamma''(|b|,|x2|) + xi''(|b|-|x1|,|x2|)) x1(b) # x2, as a term dict
+    on normal-form pairs (u, x2), from the cached actions(b) and with no
+    product applied.  The smash product's q-exponent is written here only."""
     gpp = D.gamma.doubleprime.evaluate
     xipp = D.xi.doubleprime.evaluate
     bdeg = b.degree
     acts = D.actions(b)
-    for (x1, x2), c in D.minus.coproduct(x).terms.items():
-        act = acts.get(x1, _NO_ACTION)
-        if not act.is_zero:
-            e = gpp(bdeg, x2.degree) + xipp(deg_sub(bdeg, x1.degree), x2.degree)
-            yield x2, c * q_power(e), act
-
-
-def _core(D, x, b):
-    """The core (1#x)(b#1) as a term dict on normal-form pairs (u, x2), with
-    no product applied."""
     out = {}
-    for x2, coeff, act in _core_terms(D, x, b):
-        for u, cu in act.terms.items():
-            _acc(out, (u, x2), coeff * cu)
+    for (x1, x2), c in D.minus.coproduct(x).terms.items():
+        act = acts.get(x1, _NO_ACTION).terms
+        if act:
+            k = c * q_power(gpp(bdeg, x2.degree) + xipp(deg_sub(bdeg, x1.degree), x2.degree))
+            for u, cu in act.items():
+                _acc(out, (u, x2), k * cu)
     return out
 
 
 def _smash(D, s, t):
-    """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y): the sum of
-    k (a*u) # (x2*y) over the terms k u # x2 of the core (1#x)(b#1), from the
-    cached actions and structure constants of D; the result is not cached."""
+    """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y): the core
+    (1#x)(b#1) lifted by the products a*u and x2*y, that is the sum of
+    k (a*u) # (x2*y) over the terms k u # x2 of _core(D, x, b); the result
+    is not cached."""
     (a, x), (b, y) = s, t
     out = {}
-    for x2, coeff, act in _core_terms(D, x, b):
-        right = D.minus.product(x2, y)
-        for u, cu in act.terms.items():
-            left = D.plus.product(a, u)
-            k0 = coeff * cu
-            for la, ca in left.terms.items():
-                k1 = k0 * ca
-                for lx, cx in right.terms.items():
-                    _acc(out, (la, lx), k1 * cx)
+    for (u, x2), k in _core(D, x, b).items():
+        right = D.minus.product(x2, y).terms
+        for la, ca in D.plus.product(a, u).terms.items():
+            k1 = k * ca
+            for lx, cx in right.items():
+                _acc(out, (la, lx), k1 * cx)
     return Element._raw(out)
 
 
@@ -356,22 +339,22 @@ def verify_commutation(D, N):
     generator pairs and all basis inputs b of degree <= N, with a outer, x
     in the middle and b inner.  Both sides are summed into term dicts.
 
-    When |a| + |b| <= N, x(ab) is summed from the cached actions x(l) on
-    the labels l of ab, which verify_vacuum and the shift sweep read again.
-    Above N an action is read about once and never again, so none is
-    cached.  Instead, the first time some x reaches (a, b), the actions of
-    every minus generator on ab are computed together by _actions, the
-    kernel behind the cache, through an index {a2: {x: <x, a2>}} of the
-    generators' Gram rows: one scan of Delta(l) per label l of ab.  They
-    are kept for the current a only, until the later x have read them.
+    The right side reads the cached actions y(b), which verify_vacuum and
+    the shift sweep read again.  The left side is computed afresh at every
+    degree, so the sweep checks that cache against an independent sum: the
+    first time some x reaches (a, b), the actions of every minus generator
+    on ab are computed together by _actions, the kernel behind the cache,
+    through an index {a2: {x: <x, a2>}} of the generators' Gram rows, in
+    one scan of Delta(l) per label l of ab.  They are cached nowhere and
+    kept for the current a only, until the later x have read them.
     Delta(l) is read through the plus coproduct cache, so a corrupted
     cached coproduct is seen.  The comparisons, their order, and so the
     first failure and its witness, are those of a sweep that computes each
-    x(ab) on its own; the module docstring counts the scans this saves.
+    x(ab) on its own.
     """
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
-    inputs = [(b, deg_total(b.degree)) for b in D.plus.labels_up_to(N)]
+    inputs = D.plus.labels_up_to(N)
     prod = D.plus.product
     cached = D.action_label
     index = {}
@@ -379,19 +362,14 @@ def verify_commutation(D, N):
         for a2, v in D.pairing.row(x).items():
             index.setdefault(a2, {})[x] = v
     for a in plus_gens:
-        na = deg_total(a.degree)
-        above = {}  # b -> {x: x(ab)} for |a| + |b| > N
+        fresh = {}  # b -> {x: x(ab)} for the current a
         for x in minus_gens:
             xa = D.smash_labels((D.plus.unit_label, x), (a, D.minus.unit_label))
-            for b, nb in inputs:
-                if na + nb <= N:
-                    lhs = _sum_terms((c, cached(x, l).terms)
-                                     for l, c in prod(a, b).terms.items())
-                else:
-                    acts = above.get(b)
-                    if acts is None:
-                        acts = above[b] = _actions(D.pairing, prod(a, b).terms, index.get)
-                    lhs = acts.get(x, {})
+            for b in inputs:
+                acts = fresh.get(b)
+                if acts is None:
+                    acts = fresh[b] = _actions(D.pairing, prod(a, b).terms, index.get)
+                lhs = acts.get(x, {})
                 rhs = _sum_terms((c * d, prod(u, l).terms)
                                  for (u, y), c in xa.terms.items()
                                  for l, d in cached(y, b).terms.items())

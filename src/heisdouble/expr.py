@@ -7,8 +7,10 @@
 
 NAME is a letter run with an optional trailing prime (p').  The letter q is
 the scalar variable; '/' is defined only between scalar subexpressions; '#'
-multiplies like '*' and lets printed normal forms round-trip.  Syntax errors
-carry the 0-based offset of the offending character.
+multiplies like '*' and lets printed normal forms round-trip.  INT is a run
+of decimal digits (str.isdecimal), so a superscript such as '²' is refused.
+Parentheses nest at most 100 deep.  Syntax errors carry the 0-based offset
+of the offending character.
 
 An AST is a tree of tuples, so it is immutable and hashable.
 ``parse_expression`` keeps the ASTs of the last PARSE_CACHE_SIZE texts in an
@@ -44,6 +46,10 @@ _SYMBOLS = set("+-*/^()[],#")
 # Distinct texts whose ASTs parse_expression keeps.
 PARSE_CACHE_SIZE = 4096
 
+# Deepest parenthesis nesting the parser accepts; each level costs a few
+# stack frames, so a bound keeps deep input a syntax error, not a crash.
+_MAX_NESTING = 100
+
 
 def tokenize(text):
     toks = []
@@ -54,9 +60,9 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", int(text[i:j]), i))
             i = j
@@ -84,6 +90,7 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -179,8 +186,13 @@ class _Parser:
                 self.expect_sym("]")
             return ("name", pos, val, tuple(args) if args is not None else None)
         if kind == "sym" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprSyntaxError("parentheses nested deeper than %d" % _MAX_NESTING,
+                                      pos)
+            self.depth += 1
             node = self.parse_expr()
             self.expect_sym(")")
+            self.depth -= 1
             return node
         raise ExprSyntaxError("expected a value", pos)
 

@@ -349,6 +349,20 @@ def test_expression_syntax_error(cfg, capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    # str.isdigit accepts '²', but int() does not
+    ("x\u00b2", "error: unexpected character '\u00b2' at offset 1\n"),
+    ("(" * 400 + "x" + ")" * 400,
+     "error: parentheses nested deeper than 100 at offset 100\n"),
+], ids=["superscript-digit", "deep-nesting"])
+def test_unparsable_expression_is_refused_not_a_crash(cfg, capsys, text, message):
+    rc, out, err = run(capsys, ["normal-order", "--instance", cfg["weyl"],
+                                "--expr", text])
+    assert rc == 2
+    assert out == ""
+    assert err == message
+
+
 def test_unknown_generator_is_reported(cfg, capsys):
     rc, _, err = run(capsys, ["normal-order", "--instance", cfg["weyl"],
                               "--expr", "p[1,1]"])

@@ -509,8 +509,10 @@ def test_verify_commutation_catches_corrupted_action():
     D.actions(xlab(2))[xlab(1)] = xel(1, Q)  # d(x^2) is (1 + q) x
     rep = verify_commutation(D, 3)
     assert not rep.passed
-    assert rep.witness == {"labels": "x=d, a=x, b=x", "lhs": "q*x",
-                           "rhs": "(1 + q)*x"}
+    # the left side is computed afresh, so the first witness is the first
+    # right side that reads the corrupted d(x^2)
+    assert rep.witness == {"labels": "x=d, a=1, b=x^2", "lhs": "(1 + q)*x",
+                           "rhs": "q*x"}
 
 
 def test_verify_commutation_catches_corrupted_smash():

@@ -119,6 +119,19 @@ def test_syntax_error_offsets():
         assert e.value.offset == offset, text
 
 
+def test_unicode_decimal_digits_are_integers():
+    # '\u0663' (Arabic-Indic three) is a decimal digit; a superscript such as
+    # '\u00b2' is not, and tests/test_cli.py sees it refused
+    assert parse_expression("x^\u0663") == parse_expression("x^3")
+
+
+def test_parenthesis_nesting_up_to_the_bound_parses(wd):
+    # one level deeper is refused, as tests/test_cli.py sees
+    assert evaluate_text(wd, "(" * 100 + "x" + ")" * 100) == evaluate_text(wd, "x")
+    # the bound is on the depth, not on the number of parentheses
+    assert evaluate_text(wd, "(x)" * 150) == evaluate_text(wd, "x^150")
+
+
 def test_trailing_garbage_is_an_error():
     with pytest.raises(ExprSyntaxError) as e:
         parse_expression("q )")
