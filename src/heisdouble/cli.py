@@ -86,31 +86,48 @@ def _single_expr(args):
     return args.expr[0]
 
 
+def verify_suite(inst, N):
+    """Run verify's checks on inst at N, in order: the reports, and the
+    names of the checks a degenerate form skips.
+
+    A check that presupposes earlier ones gets presupposed=True exactly
+    when every one of them passed in this run; check_pairing_axioms then
+    runs its reduced sweeps."""
+    D = inst.double
+    # (key, check, its arguments before N, whether a degenerate form skips
+    # it, keys of the earlier checks it presupposes), read at call time so
+    # that a patched check is the one that runs
+    suite = [
+        ("bialgebra+", check_bialgebra, (inst.plus,), False, ()),
+        ("bialgebra-", check_bialgebra, (inst.minus,), False, ()),
+        ("pairing", check_pairing_axioms, (inst.pairing,), False,
+         ("bialgebra+", "bialgebra-")),
+        ("dual", dual_presentation_check, (inst.pairing,), False, ()),
+        ("perfect", perfectness_check, (inst.pairing,), True, ()),
+        ("commutation", verify_commutation, (D,), False, ()),
+        ("vacuum", verify_vacuum, (D,), True, ()),
+        ("shift", verify_shift_invariance, (D, BiadditiveMap.ones(D.rank)), False, ()),
+    ]
+    passed, reports, skipped = set(), [], []
+    for key, check, context, needs_perfect, presupposes in suite:
+        if needs_perfect and not D.perfect:
+            skipped.append(check.__name__)
+            continue
+        options = {"presupposed": passed.issuperset(presupposes)} if presupposes else {}
+        rep = check(*context, N, **options)
+        if rep.passed:
+            passed.add(key)
+        reports.append(rep)
+    return reports, skipped
+
+
 def cmd_verify(args):
     N = args.max_degree
     if N < 1:
         # at N = 0 every sweep meets only the unit: nothing would be checked
         raise ConfigError("--max-degree must be positive")
     inst = load_instance(args.instance)
-    D = inst.double
-    # (check, its arguments before N, whether a degenerate form skips it),
-    # read at call time so that a patched check is the one that runs
-    suite = [
-        (check_bialgebra, (inst.plus,), False),
-        (check_bialgebra, (inst.minus,), False),
-        (check_pairing_axioms, (inst.pairing,), False),
-        (dual_presentation_check, (inst.pairing,), False),
-        (perfectness_check, (inst.pairing,), True),
-        (verify_commutation, (D,), False),
-        (verify_vacuum, (D,), True),
-        (verify_shift_invariance, (D, BiadditiveMap.ones(D.rank)), False),
-    ]
-    reports, skipped = [], []
-    for check, context, needs_perfect in suite:
-        if needs_perfect and not D.perfect:
-            skipped.append(check.__name__)
-        else:
-            reports.append(check(*context, N))
+    reports, skipped = verify_suite(inst, N)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {"instance": inst.name, "N": N,

@@ -16,7 +16,9 @@ their first factor in a generating set only, which ``generating_set`` reads
 off the cached products: x for Weyl, the power sums for the symmetric
 algebras.  Its docstring proves, by induction on degree, that these reduced
 sweeps pass exactly when the full ones do and report the same first
-failure.
+failure.  Twisted associativity of the tensor square is checked as
+additivity of the twists on degree triples, and swept over six-tuples of
+degrees only when that fails.
 """
 
 from __future__ import annotations
@@ -624,20 +626,33 @@ def check_bialgebra(H, N):
     # tensors a1 x a2, b1 x b2, c1 x c2 both bracketings are a power of q
     # times (a1 b1) c1 x (a2 b2) c2 and a1 (b1 c1) x a2 (b2 c2), which the
     # associativity sweep has compared; so they agree exactly when the
-    # exponents do, and biadditive chi' and chi'' make them agree.
+    # exponents do.  Their difference is a sum of four additivity defects,
+    #   chi'(a2+b2, c1) - chi'(a2, c1) - chi'(b2, c1)
+    #   + chi''(a1+b1, c2) - chi''(a1, c2) - chi''(b1, c2)
+    #   - chi'(a2, b1+c1) + chi'(a2, b1) + chi'(a2, c1)
+    #   - chi''(a1, b2+c2) + chi''(a1, b2) + chi''(a1, c2),
+    # each on a degree triple whose total is at most the six-tuple's.  So
+    # when chi' and chi'' are additive in each argument on every triple of
+    # total <= N (35 triples instead of 210 six-tuples at rank 1, N=4; 56
+    # instead of 462 at N=5), every six-tuple agrees.  Otherwise the full
+    # sweep over six-tuples gives the witness, or passes.
     chi_p = H.twisting.prime.evaluate
     chi_pp = H.twisting.doubleprime.evaluate
     degrees = degrees_up_to(H.rank, N)
-    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
-        lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
-               + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
-        rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
-               + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
-        if lhs != rhs:
-            return fail("twisted tensor associativity",
-                        "degrees (%r, %r), (%r, %r), (%r, %r)"
-                        % (a1, a2, b1, b2, c1, c2),
-                        "q^%d" % lhs, "q^%d" % rhs)
+    if not all(chi(deg_add(a, b), c) == chi(a, c) + chi(b, c)
+               and chi(a, deg_add(b, c)) == chi(a, b) + chi(a, c)
+               for a, b, c in bounded_tuples([degrees] * 3, N, total=deg_total)
+               for chi in (chi_p, chi_pp)):
+        for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
+            lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
+                   + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
+            rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
+                   + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
+            if lhs != rhs:
+                return fail("twisted tensor associativity",
+                            "degrees (%r, %r), (%r, %r), (%r, %r)"
+                            % (a1, a2, b1, b2, c1, c2),
+                            "q^%d" % lhs, "q^%d" % rhs)
 
     # coproduct is an algebra map for the twisted tensor product, on pairs
     # with a generator first

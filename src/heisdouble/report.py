@@ -2,8 +2,10 @@
 
 Every check follows one protocol.  It takes its context first (a
 presentation, a pairing or a double, whose ``name`` the report carries) and
-the degree bound N last, as a positional argument, and returns the witness
-of its first failing identity as a dict, or None when every identity holds.
+the degree bound N last among its positional arguments, and returns the
+witness of its first failing identity as a dict, or None when every
+identity holds.  Keyword arguments, such as check_pairing_axioms's
+``presupposed``, pass through to the check and do not enter the report.
 The ``check`` decorator turns that into a Report named after the function;
 this module is the only place that builds one.
 """
@@ -48,12 +50,12 @@ class Report:
 
 
 def check(fn):
-    """The check fn(context, ..., N), which returns its first witness or
-    None, as a function returning the Report: named fn.__name__, for
-    context.name at N, with each witness value str()-ed in key order."""
+    """The check fn(context, ..., N, **options), which returns its first
+    witness or None, as a function returning the Report: named fn.__name__,
+    for context.name at N, with each witness value str()-ed in key order."""
     @functools.wraps(fn)
-    def run(*args):
-        witness = fn(*args)
+    def run(*args, **options):
+        witness = fn(*args, **options)
         if witness is None:
             return Report(fn.__name__, args[0].name, args[-1], "pass")
         return Report(fn.__name__, args[0].name, args[-1], "fail",

@@ -7,15 +7,17 @@ from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
+from heisdouble import cli
 from heisdouble.double import _gen_labels, _smash
 from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bounded_tuples,
-                             check_bialgebra, comultiply, element_str, multiply,
-                             twisted_tensor_multiply)
+                             check_bialgebra, comultiply, degrees_up_to, element_str,
+                             multiply, twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
+from heisdouble.linalg import sparse_rank
 from heisdouble.partitions import check_partition, difference, multiplicities, sub_multisets
 from heisdouble.report import check
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_int_sym, q_power
-from heisdouble.twisting import TwistingDatum
+from heisdouble.twisting import TwistingDatum, deg_add, deg_total
 
 
 # -- partitions ----------------------------------------------------------
@@ -254,10 +256,33 @@ def multiplicativity_witness(H, N):
     return None
 
 
+def twisted_associativity_witness(H, N):
+    """The first failing six-tuple of degrees (a1, a2, b1, b2, c1, c2) of
+    total <= N, in bounded_tuples order, at which the two bracketings of
+    (a1 x a2)(b1 x b2)(c1 x c2) in the twisted tensor square carry different
+    powers of q, as check_bialgebra words its witness; None when they agree
+    on all of them."""
+    chi_p = H.twisting.prime.evaluate
+    chi_pp = H.twisting.doubleprime.evaluate
+    degrees = degrees_up_to(H.rank, N)
+    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
+        lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
+               + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
+        rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
+               + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
+        if lhs != rhs:
+            return {"identity": "twisted tensor associativity",
+                    "labels": "degrees (%r, %r), (%r, %r), (%r, %r)"
+                              % (a1, a2, b1, b2, c1, c2),
+                    "lhs": "q^%d" % lhs, "rhs": "q^%d" % rhs}
+    return None
+
+
 BIALGEBRA_ORDER = ("unit law", "counit law", "associativity", "coassociativity",
                    "twisted tensor associativity", "coproduct multiplicativity",
                    "antipode law")
 FULL_SWEEPS = (("associativity", associativity_witness),
+               ("twisted tensor associativity", twisted_associativity_witness),
                ("coproduct multiplicativity", multiplicativity_witness))
 
 
@@ -275,6 +300,105 @@ def assert_agrees_with_full_sweeps(H, N):
         elif at == stop:
             assert rep.witness == witness(H, N)
     return rep
+
+
+# -- the full pairing sweep ----------------------------------------------
+
+
+def _product_coproduct_mismatch(H, K, twist, pair, N):
+    """The first (u, v, k, lhs, rhs) at which <uv, k> = q^twist(|u|,|v|)
+    <u (x) v, Delta k> fails, over every basis pair (u, v) of H of total
+    degree <= N in bounded_tuples order and k in K's basis of degree
+    |u| + |v|; pair(z, k) is <z, k> for labels z of H and k of K.  Both
+    sides are summed one k at a time, over the terms of uv and Delta k."""
+    labels = H.labels_up_to(N)
+    for u, v in bounded_tuples([labels, labels], N):
+        uv = H.product(u, v).terms.items()
+        e = q_power(twist.evaluate(u.degree, v.degree))
+        for k in K.basis(deg_add(u.degree, v.degree)):
+            lhs = sum((c * pair(z, k) for z, c in uv), ZERO)
+            rhs = e * sum((c * pair(u, k1) * pair(v, k2)
+                           for (k1, k2), c in K.coproduct(k).terms.items()), ZERO)
+            if lhs != rhs:
+                return u, v, k, lhs, rhs
+    return None
+
+
+@check
+def check_pairing_axioms(P, N):
+    """The full pairing sweep: <1, 1> = 1, then both product-coproduct
+    identities for every basis pair (u, v) of total degree <= N, with every
+    label a first factor, and each value read with pair_labels.  Named after the library check, so that its
+    report is the one check_pairing_axioms gives."""
+    minus, plus = P.minus, P.plus
+    u = plus.unit_label
+    lhs = P.pair_labels(minus.unit_label, u)
+    if lhs != plus.counit_label(u):
+        return {"identity": "unit against plus", "label": plus.label_text(u),
+                "lhs": lhs, "rhs": plus.counit_label(u)}
+    hit = _product_coproduct_mismatch(minus, plus, P.gamma.prime, P.pair_labels, N)
+    if hit is not None:
+        x, y, a, lhs, rhs = hit
+        return {"identity": "product-coproduct (minus side)",
+                "labels": "%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
+                                           plus.label_text(a)),
+                "lhs": lhs, "rhs": rhs}
+    hit = _product_coproduct_mismatch(plus, minus, P.gamma.doubleprime,
+                                      lambda z, k: P.pair_labels(k, z), N)
+    if hit is not None:
+        a, b, x, lhs, rhs = hit
+        return {"identity": "coproduct-product (plus side)",
+                "labels": "%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
+                                           plus.label_text(b)),
+                "lhs": lhs, "rhs": rhs}
+    return None
+
+
+# -- the full vacuum rank ------------------------------------------------
+
+
+@check
+def verify_vacuum(D, N):
+    """The vacuum check with every positive minus label in every stratum's
+    matrix, and each rank computed exactly by sparse_rank, with no F_p
+    certificate.  Named after the library check, so that its report is the
+    one verify_vacuum gives."""
+    positive = [x for x in D.minus.labels_up_to(N) if deg_total(x.degree)]
+    for x in positive:
+        img = D.action_label(x, D.plus.unit_label)
+        if not img.is_zero:
+            return {"reason": "minus element does not annihilate the vacuum",
+                    "label": D.minus.label_text(x),
+                    "image": element_str(D.plus, img)}
+    for degree in degrees_up_to(D.rank, N)[1:]:
+        stratum = D.plus.basis(degree)
+        ids = {}
+        rows = [{ids.setdefault((x, l), len(ids)): c
+                 for x in positive for l, c in D.action_label(x, b).terms.items()}
+                for b in stratum]
+        rank = sparse_rank(rows)
+        if rank != len(stratum):
+            return {"degree": degree,
+                    "reason": "joint kernel has dimension %d" % (len(stratum) - rank)}
+    return None
+
+
+def assert_verify_agrees_with_full_sweeps(inst, N):
+    """verify's reports on inst at N, from cli.verify_suite, against the
+    full sweeps: each check_bialgebra report through
+    assert_agrees_with_full_sweeps, and the check_pairing_axioms and
+    verify_vacuum reports equal to those of the full sweeps above.
+    Returns the reports."""
+    reports, _ = cli.verify_suite(inst, N)
+    sides = {inst.plus.name: inst.plus, inst.minus.name: inst.minus}
+    for rep in reports:
+        if rep.check == "check_bialgebra":
+            assert rep == assert_agrees_with_full_sweeps(sides[rep.instance], N)
+        elif rep.check == "check_pairing_axioms":
+            assert rep == check_pairing_axioms(inst.pairing, N)
+        elif rep.check == "verify_vacuum":
+            assert rep == verify_vacuum(inst.double, N)
+    return reports
 
 
 # -- the full shift-invariance sweep -------------------------------------

@@ -76,15 +76,18 @@ MUTATION_CASES = {
 
 # The check that must fail when one term of a cached x(b) of each kind is
 # multiplied by q: the shift sweep compares the core (1#x)(b#1), whose term
-# x(b) # 1 is this action, for |x| + |b| <= N, and the commutation sweep
-# reads x(l) for every minus generator x on the labels l of ab.
+# x(b) # 1 is this action, for |x| + |b| <= N.  The commutation sweep
+# catches a generator x above N through its right side, which applies
+# (1#x)(a#1) to every input b: its term a # x reads the cached x(b).  Its
+# left side x(ab) is computed afresh and reads no cached action.
 CATCHER = {
     "within N": "verify_shift_invariance",
     "generator above N": "verify_commutation",
 }
 # Kinds that no check catches, each with its reason.
 UNCAUGHT = {
-    "other above N": "read only by the vacuum rank, which stays full",
+    "other above N": "read only by the vacuum rank over every minus label, "
+                     "which runs only when the generators' rank falls short",
 }
 
 

@@ -44,3 +44,14 @@ def test_the_decorated_check_keeps_its_name_and_the_undecorated_function():
     assert sample_check.__name__ == "sample_check"
     assert sample_check.__doc__.startswith("Fails with a witness")
     assert sample_check.__wrapped__(CONTEXT, 7, 3) == {"zeta": 7, "alpha": (1, 2), "degree": 3}
+
+
+@check
+def keyword_check(context, N, *, flag=False):
+    return {"flag": flag}
+
+
+def test_keyword_arguments_reach_the_check_and_n_stays_the_last_positional():
+    rep = keyword_check(CONTEXT, 4, flag=True)
+    assert (rep.N, rep.witness) == (4, {"flag": "True"})
+    assert keyword_check(CONTEXT, 4).witness == {"flag": "False"}

@@ -8,7 +8,9 @@ instance so that exactly one identity breaks first.  The coassociativity and
 coproduct multiplicativity witnesses print the term dicts of both sides, so
 they also pin the order in which the sweeps sum their terms.  On every
 corrupted presentation, check_bialgebra's generator-reduced sweeps are also
-compared with the full sweeps of tests/oracles.py.
+compared with the full sweeps of tests/oracles.py; on every corrupted
+instance, so is each report of verify's suite, and on every corrupted Fock
+space the vacuum check with the rank over every minus label.
 """
 
 import json
@@ -22,6 +24,7 @@ from heisdouble.hopf import Element, HopfPresentation, check_bialgebra
 from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a, mp_label
 from heisdouble.scalars import ONE, Q
 from heisdouble.twisting import BiadditiveMap, TwistingDatum
+import oracles
 from oracles import assert_agrees_with_full_sweeps
 
 GOLDEN = Path(__file__).parent / "golden" / "bialgebra-witnesses.json"
@@ -47,36 +50,40 @@ def scaled(el, c):
 
 def i2_unit_law():
     # p[1,1]*p[1,2] . 1 is off by q; the report prints the failing side a . 1
-    H = i2().plus
+    inst = i2()
+    H = inst.plus
     a = mp_label(((1,), (1,)))
     H._prod[(a, UNIT)] = scaled(H.product(a, UNIT), Q)
-    return H, 3
+    return H, 3, inst
 
 
 def a2_counit_law():
     # Delta(p[2,1]) carries 1 (x) p[2,1] twice over
-    H = a2().plus
+    inst = a2()
+    H = inst.plus
     a = mp_label(((2,), ()))
     terms = dict(H.coproduct(a).terms)
     terms[(UNIT, a)] = TWO
     H._coprod[a] = Element._raw(terms)
-    return H, 3
+    return H, 3, inst
 
 
 def a2_associativity():
-    H = a2().plus
+    inst = a2()
+    H = inst.plus
     H._prod[(P11, P12)] = scaled(H.product(P11, P12), Q)
-    return H, 3
+    return H, 3, inst
 
 
 def a2_coassociativity():
     # one reduced term of Delta(p[2,1]*p[1,1]) doubled: the counit law holds
-    H = a2().plus
+    inst = a2()
+    H = inst.plus
     a = mp_label(((2, 1), ()))
     terms = dict(H.coproduct(a).terms)
     terms[(P11, mp_label(((2,), ())))] = TWO
     H._coprod[a] = Element._raw(terms)
-    return H, 4
+    return H, 4, inst
 
 
 def a2_wrong_twist():
@@ -86,45 +93,49 @@ def a2_wrong_twist():
     twisting = TwistingDatum(H.twisting.prime, H.twisting.doubleprime + ZETA)
     broken = HopfPresentation("qheis[2]+chi''", 1, twisting, H.unit_label, H.basis,
                               H.product, H.coproduct, H.label_text)
-    return broken, 3
+    return broken, 3, None
 
 
 def i2_scaled_reduced_coproduct():
     # the reduced part of Delta(p[1,1]*p[1,2]) doubled: coassociative and
     # counital still at N = 2, but Delta(p[1,1] p[1,2]) is no longer
     # Delta(p[1,1]) Delta(p[1,2])
-    H = i2().plus
+    inst = i2()
+    H = inst.plus
     a = mp_label(((1,), (1,)))
     H._coprod[a] = Element._raw({
         k: c if UNIT in k else c + c for k, c in H.coproduct(a).terms.items()})
-    return H, 2
+    return H, 2, inst
 
 
 def a2_antipode_law():
-    H = a2().plus
+    inst = a2()
+    H = inst.plus
     a = mp_label(((1, 1), ()))
     H._antipode[a] = Element.from_label(a, Q)
-    return H, 3
+    return H, 3, inst
 
 
 def i2_commutation_coproduct_above_n():
     # Delta(p[2,1]*p[1,1]) has degree 3 > N: only the action x(ab) on the
     # product ab reads it
-    D = i2().double
+    inst = i2()
+    D = inst.double
     a = mp_label(((2, 1), ()))
     H = D.plus
     terms = dict(H.coproduct(a).terms)
     terms[(P11, mp_label(((2,), ())))] = TWO
     H._coprod[a] = Element._raw(terms)
-    return D, 2
+    return D, 2, inst
 
 
 def a2_commutation_product_above_n():
     # p[2,1] p[1,2] has degree 3 > N and is off by q
-    D = a2().double
+    inst = a2()
+    D = inst.double
     a = mp_label(((2,), ()))
     D.plus._prod[(a, P12)] = scaled(D.plus.product(a, P12), Q)
-    return D, 2
+    return D, 2, inst
 
 
 BIALGEBRA_CASES = {
@@ -146,9 +157,11 @@ COMMUTATION_CASES = {
 def test_failure_reports_match_golden(case):
     golden = json.loads(GOLDEN.read_text())
     if case in BIALGEBRA_CASES:
-        rep = check_bialgebra(*BIALGEBRA_CASES[case]())
+        H, N, _ = BIALGEBRA_CASES[case]()
+        rep = check_bialgebra(H, N)
     else:
-        rep = verify_commutation(*COMMUTATION_CASES[case]())
+        D, N, _ = COMMUTATION_CASES[case]()
+        rep = verify_commutation(D, N)
     assert not rep.passed
     assert str(rep) == golden[case]
 
@@ -158,11 +171,23 @@ def test_reduced_sweeps_agree_with_full_sweeps(case):
     # a commutation case corrupts a plus entry of degree N + 1, where
     # check_bialgebra reaches it
     if case in BIALGEBRA_CASES:
-        H, N = BIALGEBRA_CASES[case]()
+        H, N, _ = BIALGEBRA_CASES[case]()
     else:
-        D, N = COMMUTATION_CASES[case]()
+        D, N, _ = COMMUTATION_CASES[case]()
         H, N = D.plus, N + 1
     assert not assert_agrees_with_full_sweeps(H, N).passed
+
+
+# the wrong twist is a presentation on its own, with no instance around it
+INSTANCE_CASES = sorted({**BIALGEBRA_CASES, **COMMUTATION_CASES}.keys() - {"a2-wrong-twist"})
+
+
+@pytest.mark.parametrize("case", INSTANCE_CASES)
+def test_verify_agrees_with_full_sweeps(case):
+    # every report of verify on the corrupted instance at the case's degree
+    _, N, inst = {**BIALGEBRA_CASES, **COMMUTATION_CASES}[case]()
+    reports = oracles.assert_verify_agrees_with_full_sweeps(inst, N)
+    assert not all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +259,13 @@ def test_fock_failure_reports_match_golden(case, monkeypatch):
     assert not rep.passed
     assert str(rep) == json.loads(FOCK_GOLDEN.read_text())[case]
     assert calls  # the failing verdict is the exact rank's
+
+
+@pytest.mark.parametrize("case", sorted(FOCK_CASES))
+def test_vacuum_agrees_with_the_full_rank(case):
+    _, args = FOCK_CASES[case]()
+    D, N = args[0], args[-1]
+    rep = verify_vacuum(D, N)
+    assert rep == oracles.verify_vacuum(D, N)
+    # d acts as zero on the Weyl Fock space, so its vacuum fails too
+    assert not rep.passed
