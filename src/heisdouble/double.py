@@ -16,12 +16,13 @@ Every action is computed by one kernel, _actions: x(u) for each minus x
 that pairs with a right factor of Delta(u), in one scan of Delta(l) per
 label l of u.  A context caches it once per plus label b, as actions(b) =
 {x: x(b)}; action_label(x, b) is a lookup there, and every Fock-space check
-reads this one cache.  A context also caches the smash product on labels,
-and the embedded element of each generator it has built, under
-(name, args).  A builder that raises leaves nothing in the cache,
-registering a generator drops that name's entries, and a shifted context
-starts with empty caches; only the Gram rows of its pairing are shared,
-since a shift leaves the Gram values unchanged.
+reads this one cache, as does _fock, the one Fock kernel: fock_matrix and
+fock_apply sum u(b) through it, reading actions(b) once per label b.  A
+context also caches the smash product on labels, and the embedded element
+of each generator it has built, under (name, args).  A builder that raises
+leaves nothing in the cache, registering a generator drops that name's
+entries, and a shifted context starts with empty caches; only the Gram rows
+of its pairing are shared, since a shift leaves the Gram values unchanged.
 
 The commutation sweep computes its left side x(ab) with the same kernel at
 every degree, once per (a, b) for all minus generators x, and caches none
@@ -155,8 +156,7 @@ class HeisenbergDouble:
     # -- basic elements --------------------------------------------------
 
     def unit(self):
-        return Element._raw(
-            {(self.plus.unit_label, self.minus.unit_label): ONE})
+        return Element._raw({(self.plus.unit_label, self.minus.unit_label): ONE})
 
     def embed_plus(self, a):
         u = self.minus.unit_label
@@ -198,8 +198,7 @@ class HeisenbergDouble:
         hit = self._action.get(b)
         if hit is None:
             acts = _actions(self.pairing, {b: ONE}, self.pairing.col)
-            hit = self._action.setdefault(
-                b, {x: Element._raw(t) for x, t in acts.items()})
+            hit = self._action.setdefault(b, {x: Element._raw(t) for x, t in acts.items()})
         return hit
 
     def action_label(self, x_label, a_label):
@@ -284,37 +283,38 @@ def smash_multiply(D, u, v):
 # -- Fock representation ------------------------------------------------
 
 
-def fock_apply(D, u, b):
-    """Action of the double element u on the plus element b:
-    (a#x)(b) = a * x(b), bilinear over the cached action on labels."""
-    def on_labels(p, l):
-        img = D.action_label(p[1], l)
-        return img if img.is_zero else multiply(D.plus, Element.from_label(p[0]), img)
+def _fock(D, terms, b):
+    """u(b) as a term dict, for the double element u with the term dict terms
+    and the plus label b: the sum of c a*x(b) over the terms c a#x of u."""
+    acts = D.actions(b)
+    out = {}
+    for (a, x), c in terms.items():
+        if x in acts:
+            for l, e in multiply(D.plus, Element.from_label(a), acts[x]).terms.items():
+                _acc(out, l, c * e)
+    return out
 
-    return bilinear(on_labels, u, b)
+
+def fock_apply(D, u, b):
+    """u acting on the plus element b: the sum of e u(l) over the terms e l of b."""
+    return Element._raw(_sum_terms((e, _fock(D, u.terms, l)) for l, e in b.terms.items()))
 
 
 def max_term_degree(u):
-    """Largest signed total degree |a| - |x| over the normal-form pairs of a
-    double element; 0 for the zero element."""
-    if not u.terms:
-        return 0
-    return max(deg_total(a.degree) - deg_total(x.degree) for a, x in u.terms)
+    """Largest signed total degree |a| - |x| of a term a#x of u; 0 when u = 0."""
+    return max((deg_total(a.degree) - deg_total(x.degree) for a, x in u.terms), default=0)
 
 
 def fock_matrix(D, u, Nin):
-    """Matrix of u on the plus algebra, inputs of total degree <= Nin.
-
-    Returns (row_labels, col_labels, rows).  The rows are the plus labels of
-    total degree at most Nin plus the largest signed term degree of u, which
-    hold every term of the image.
-    """
+    """Matrix of u on the plus algebra as (row_labels, col_labels, matrix):
+    column b, for b of total degree <= Nin, is u(b) from _fock, and the rows,
+    of total degree <= max(0, Nin + max_term_degree(u)), hold every term of it."""
     cols = D.plus.labels_up_to(Nin)
     rows = D.plus.labels_up_to(max(0, Nin + max_term_degree(u)))
     index = {l: i for i, l in enumerate(rows)}
     matrix = [[ZERO] * len(cols) for _ in rows]
     for j, b in enumerate(cols):
-        for l, c in fock_apply(D, u, Element.from_label(b)).terms.items():
+        for l, c in _fock(D, u.terms, b).items():
             matrix[index[l]][j] = c
     return rows, cols, matrix
 

@@ -443,6 +443,14 @@ def element_str(H, u):
     return terms_str(u, H.unit_label, H.label_sort_key, H.label_text)
 
 
+def tensor_str(H, u):
+    """Printed form of an element of a tensor power of H, keyed by tuples of
+    labels: terms sorted factor by factor, each factor's label text joined
+    by (x), and no term printed as a bare scalar."""
+    return terms_str(u, None, lambda k: tuple(map(H.label_sort_key, k)),
+                     lambda k: " (x) ".join(map(H.label_text, k)))
+
+
 def terms_str(u, unit, sort_key, text, reverse=False):
     """Printed form of u: terms in sort_key order (descending when reverse),
     each a coefficient prefix and text(key), joined by signs; the unit key
@@ -575,7 +583,8 @@ def check_bialgebra(H, N):
     1,365 and 136 pairs instead of 416.
 
     Stops at the first failing identity and reports it with witnesses; a
-    unit or counit law reports the side that fails.
+    unit or counit law reports the side that fails, and a tensor prints
+    through tensor_str.
     """
     labels = H.labels_up_to(N)
     unit = H.unit_label
@@ -585,8 +594,8 @@ def check_bialgebra(H, N):
     def fail(identity, labels_involved, lhs, rhs):
         return {"identity": identity, "labels": labels_involved, "lhs": lhs, "rhs": rhs}
 
-    def show(terms):
-        return element_str(H, Element._raw(terms))
+    def show(terms, text=element_str):
+        return text(H, Element._raw(terms))
 
     # unit and counit laws on single labels
     for a in labels:
@@ -620,7 +629,8 @@ def check_bialgebra(H, N):
             for (u, v), d in cop(a2).terms.items():
                 _acc(r3, (a1, u, v), c * d)
         if l3 != r3:
-            return fail("coassociativity", H.label_text(a), repr(l3), repr(r3))
+            return fail("coassociativity", H.label_text(a),
+                        show(l3, tensor_str), show(r3, tensor_str))
 
     # twisted associativity on the tensor square, on degrees.  For basis
     # tensors a1 x a2, b1 x b2, c1 x c2 both bracketings are a power of q
@@ -662,7 +672,7 @@ def check_bialgebra(H, N):
         if lhs != rhs:
             return fail("coproduct multiplicativity",
                         "%s, %s" % (H.label_text(a), H.label_text(b)),
-                        repr(lhs), repr(rhs))
+                        show(lhs, tensor_str), show(rhs, tensor_str))
 
     # antipode laws: sum S(a') a'' = eps(a) 1 = sum a' S(a'')
     for a in labels:

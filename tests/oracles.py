@@ -9,9 +9,9 @@ from math import comb, factorial, prod
 
 from heisdouble import cli
 from heisdouble.double import _gen_labels, _smash
-from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bounded_tuples,
+from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bilinear, bounded_tuples,
                              check_bialgebra, comultiply, degrees_up_to, element_str,
-                             multiply, twisted_tensor_multiply)
+                             multiply, tensor_str, twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.linalg import sparse_rank
 from heisdouble.partitions import check_partition, difference, multiplicities, sub_multisets
@@ -252,7 +252,7 @@ def multiplicativity_witness(H, N):
         if lhs != rhs:
             return {"identity": "coproduct multiplicativity",
                     "labels": "%s, %s" % (H.label_text(a), H.label_text(b)),
-                    "lhs": repr(lhs.terms), "rhs": repr(rhs.terms)}
+                    "lhs": tensor_str(H, lhs), "rhs": tensor_str(H, rhs)}
     return None
 
 
@@ -525,6 +525,19 @@ def left_regular_action(P, x, a):
         if not v.is_zero:
             _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
     return Element._raw(out)
+
+
+# -- the Fock action, bilinear over labels -------------------------------
+
+
+def fock_apply(D, u, b):
+    """Action of the double element u on the plus element b:
+    (a#x)(b) = a * x(b), bilinear over the cached action on labels."""
+    def on_labels(p, l):
+        img = D.action_label(p[1], l)
+        return img if img.is_zero else multiply(D.plus, Element.from_label(p[0]), img)
+
+    return bilinear(on_labels, u, b)
 
 
 # -- phi operators and the h-adjoint case table --------------------------

@@ -5,8 +5,9 @@ Weyl (N=6), lattice I2 (N=4), I2 with its coproducts shifted by alpha = 1
 (N=4), the degenerate rank-one lattice form (N=4) and qheis affine D4 (N=3,
 whose 35 x 35 Gram component is certified in F_p), `verify --json` on
 qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
-reports and its skipped list), and one `fock-matrix --json` and one
-`normal-order` answer on A2, and the printout of each script in demos/.
+reports and its skipped list), `fock-matrix --json` on A2, lattice I2 and
+Weyl, one `normal-order` answer on A2, and the printout of each script in
+demos/.
 A change that keeps every verdict must keep this output byte for byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
@@ -42,6 +43,10 @@ CASES = [
     ("fock-matrix-qheis-a2.json", "qheis-a2.json",
      ["fock-matrix", "--expr", "p'[2,1] + p[1,1] p'[1,2]", "--in-degree", "2",
       "--json"]),
+    ("fock-matrix-lattice-i2.json", "lattice-i2.json",
+     ["fock-matrix", "--expr", "p'[2,1]*p'[1,2]", "--in-degree", "3", "--json"]),
+    ("fock-matrix-weyl.json", "weyl.json",
+     ["fock-matrix", "--expr", "x*d + d^2", "--in-degree", "4", "--json"]),
     ("normal-order-qheis-a2.txt", "qheis-a2.json",
      ["normal-order", "--expr", "p'[2,1] p[2,2] p'[1,2]"]),
 ]
