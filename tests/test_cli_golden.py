@@ -6,8 +6,8 @@ Weyl (N=6), lattice I2 (N=4), I2 with its coproducts shifted by alpha = 1
 whose 35 x 35 Gram component is certified in F_p), `verify --json` on
 qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
 reports and its skipped list), `fock-matrix --json` on A2, lattice I2 and
-Weyl, one `normal-order` answer on A2, and the printout of each script in
-demos/.
+Weyl, two `normal-order` answers on A2 (the second, of an h-word, has 84
+terms over Q(q) denominators), and the printout of each script in demos/.
 A change that keeps every verdict must keep this output byte for byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
@@ -49,6 +49,8 @@ CASES = [
      ["fock-matrix", "--expr", "x*d + d^2", "--in-degree", "4", "--json"]),
     ("normal-order-qheis-a2.txt", "qheis-a2.json",
      ["normal-order", "--expr", "p'[2,1] p[2,2] p'[1,2]"]),
+    ("normal-order-hword-qheis-a2.txt", "qheis-a2.json",
+     ["normal-order", "--expr", "h'[2,2]*h'[3,1]*h[2,2]*h[3,2]"]),
 ]
 
 

@@ -172,7 +172,7 @@ def test_ratfunc_arith_mixed_ints_fractions():
 def test_ratfunc_plus_zero_skips_the_canonical_form(monkeypatch):
     r = (Q + 2) / (Q ** 2 + 3)
     calls = []
-    canonical = scalars._canonical
+    canonical = scalars._canonical.__wrapped__
     monkeypatch.setattr(scalars, "_canonical",
                         lambda num, den: calls.append(1) or canonical(num, den))
     for s in (r + ZERO, ZERO + r, r + 0, 0 + r, r - ZERO):
@@ -246,17 +246,45 @@ def test_q_binomial_edges_and_example():
     assert q_binomial(3, 5) == ZERO
 
 
-def test_q_pascal_oracle():
-    # Independent recursion pinning down every q_binomial up to n = 12.
+def q_pascal(top):
+    """Every [n choose k]_q with n <= top, by the q-Pascal rule."""
     table = {(0, 0): ONE}
-    for n in range(1, 13):
+    for n in range(1, top + 1):
         table[n, 0] = ONE
         for k in range(1, n + 1):
             table[n, k] = table.get((n - 1, k - 1), ZERO) + q_power(k) * table.get(
                 (n - 1, k), ZERO
             )
-    for (n, k), v in table.items():
+    return table
+
+
+def test_q_pascal_oracle():
+    # Independent recursion pinning down every q_binomial up to n = 12.
+    for (n, k), v in q_pascal(12).items():
         assert q_binomial(n, k) == v
+
+
+def test_q_factorial_table():
+    # the cached [n]_q! against the product formula
+    # (1-q)(1-q^2)...(1-q^n) / (1-q)^n, on a miss and on a hit, and the
+    # q-binomials read from the table against the q-Pascal rule
+    scalars._q_factorial.cache_clear()
+    for n in range(20):
+        product = LP_ONE
+        for i in range(1, n + 1):
+            product = product * lp({0: 1, i: -1})
+        expected = laurent_exact_div(product, lp({0: 1, 1: -1}) ** n)
+        miss = q_factorial(n)
+        assert miss == expected and q_factorial(n) is miss
+    info = scalars._q_factorial.cache_info()
+    assert (info.hits, info.misses) == (20, 20)
+    for (n, k), v in q_pascal(18).items():
+        assert q_binomial(n, k) == v
+    assert info.maxsize == scalars.Q_FACTORIAL_CACHE_SIZE == 256
+    # a cached n does not admit an equal value of another type
+    for bad in (1.0, 3.0, -1, "3"):
+        with pytest.raises(ValueError):
+            q_factorial(bad)
 
 
 def test_inversion_identities():

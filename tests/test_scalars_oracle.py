@@ -1,6 +1,7 @@
 """RatFunc against sympy: value, canonical form and the field axioms, exact
 division of Laurent polynomials, the integer polynomial gcd (heuristic and
-PRS fallback), the monomial fast path of the product and the unit and zero
+PRS fallback), the memo of the canonical form, the cached text of a Laurent
+polynomial, the monomial fast path of the product and the unit and zero
 operands that skip arithmetic.
 
 An independent check of the scalar kernel on random rational functions with
@@ -233,14 +234,107 @@ def test_gcd_retries_after_a_wrong_candidate():
     assert found == ([1, 1], [3, -1], [3, 1])
 
 
+def unmemoised():
+    """RatFunc through the canonical-form kernel itself, not its memo: a
+    memo hit would return a pair that an earlier call computed, and a
+    patched gcd would never run."""
+    return mock.patch.object(scalars, "_canonical", scalars._canonical.__wrapped__)
+
+
 @SETTINGS
 @given(laurent, nonzero_laurent)
 def test_canonical_form_through_prs_fallback(num, den):
-    with mock.patch.object(scalars, "_gcd_heu", lambda a, b, xi: None):
+    calls = []
+
+    def prs_only(a, b, xi):
+        calls.append(1)
+
+    with unmemoised(), mock.patch.object(scalars, "_gcd_heu", prs_only):
         r = RatFunc(num, den)
-    expected = RatFunc(num, den)
-    assert (r.num, r.den) == (expected.num, expected.den)
+    expected = scalars._canonical.__wrapped__(num, den)
+    assert (r.num, r.den) == expected
     assert_canonical(r)
+    # a numerator and a denominator with two terms or more go through the
+    # gcd, which here can only be the PRS
+    shifted = [p for p in (num, den) if not p.is_zero and p.max_exp() > p.min_exp()]
+    assert len(calls) == (scalars._HEU_TRIALS if len(shifted) == 2 else 0)
+
+
+# -- the memo of the canonical form and the cached text ----------------------
+
+big_laurent = st.dictionaries(st.integers(-3, 3), coefficient,
+                              max_size=4).map(LaurentPoly)
+
+
+def value(num, den):
+    return expr(num) / expr(den)
+
+
+@SETTINGS
+@given(big_laurent.filter(bool), big_laurent, big_laurent.filter(bool))
+def test_memo_hit_and_miss_agree_with_kernel_and_sympy(f, a, b):
+    num, den = f * a, f * b
+    # pairs that share a polynomial, or both, in another place
+    pairs = [(num, den), (num, den.scale(2))] + ([(den, num)] if num else [])
+    pairs = list(dict.fromkeys(pairs))
+    scalars._canonical.cache_clear()
+    for n, d in pairs:
+        expected = scalars._canonical.__wrapped__(n, d)
+        miss = RatFunc(n, d)
+        # equal copies: the memo keys on the value, not on the objects
+        hit = RatFunc(LaurentPoly(dict(n.items())), LaurentPoly(dict(d.items())))
+        assert hit.num is miss.num and hit.den is miss.den
+        for r in (miss, hit):
+            assert (r.num, r.den) == expected
+            assert_canonical(r)
+            assert sympy.cancel(value(r.num, r.den) - value(n, d)) == 0
+    info = scalars._canonical.cache_info()
+    assert (info.hits, info.misses) == (len(pairs), len(pairs))
+
+
+def test_memo_stays_bounded_and_recomputes_evicted_pairs():
+    # (1+q)(k q^-1 + q^2) / (1+q)(1 + (k + 2^70) q) has the canonical form
+    # (k q^-1 + q^2) / (1 + (k + 2^70) q), for k = 1 .. maxsize + 100
+    maxsize = scalars.CANONICAL_CACHE_SIZE
+    f = LaurentPoly({0: 1, 1: 1})
+    cases = [(LaurentPoly({-1: k, 2: 1}), LaurentPoly({0: 1, 1: k + 2**70}))
+             for k in range(1, maxsize + 101)]
+    pairs = [(f * n, f * d) for n, d in cases]
+    scalars._canonical.cache_clear()
+    for (num, den), expected in zip(pairs, cases):
+        r = RatFunc(num, den)
+        assert (r.num, r.den) == expected
+    info = scalars._canonical.cache_info()
+    assert info.maxsize == maxsize
+    assert info.currsize == maxsize and info.misses == len(pairs)
+    # the 100 oldest pairs were evicted: each is computed again, right
+    for (num, den), expected in zip(pairs[:100], cases):
+        r = RatFunc(num, den)
+        assert (r.num, r.den) == expected
+        assert (r.num, r.den) == scalars._canonical.__wrapped__(num, den)
+    info = scalars._canonical.cache_info()
+    assert info.misses == len(pairs) + 100 and info.hits == 0
+    assert info.currsize <= maxsize
+    # the newest pair is still kept
+    RatFunc(*pairs[-1])
+    assert scalars._canonical.cache_info().hits == 1
+
+
+@SETTINGS
+@given(big_laurent)
+def test_laurent_text_is_cached_and_ignored_by_eq_and_hash(p):
+    fresh = LaurentPoly(dict(p.items()))
+    h = hash(p)
+    text = str(p)
+    assert p._str is text and str(p) is text and fresh._str is None
+    assert p == fresh and hash(p) == hash(fresh) == h
+    assert str(fresh) == text == p._render()
+    # a rational function prints again from the text cached on its two
+    # polynomials, with nothing rendered afresh
+    r = RatFunc(p, LaurentPoly({0: 3, 2: 1}))
+    expected = str(r)
+    with mock.patch.object(LaurentPoly, "_render", None):
+        assert str(r) == expected
 
 
 # -- the monomial fast path -------------------------------------------------
