@@ -62,4 +62,4 @@ print("normal order of p'[1,1]*p[1,1]:",
 print("\ncommutation identity up to degree 3:", verify_commutation(D, 3).status)
 print("vacuum uniqueness up to degree 3:   ", verify_vacuum(D, 3).status)
 print("faithfulness on the zero stratum:   ",
-      verify_faithful(D, (0,), 2).status)
+      verify_faithful(D, 0, 2).status)

@@ -17,7 +17,7 @@ D = weyl.double
 
 # the coproduct of x^n carries Gaussian binomial coefficients
 print("coproduct of x^3:")
-x3 = Element.from_label(H.basis((3,))[0])
+x3 = Element.from_label(H.basis(3)[0])
 for (l1, l2), c in sorted(comultiply(H, x3).terms.items(),
                           key=lambda kv: kv[0][0].key):
     print("  %s (x) %s  :  %s" % (H.label_text(l1), H.label_text(l2), c))

@@ -17,7 +17,7 @@ from .expr import (ExprEvalError, ExprSyntaxError, evaluate_text,
 from .hopf import antipode, check_bialgebra, element_str
 from .instances import ConfigError, load_instance
 from .pairing import check_pairing_axioms, dual_presentation_check, perfectness_check
-from .twisting import BiadditiveMap, compatibility_check
+from .twisting import compatibility_check
 
 
 def build_parser():
@@ -106,7 +106,7 @@ def verify_suite(inst, N):
         ("perfect", perfectness_check, (inst.pairing,), True, ()),
         ("commutation", verify_commutation, (D,), False, ()),
         ("vacuum", verify_vacuum, (D,), True, ()),
-        ("shift", verify_shift_invariance, (D, BiadditiveMap.ones(D.rank)), False, ()),
+        ("shift", verify_shift_invariance, (D, 1), False, ()),
     ]
     passed, reports, skipped = set(), [], []
     for key, check, context, needs_perfect, presupposes in suite:
@@ -211,7 +211,7 @@ def cmd_fock_matrix(args):
         "instance": inst.name,
         "expr": args.expr[0],
         "in_degree": args.in_degree,
-        "out_degree": max([sum(l.degree) for l in rows], default=0),
+        "out_degree": max([l.degree for l in rows], default=0),
         "row_labels": [D.plus.label_text(l) for l in rows],
         "col_labels": [D.plus.label_text(l) for l in cols],
         "entries": [[str(v) for v in row] for row in matrix],
@@ -226,23 +226,23 @@ def cmd_info(args):
         raise ConfigError("--gram must be nonnegative")
     inst = load_instance(args.instance)
     D = inst.double
-    degrees = list(range(5))
-    sizes = {d: (len(inst.plus.basis((d,))) if inst.plus.rank == 1 else None)
-             for d in degrees}
+    chi, xi, gamma = inst.plus.twisting, inst.minus.twisting, inst.pairing.gamma
+    # a form on Z prints as its 1x1 matrix, the shape configs give it in;
+    # rank is the rank of the grading, N
     payload = {
         "instance": inst.name,
         "type": inst.kind,
-        "rank": inst.plus.rank,
-        "chi": [list(r) for r in inst.plus.twisting.prime.rows],
-        "chi_doubleprime": [list(r) for r in inst.plus.twisting.doubleprime.rows],
-        "xi": [list(r) for r in inst.minus.twisting.prime.rows],
-        "xi_doubleprime": [list(r) for r in inst.minus.twisting.doubleprime.rows],
-        "gamma": [list(r) for r in inst.pairing.gamma.prime.rows],
-        "gamma_doubleprime": [list(r) for r in inst.pairing.gamma.doubleprime.rows],
-        "compatible": compatibility_check(inst.plus.twisting, inst.pairing.gamma),
+        "rank": 1,
+        "chi": [[chi.prime]],
+        "chi_doubleprime": [[chi.doubleprime]],
+        "xi": [[xi.prime]],
+        "xi_doubleprime": [[xi.doubleprime]],
+        "gamma": [[gamma.prime]],
+        "gamma_doubleprime": [[gamma.doubleprime]],
+        "compatible": compatibility_check(chi, gamma),
         "perfect": D.perfect,
         "generators": D.generator_names(),
-        "basis_sizes": {str(d): sizes[d] for d in degrees} if inst.plus.rank == 1 else {},
+        "basis_sizes": {str(d): len(inst.plus.basis(d)) for d in range(5)},
     }
     if args.gram is not None:
         payload["gram"] = inst.pairing.gram_to_json(args.gram)
@@ -251,18 +251,14 @@ def cmd_info(args):
     else:
         lines = ["instance: %s (type %s)" % (inst.name, inst.kind),
                  "rank: %d" % payload["rank"],
-                 "chi: (%s, %s)" % (inst.plus.twisting.prime,
-                                    inst.plus.twisting.doubleprime),
-                 "xi: (%s, %s)" % (inst.minus.twisting.prime,
-                                   inst.minus.twisting.doubleprime),
-                 "gamma: (%s, %s)" % (inst.pairing.gamma.prime,
-                                      inst.pairing.gamma.doubleprime),
+                 "chi: %s" % chi,
+                 "xi: %s" % xi,
+                 "gamma: %s" % gamma,
                  "compatible: %s" % str(payload["compatible"]).lower(),
                  "perfect pairing: %s" % str(D.perfect).lower(),
-                 "generators: " + ", ".join(payload["generators"])]
-        if payload["basis_sizes"]:
-            lines.append("basis sizes: " + " ".join(
-                "%s:%d" % (d, s) for d, s in payload["basis_sizes"].items()))
+                 "generators: " + ", ".join(payload["generators"]),
+                 "basis sizes: " + " ".join(
+                     "%s:%d" % (d, s) for d, s in payload["basis_sizes"].items())]
         if args.gram is not None:
             lines.append("gram blocks up to degree %d written as JSON only; use --json"
                          % args.gram)

@@ -1,7 +1,7 @@
 """Twisted Heisenberg doubles: smash products of a paired pair of
 presentations, their Fock representation, and the verification suites.
 
-The double exists only for compatible data (chi' = -(gamma')^T); its
+The double exists only for compatible data (chi' = -gamma'); its
 elements are spanned by normal forms a # x with a in the plus algebra and x
 in the minus algebra, and the product is
 
@@ -9,8 +9,8 @@ in the minus algebra, and the product is
         q^(gamma''(|b|,|x2|) + xi''(|b|-|x1|,|x2|)) (a * x1(b)) # (x2 y)
 
 where x1(b) is the twisted left regular action of the minus side on the
-plus side through the pairing.  Degrees inside the double are signed:
-deg(a#x) = |a| - |x|.
+plus side through the pairing.  Degrees inside the double are signed
+integers: deg(a#x) = |a| - |x|.
 
 Every action is computed by one kernel, _actions: x(u) for each minus x
 that pairs with a right factor of Delta(u), in one scan of Delta(l) per
@@ -50,18 +50,17 @@ sparse_rank, which then decides the verdict and the rank in its report.
 from __future__ import annotations
 
 from .hopf import (Element, _acc, _sum_terms, bilinear, bounded_tuples,
-                   degrees_up_to, element_str, generating_set, multiply,
-                   shifted_presentation, terms_str)
+                   element_str, generating_set, multiply, shifted_presentation,
+                   terms_str)
 from .linalg import rank_image, sparse_rank
 from .pairing import TwistedPairing
 from .report import check
 from .scalars import ONE, ZERO, q_power
-from .twisting import (BiadditiveMap, TwistingDatum, compatibility_check,
-                       deg_sub, deg_total)
+from .twisting import TwistingDatum, compatibility_check, form
 
 
 class IncompatiblePairError(ValueError):
-    """The twisting data do not satisfy chi' = -(gamma')^T."""
+    """The twisting data do not satisfy chi' = -gamma'."""
 
 
 _NO_ACTION = Element.zero()  # x(b) of an x that actions(b) does not list
@@ -74,13 +73,13 @@ def _actions(P, terms, col):
     col(a2) is {x: <x, a2>} over the x with <x, a2> != 0, or None; the
     result maps each x it lists to the term dict of x(u), and an x missing
     from it acts as zero.  The action's q-exponent is written here only."""
-    gp = P.gamma.prime.evaluate
+    gp = P.gamma.prime
     out = {}
     for l, cl in terms.items():
         for (a1, a2), c in P.plus.coproduct(l).terms.items():
             xs = col(a2)
             if xs:
-                ct = cl * c * q_power(gp(a1.degree, a2.degree))
+                ct = cl * c * q_power(form(gp, a1.degree, a2.degree))
                 for x, v in xs.items():
                     _acc(out.setdefault(x, {}), a1, ct * v)
     return out
@@ -91,15 +90,14 @@ def _core(D, x, b):
     q^(gamma''(|b|,|x2|) + xi''(|b|-|x1|,|x2|)) x1(b) # x2, as a term dict
     on normal-form pairs (u, x2), from the cached actions(b) and with no
     product applied.  The smash product's q-exponent is written here only."""
-    gpp = D.gamma.doubleprime.evaluate
-    xipp = D.xi.doubleprime.evaluate
+    gpp, xipp = D.gamma.doubleprime, D.xi.doubleprime
     bdeg = b.degree
     acts = D.actions(b)
     out = {}
     for (x1, x2), c in D.minus.coproduct(x).terms.items():
         act = acts.get(x1, _NO_ACTION).terms
         if act:
-            k = c * q_power(gpp(bdeg, x2.degree) + xipp(deg_sub(bdeg, x1.degree), x2.degree))
+            k = c * q_power(form(gpp, bdeg, x2.degree) + form(xipp, bdeg - x1.degree, x2.degree))
             for u, cu in act.items():
                 _acc(out, (u, x2), k * cu)
     return out
@@ -134,9 +132,8 @@ class HeisenbergDouble:
             raise TypeError("pairing must be a TwistedPairing")
         if not compatibility_check(pairing.plus.twisting, pairing.gamma):
             raise IncompatiblePairError(
-                "cannot form the double of %s: chi' = %s but -(gamma')^T = %s"
-                % (pairing.name, pairing.plus.twisting.prime,
-                   -pairing.gamma.prime.transpose()))
+                "cannot form the double of %s: chi' = [%d] but -(gamma')^T = [%d]"
+                % (pairing.name, pairing.plus.twisting.prime, -pairing.gamma.prime))
         self.pairing = pairing
         self.plus = pairing.plus
         self.minus = pairing.minus
@@ -144,12 +141,11 @@ class HeisenbergDouble:
         self.xi = pairing.minus.twisting
         self.name = name or pairing.name
         self.perfect = perfect
-        self.rank = pairing.plus.rank
         self._action = {}
         self._smash = {}
         self._generators = {}
         self._generator_elements = {}
-        # gen_fn(N) lists the generator labels of total degree <= N, one list
+        # gen_fn(N) lists the generator labels of degree <= N, one list
         # for both sides; None takes every basis label as a generator.
         self.gen_fn = None
 
@@ -217,25 +213,17 @@ class HeisenbergDouble:
 
     # -- derived contexts ------------------------------------------------
 
-    def shifted(self, alpha, beta=None):
-        """The double with both coproducts shifted by alpha and both products
-        by beta (zero when omitted); the pairing twisting moves to
-        (gamma' - alpha + beta, gamma'' - alpha + beta) and the normal-form
-        basis is unchanged.
+    def shifted(self, alpha, beta=0):
+        """The double with both coproducts shifted by the form alpha and both
+        products by the form beta, integer constants; the pairing twisting
+        moves to (gamma' - alpha + beta, gamma'' - alpha + beta) and the
+        normal-form basis is unchanged.
 
         Compatibility is re-checked, and holds exactly when beta is
-        antisymmetric; otherwise IncompatiblePairError is raised.  An alpha
-        or beta that is not a BiadditiveMap of the double's rank is refused
-        up front."""
-        if beta is None:
-            beta = BiadditiveMap.zero(self.rank)
-        for what, m in (("alpha", alpha), ("beta", beta)):
-            if not isinstance(m, BiadditiveMap):
-                raise TypeError("%s must be a BiadditiveMap of rank %d, the rank of %s; "
-                                "got %s" % (what, self.rank, self.name, type(m).__name__))
-            if m.rank != self.rank:
-                raise ValueError("%s has rank %d, but %s has rank %d"
-                                 % (what, m.rank, self.name, self.rank))
+        antisymmetric, which on Z means beta = 0; otherwise
+        IncompatiblePairError is raised.  An alpha or beta that is not an
+        int, or is a bool, is refused up front with TypeError, by
+        shifted_presentation."""
         plus_s = shifted_presentation(self.plus, alpha, beta)
         minus_s = shifted_presentation(self.minus, alpha, beta)
         gamma_s = TwistingDatum(self.gamma.prime - alpha + beta,
@@ -301,14 +289,14 @@ def fock_apply(D, u, b):
 
 
 def max_term_degree(u):
-    """Largest signed total degree |a| - |x| of a term a#x of u; 0 when u = 0."""
-    return max((deg_total(a.degree) - deg_total(x.degree) for a, x in u.terms), default=0)
+    """Largest signed degree |a| - |x| of a term a#x of u; 0 when u = 0."""
+    return max((a.degree - x.degree for a, x in u.terms), default=0)
 
 
 def fock_matrix(D, u, Nin):
     """Matrix of u on the plus algebra as (row_labels, col_labels, matrix):
-    column b, for b of total degree <= Nin, is u(b) from _fock, and the rows,
-    of total degree <= max(0, Nin + max_term_degree(u)), hold every term of it."""
+    column b, for b of degree <= Nin, is u(b) from _fock, and the rows,
+    of degree <= max(0, Nin + max_term_degree(u)), hold every term of it."""
     cols = D.plus.labels_up_to(Nin)
     rows = D.plus.labels_up_to(max(0, Nin + max_term_degree(u)))
     index = {l: i for i, l in enumerate(rows)}
@@ -323,9 +311,9 @@ def fock_matrix(D, u, Nin):
 
 
 def _gen_labels(H, hook, N):
-    """Generator labels of H of total degree <= N."""
+    """Generator labels of H of degree <= N."""
     if hook is not None:
-        return [l for l in hook(N) if deg_total(l.degree) <= N]
+        return [l for l in hook(N) if l.degree <= N]
     return H.labels_up_to(N)
 
 
@@ -394,7 +382,7 @@ def _require_perfect(D, name):
 def verify_vacuum(D, N):
     """The unit of the plus side is a vacuum vector: every positive-degree
     minus element annihilates it, and the joint kernel of the minus action
-    on each positive stratum of total degree <= N is zero.
+    on each positive stratum of degree <= N is zero.
 
     The joint kernel of a stratum is zero when the matrix with one column
     per stratum label b, stacking x(b) over the minus labels x of positive
@@ -409,7 +397,7 @@ def verify_vacuum(D, N):
     sparse_rank gives the dimension of the kernel."""
     _require_perfect(D, "verify_vacuum")
     for x in D.minus.labels_up_to(N):
-        if deg_total(x.degree) == 0:
+        if x.degree == 0:
             continue
         img = D.action_label(x, D.plus.unit_label)
         if not img.is_zero:
@@ -417,13 +405,11 @@ def verify_vacuum(D, N):
                     "label": D.minus.label_text(x),
                     "image": element_str(D.plus, img)}
     gens = set(generating_set(D.minus, N))
-    for degree in degrees_up_to(D.rank, N):
-        if deg_total(degree) == 0:
-            continue
+    for degree in range(1, N + 1):
         stratum = D.plus.basis(degree)
         if rank_image(_stacked(D, stratum, gens.__contains__)) == len(stratum):
             continue
-        rows = _stacked(D, stratum, lambda x: deg_total(x.degree) > 0)
+        rows = _stacked(D, stratum, lambda x: x.degree > 0)
         rank = rank_image(rows)
         if rank != len(stratum):
             rank = sparse_rank(rows)
@@ -452,7 +438,7 @@ def _stacked(D, stratum, keep):
 @check
 def verify_faithful(D, lam, N):
     """Injectivity of the Fock representation on the signed stratum lam,
-    restricted to normal-form pairs with both factor degrees of total <= N.
+    restricted to normal-form pairs with both factor degrees <= N.
 
     Inputs up to the largest minus degree in the stratum suffice: inputs of
     degree m only see minus factors of degree <= m, so the strata are
@@ -462,15 +448,14 @@ def verify_faithful(D, lam, N):
     in F_p, and computed by sparse_rank when that falls short (see the
     module docstring)."""
     _require_perfect(D, "verify_faithful")
-    lam = tuple(lam)
     pairs = []
-    for da in degrees_up_to(D.rank, N):
-        dx = deg_sub(da, lam)
-        if min(dx) >= 0 and deg_total(dx) <= N:
+    for da in range(N + 1):
+        dx = da - lam
+        if 0 <= dx <= N:
             pairs.extend((a, x) for a in D.plus.basis(da) for x in D.minus.basis(dx))
     if not pairs:
         return None
-    nin = max(deg_total(x.degree) for _, x in pairs)
+    nin = max(x.degree for _, x in pairs)
     inputs = D.plus.labels_up_to(nin)
     prod = D.plus.product
     ids = {}

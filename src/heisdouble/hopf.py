@@ -1,8 +1,10 @@
 """Graded connected bialgebra presentations with twisted tensor multiplication.
 
-A presentation supplies a homogeneous basis per degree together with
-structure constants for the product and coproduct; everything else (counit,
-antipode, axiom checking, degree-shift wrapping) is derived here.  Basis
+A presentation is graded by N: a degree is a nonnegative int, and the
+labels of degree <= N are the bases of degrees 0, 1, ..., N in turn.  It
+supplies a homogeneous basis per degree together with structure constants
+for the product and coproduct; everything else (counit, antipode, axiom
+checking, degree-shift wrapping) is derived here.  Basis
 labels are interned, so structure constants are cached on their labels by
 identity and each one is computed once, and every map on elements is the
 linear (or bilinear) extension of a map on labels: ``linear`` (a wrapper
@@ -23,33 +25,34 @@ degrees only when that fails.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+import weakref
 
 from .report import check
 from .scalars import ONE, ZERO, RatFunc, q_power
-from .twisting import TwistingDatum, deg_add, deg_total, deg_zero
+from .twisting import TwistingDatum, form, require_form
 
 
 class PresentationError(ValueError):
     """A presentation violated a structural requirement."""
 
 
-_INTERNED = {}
+_INTERNED = weakref.WeakValueDictionary()
 
 
 class BasisLabel:
-    """Name of one homogeneous basis element: an opaque key plus a degree.
+    """Name of one homogeneous basis element: an opaque key plus an integer
+    degree.
 
     Labels are interned: equal (key, degree) always gives the same object,
     so labels hash and compare by identity, in C, with the default
     object.__hash__ and object.__eq__.  The intern table is process-wide and
-    holds every label made so far.
+    weak-valued: it holds a label only while something else refers to it, so
+    the labels of a dropped instance go with it.
     """
 
-    __slots__ = ("key", "degree")
+    __slots__ = ("key", "degree", "__weakref__")
 
     def __new__(cls, key, degree):
-        degree = tuple(degree)
         hit = _INTERNED.get((key, degree))
         if hit is None:
             hit = object.__new__(cls)
@@ -153,24 +156,13 @@ class Element:
         return "Element(%r)" % (self.terms,)
 
 
-def degrees_up_to(rank, N):
-    """All degree tuples with nonnegative entries and total <= N, sorted by
-    (total, tuple).  A negative N is refused: a sweep over no degrees
-    would check nothing."""
-    if N < 0:
-        raise ValueError("degree bound must be nonnegative, got %d" % N)
-    out = [d for d in iproduct(range(N + 1), repeat=rank) if sum(d) <= N]
-    out.sort(key=lambda d: (sum(d), d))
-    return out
-
-
 def bounded_tuples(pools, N, total=None):
-    """Tuples taking their i-th entry from pools[i] whose total degrees sum
-    to at most N, in lexicographic order of pool positions.
+    """Tuples taking their i-th entry from pools[i] whose degrees sum to at
+    most N, in lexicographic order of pool positions.
 
-    total(x) is the total degree of an entry.  By default an entry is a
+    total(x) is the degree of an entry.  By default an entry is a
     BasisLabel or a tuple of them (a tuple this function yielded), whose
-    total degree is the sum over its labels.
+    degree is the sum over its labels.
     """
     total = total or _total
     weighted = [[(x, total(x)) for x in pool] for pool in pools]
@@ -189,8 +181,8 @@ def bounded_tuples(pools, N, total=None):
 
 def _total(x):
     if isinstance(x, BasisLabel):
-        return deg_total(x.degree)
-    return sum(deg_total(l.degree) for l in x)
+        return x.degree
+    return sum(l.degree for l in x)
 
 
 class HopfPresentation:
@@ -204,15 +196,11 @@ class HopfPresentation:
     is checked at construction.
     """
 
-    def __init__(self, name, rank, twisting, unit_label, basis_fn, product_fn,
+    def __init__(self, name, twisting, unit_label, basis_fn, product_fn,
                  coproduct_fn, label_text_fn=None):
         if not isinstance(twisting, TwistingDatum):
             raise TypeError("twisting must be a TwistingDatum")
-        if twisting.rank != rank:
-            raise ValueError("twisting rank %d does not match grading rank %d"
-                             % (twisting.rank, rank))
         self.name = name
-        self.rank = rank
         self.twisting = twisting
         self._basis_fn = basis_fn
         self._product_fn = product_fn
@@ -222,12 +210,13 @@ class HopfPresentation:
         self._index = {}
         self._prod = {}
         self._coprod = {}
+        self._gens = {}  # N -> generating_set(self, N)
         self._antipode = {}
         self._text = {}
         self._sort_key = {}
-        if unit_label.degree != deg_zero(rank):
+        if unit_label.degree != 0:
             raise PresentationError("unit label must sit in degree zero")
-        z = self.basis(deg_zero(rank))
+        z = self.basis(0)
         if z != (unit_label,):
             raise PresentationError(
                 "%s is not connected: degree-0 basis is %r" % (name, z))
@@ -236,12 +225,11 @@ class HopfPresentation:
     # -- basis -----------------------------------------------------------
 
     def basis(self, degree):
-        degree = tuple(degree)
         hit = self._basis.get(degree)
         if hit is None:
-            if len(degree) != self.rank or any(d < 0 for d in degree):
-                raise ValueError("bad degree %r for rank-%d presentation"
-                                 % (degree, self.rank))
+            if not isinstance(degree, int) or degree < 0:
+                raise ValueError("bad degree %r: degrees are nonnegative integers"
+                                 % (degree,))
             val = tuple(self._basis_fn(degree))
             for l in val:
                 if l.degree != degree:
@@ -267,18 +255,17 @@ class HopfPresentation:
                     % (label, self.name, label.degree))
 
     def label_sort_key(self, label):
-        """(total degree, degree, basis position), cached per label."""
+        """(degree, basis position), cached per label."""
         hit = self._sort_key.get(label)
         if hit is None:
             hit = self._sort_key.setdefault(
-                label, (deg_total(label.degree), label.degree,
-                        self._positions(label.degree)[label]))
+                label, (label.degree, self._positions(label.degree)[label]))
         return hit
 
     def labels_up_to(self, N):
-        """All basis labels of total degree <= N in canonical order."""
+        """All basis labels of degree <= N in canonical order."""
         out = []
-        for d in degrees_up_to(self.rank, N):
+        for d in range(N + 1):
             out.extend(self.basis(d))
         return out
 
@@ -298,7 +285,7 @@ class HopfPresentation:
         hit = self._prod.get((l1, l2))
         if hit is None:
             self.require_labels(l1, l2)
-            d = deg_add(l1.degree, l2.degree)
+            d = l1.degree + l2.degree
             terms = {}
             for l, c in self._product_fn(l1, l2).terms.items():
                 if l.degree != d:
@@ -316,7 +303,7 @@ class HopfPresentation:
             self.require_labels(label)
             terms = {}
             for (l1, l2), c in self._coproduct_fn(label).terms.items():
-                if deg_add(l1.degree, l2.degree) != label.degree:
+                if l1.degree + l2.degree != label.degree:
                     raise PresentationError(
                         "coproduct of %s has a term of bidegree (%r, %r)"
                         % (self.label_text(label), l1.degree, l2.degree))
@@ -349,7 +336,7 @@ class HopfPresentation:
 
     def counit_label(self, label):
         # connectedness makes the unit the only basis label of degree zero
-        return ZERO if any(label.degree) else ONE
+        return ZERO if label.degree else ONE
 
     def __repr__(self):
         return "HopfPresentation(%s)" % self.name
@@ -403,13 +390,13 @@ def twisted_tensor_multiply(H, s, t):
 
     (a1 x a2)(b1 x b2) = q^(chi'(|a2|,|b1|) + chi''(|a1|,|b2|)) a1 b1 x a2 b2.
     """
-    chi_p = H.twisting.prime.evaluate
-    chi_pp = H.twisting.doubleprime.evaluate
+    chi = H.twisting
     out = {}
     for (a1, a2), c in s.terms.items():
         for (b1, b2), d in t.terms.items():
             left, right = H.product(a1, b1).terms, H.product(a2, b2).terms
-            cd = c * d * q_power(chi_p(a2.degree, b1.degree) + chi_pp(a1.degree, b2.degree))
+            cd = c * d * q_power(form(chi.prime, a2.degree, b1.degree)
+                                 + form(chi.doubleprime, a1.degree, b2.degree))
             for l1, c1 in left.items():
                 k = cd * c1
                 for l2, c2 in right.items():
@@ -429,7 +416,7 @@ def _antipode_label(H, label):
     hit = H._antipode.get(label)
     if hit is not None:
         return hit
-    if not any(label.degree):  # the unit, by connectedness
+    if not label.degree:  # the unit, by connectedness
         val = H.unit_element()
     else:
         val = Element.from_label(label, -ONE) - linear(
@@ -493,21 +480,23 @@ def _scalar_text(c):
 
 def shifted_presentation(H, alpha, beta):
     """Presentation with coproduct rescaled by q^alpha(|a1|,|a2|) termwise and
-    product rescaled by q^beta(|a|,|b|); twisting becomes
-    (chi' + alpha^T + beta, chi'' + alpha + beta)."""
-    twisting = TwistingDatum(
-        H.twisting.prime + alpha.transpose() + beta,
-        H.twisting.doubleprime + alpha + beta)
+    product rescaled by q^beta(|a|,|b|), for integer form constants alpha
+    and beta; twisting becomes (chi' + alpha + beta, chi'' + alpha + beta),
+    since a form on Z is its own transpose."""
+    require_form("alpha", alpha)
+    require_form("beta", beta)
+    twisting = TwistingDatum(H.twisting.prime + alpha + beta,
+                             H.twisting.doubleprime + alpha + beta)
 
     def product_fn(l1, l2):
-        return H.product(l1, l2).scale(q_power(beta.evaluate(l1.degree, l2.degree)))
+        return H.product(l1, l2).scale(q_power(form(beta, l1.degree, l2.degree)))
 
     def coproduct_fn(label):
-        return Element._raw({(l1, l2): c * q_power(alpha.evaluate(l1.degree, l2.degree))
+        return Element._raw({(l1, l2): c * q_power(form(alpha, l1.degree, l2.degree))
                              for (l1, l2), c in H.coproduct(label).terms.items()})
 
     return HopfPresentation(
-        H.name + "~shifted", H.rank, twisting, H.unit_label, H.basis,
+        H.name + "~shifted", twisting, H.unit_label, H.basis,
         product_fn, coproduct_fn, H._label_text_fn)
 
 
@@ -515,7 +504,8 @@ def shifted_presentation(H, alpha, beta):
 
 
 def generating_set(H, N):
-    """Labels that generate H up to degree N, found from the cached products.
+    """Labels that generate H up to degree N, found from the cached products
+    once per presentation and N and kept as a tuple.
 
     Degree by degree, a label of positive degree joins the set unless it is
     the single term of a cached product g*b, with g already in the set and
@@ -526,20 +516,22 @@ def generating_set(H, N):
     (d on the minus side), for qheis and lattice algebras the power sums;
     at worst it is every label of positive degree.
     """
-    labels = H.labels_up_to(N)
-    gens, covered = [], set()
-    for a in labels[1:]:
-        if a in covered:
-            continue
-        gens.append(a)
-        budget = N - deg_total(a.degree)
-        for b in labels[1:]:
-            if deg_total(b.degree) > budget:
-                break
-            terms = H.product(a, b).terms
-            if len(terms) == 1:
-                covered.update(terms)
-    return gens
+    hit = H._gens.get(N)
+    if hit is None:
+        labels = H.labels_up_to(N)
+        gens, covered = [], set()
+        for a in labels[1:]:
+            if a in covered:
+                continue
+            gens.append(a)
+            for b in labels[1:]:
+                if a.degree + b.degree > N:
+                    break
+                terms = H.product(a, b).terms
+                if len(terms) == 1:
+                    covered.update(terms)
+        hit = H._gens.setdefault(N, tuple(gens))
+    return hit
 
 
 @check
@@ -643,21 +635,21 @@ def check_bialgebra(H, N):
     #   - chi''(a1, b2+c2) + chi''(a1, b2) + chi''(a1, c2),
     # each on a degree triple whose total is at most the six-tuple's.  So
     # when chi' and chi'' are additive in each argument on every triple of
-    # total <= N (35 triples instead of 210 six-tuples at rank 1, N=4; 56
+    # total <= N (35 triples instead of 210 six-tuples at N=4; 56
     # instead of 462 at N=5), every six-tuple agrees.  Otherwise the full
-    # sweep over six-tuples gives the witness, or passes.
-    chi_p = H.twisting.prime.evaluate
-    chi_pp = H.twisting.doubleprime.evaluate
-    degrees = degrees_up_to(H.rank, N)
-    if not all(chi(deg_add(a, b), c) == chi(a, c) + chi(b, c)
-               and chi(a, deg_add(b, c)) == chi(a, b) + chi(a, c)
-               for a, b, c in bounded_tuples([degrees] * 3, N, total=deg_total)
-               for chi in (chi_p, chi_pp)):
-        for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
-            lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
-                   + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
-            rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
-                   + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
+    # sweep over six-tuples gives the witness, or passes.  Both read the
+    # twists through form, as twisted_tensor_multiply does.
+    cp, cpp = H.twisting.prime, H.twisting.doubleprime
+    degrees = range(N + 1)
+    if not all(form(chi, a + b, c) == form(chi, a, c) + form(chi, b, c)
+               and form(chi, a, b + c) == form(chi, a, b) + form(chi, a, c)
+               for a, b, c in bounded_tuples([degrees] * 3, N, total=lambda d: d)
+               for chi in (cp, cpp)):
+        for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=lambda d: d):
+            lhs = (form(cp, a2, b1) + form(cpp, a1, b2)
+                   + form(cp, a2 + b2, c1) + form(cpp, a1 + b1, c2))
+            rhs = (form(cp, b2, c1) + form(cpp, b1, c2)
+                   + form(cp, a2, b1 + c1) + form(cpp, a1, b2 + c2))
             if lhs != rhs:
                 return fail("twisted tensor associativity",
                             "degrees (%r, %r), (%r, %r), (%r, %r)"

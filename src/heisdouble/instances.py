@@ -40,7 +40,7 @@ from .partitions import (check_partition, mp_empty, mp_shape,
                          mp_sub_multisets, mp_union, multipartitions_of,
                          multiplicities, partitions_of)
 from .scalars import (ONE, RatFunc, ZERO, q_binomial, q_factorial, q_int_sym)
-from .twisting import BiadditiveMap, TwistingDatum
+from .twisting import TwistingDatum
 
 
 class ConfigError(ValueError):
@@ -74,18 +74,18 @@ class Instance:
 
 
 def _weyl_presentation(name, letter, twisting, binomial):
-    unit = BasisLabel(0, (0,))
+    unit = BasisLabel(0, 0)
 
     def basis_fn(degree):
-        return (BasisLabel(degree[0], degree),)
+        return (BasisLabel(degree, degree),)
 
     def product_fn(l1, l2):
         n = l1.key + l2.key
-        return Element.from_label(BasisLabel(n, (n,)))
+        return Element.from_label(BasisLabel(n, n))
 
     def coproduct_fn(label):
         n = label.key
-        return Element({(BasisLabel(k, (k,)), BasisLabel(n - k, (n - k,))):
+        return Element({(BasisLabel(k, k), BasisLabel(n - k, n - k)):
                         binomial(n, k) for k in range(n + 1)})
 
     def text_fn(label):
@@ -95,7 +95,7 @@ def _weyl_presentation(name, letter, twisting, binomial):
             return letter
         return "%s^%d" % (letter, label.key)
 
-    return HopfPresentation(name, 1, twisting, unit, basis_fn, product_fn,
+    return HopfPresentation(name, twisting, unit, basis_fn, product_fn,
                             coproduct_fn, text_fn)
 
 
@@ -105,13 +105,11 @@ def build_weyl():
     Plus side k[x] with q-binomial coproduct and chi = (0, zeta); minus side
     k[d] carrying the inverted q-binomials and the dual twisting (-zeta, 0);
     pairing <d^m, x^n> = delta_mn [n]_q! twisted by gamma = (0, zeta), where
-    zeta(m, n) = mn.
+    zeta(m, n) = mn, the form with constant 1.
     """
-    zeta = BiadditiveMap(((1,),))
-    zero = BiadditiveMap.zero(1)
-    chi = TwistingDatum(zero, zeta)
-    xi = TwistingDatum(-zeta, zero)
-    gamma = TwistingDatum(zero, zeta)
+    chi = TwistingDatum(0, 1)
+    xi = TwistingDatum(-1, 0)
+    gamma = TwistingDatum(0, 1)
 
     plus = _weyl_presentation("weyl+", "x", chi, q_binomial)
     minus = _weyl_presentation(
@@ -132,31 +130,31 @@ def build_weyl():
 def _power_label_element(args, letter):
     if args:
         raise ConfigError("generator %s takes no arguments" % letter)
-    return Element.from_label(BasisLabel(1, (1,)))
+    return Element.from_label(BasisLabel(1, 1))
 
 
 # -- symmetric-algebra presentations (shared by qheis and lattice) -------
 
 
 def mp_label(mp):
-    return BasisLabel(mp, (sum(sum(lam) for lam in mp),))
+    return BasisLabel(mp, sum(sum(lam) for lam in mp))
 
 
 def _sym_presentation(name, ncolors, letter):
     unit = mp_label(mp_empty(ncolors))
-    twisting = TwistingDatum.zero(1)
+    twisting = TwistingDatum(0, 0)
 
     def basis_fn(degree):
-        return tuple(mp_label(mp) for mp in multipartitions_of(degree[0], ncolors))
+        return tuple(mp_label(mp) for mp in multipartitions_of(degree, ncolors))
 
     def product_fn(l1, l2):
         return Element.from_label(mp_label(mp_union(l1.key, l2.key)))
 
     def coproduct_fn(label):
-        n = label.degree[0]
+        n = label.degree
         t = {}
         for mu, rest, k, ways in mp_sub_multisets(label.key):
-            t[(BasisLabel(mu, (k,)), BasisLabel(rest, (n - k,)))] = RatFunc.from_int(ways)
+            t[(BasisLabel(mu, k), BasisLabel(rest, n - k))] = RatFunc.from_int(ways)
         return Element._raw(t)
 
     def text_fn(label):
@@ -166,7 +164,7 @@ def _sym_presentation(name, ncolors, letter):
                 parts.append("%s[%d,%d]" % (letter, k, i))
         return "*".join(parts) if parts else "1"
 
-    return HopfPresentation(name, 1, twisting, unit, basis_fn, product_fn,
+    return HopfPresentation(name, twisting, unit, basis_fn, product_fn,
                             coproduct_fn, text_fn)
 
 
@@ -287,14 +285,22 @@ def nonsingularity_check(A, kmax):
 # -- builders ------------------------------------------------------------
 
 
-def _check_symmetric(m, what):
+def _int_matrix(m, message):
+    """The config matrix m as a tuple of integer rows: the one validator of
+    cartan, form and shift matrices.  ConfigError(message) unless m is a
+    list of rows of ints (a bool is refused)."""
     try:
-        m = BiadditiveMap(m).rows
+        rows = tuple(tuple(row) for row in m)
     except TypeError:
-        raise ConfigError("%s must be a list of integer rows" % what) from None
-    except ValueError:  # rows of unequal length
-        m = ()
-    if not m:
+        raise ConfigError(message) from None
+    if any(not isinstance(v, int) or isinstance(v, bool) for row in rows for v in row):
+        raise ConfigError(message)
+    return rows
+
+
+def _check_symmetric(m, what):
+    m = _int_matrix(m, "%s must be a list of integer rows" % what)
+    if not m or any(len(row) != len(m) for row in m):
         raise ConfigError("%s must be a nonempty square matrix" % what)
     if m != tuple(zip(*m)):
         raise ConfigError("%s must be symmetric" % what)
@@ -349,7 +355,7 @@ def _sym_instance(kind, key, M, name, factor, perfect, generators):
             index = by_shape.setdefault(x_label.degree, index)
         return index.get(mp_shape(x_label.key), ())
 
-    pairing = TwistedPairing(minus, plus, TwistingDatum.zero(1), gram_fn,
+    pairing = TwistedPairing(minus, plus, TwistingDatum(0, 0), gram_fn,
                              name=name, support=support)
     double = HeisenbergDouble(pairing, name=name, perfect=perfect)
     for gen, side, element in generators:
@@ -387,13 +393,11 @@ def build_lattice(B, name=None):
                          _GENERATORS[:2])
 
 
-def shifted_instance(inst, alpha, beta=None):
-    """Instance with both coproducts shifted by alpha and both products by
-    beta; see :meth:`HeisenbergDouble.shifted`, which raises
-    IncompatiblePairError unless beta is antisymmetric."""
-    alpha = alpha if isinstance(alpha, BiadditiveMap) else BiadditiveMap(alpha)
-    if beta is not None and not isinstance(beta, BiadditiveMap):
-        beta = BiadditiveMap(beta)
+def shifted_instance(inst, alpha, beta=0):
+    """Instance with both coproducts shifted by the form alpha and both
+    products by the form beta, integer constants; see
+    :meth:`HeisenbergDouble.shifted`, which raises IncompatiblePairError
+    unless beta is antisymmetric, that is 0."""
     double = inst.double.shifted(alpha, beta)
     return Instance(inst.name + "~shifted", inst.kind, double.pairing, double,
                     meta=dict(inst.meta))
@@ -432,7 +436,8 @@ def load_instance(config):
       {"type": "weyl", "shift": {...}?, "name": ...?}
       {"type": "qheis", "cartan": [[...]], "shift": ...?, "name": ...?}
       {"type": "lattice", "form": [[...]], "shift": ...?, "name": ...?}
-    shift is {"alpha": [[...]]?, "beta": [[...]]?}.
+    shift is {"alpha": [[a]]?, "beta": [[b]]?}: 1x1 matrices, since every
+    instance is graded by N, so a form is one integer.
     """
     if isinstance(config, str):
         try:
@@ -468,12 +473,11 @@ def load_instance(config):
         raise ConfigError(str(e)) from None
     if shift is not None:
         for m in shift:
-            if m is not None and m.rank != inst.double.rank:
-                raise ConfigError("shift matrices must be %dx%d for %s, got %dx%d"
-                                  % (inst.double.rank, inst.double.rank,
-                                     inst.name, m.rank, m.rank))
+            if len(m) != 1 or len(m[0]) != 1:
+                raise ConfigError("shift matrices must be 1x1 for %s, got %dx%d"
+                                  % (inst.name, len(m), max(map(len, m), default=0)))
         try:
-            inst = shifted_instance(inst, *shift)
+            inst = shifted_instance(inst, *(m[0][0] for m in shift))
         except IncompatiblePairError as e:
             raise ConfigError(str(e)) from None
     if name:
@@ -489,17 +493,9 @@ def _parse_shift(raw):
         return None
     if not isinstance(raw, dict):
         raise ConfigError("shift must be an object with alpha/beta matrices")
-    alpha = raw.get("alpha")
-    beta = raw.get("beta")
+    alpha, beta = raw.get("alpha"), raw.get("beta")
     if alpha is None and beta is None:
         raise ConfigError("shift requires at least one of alpha, beta")
-    try:
-        a = BiadditiveMap(alpha) if alpha is not None else None
-        b = BiadditiveMap(beta) if beta is not None else None
-    except TypeError:
-        raise ConfigError("shift alpha/beta must be lists of integer rows") from None
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if a is None:
-        a = BiadditiveMap.zero(b.rank)
-    return a, b
+    return tuple(_int_matrix([[0]] if m is None else m,
+                             "shift alpha/beta must be lists of integer rows")
+                 for m in (alpha, beta))

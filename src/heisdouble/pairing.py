@@ -31,7 +31,7 @@ from .hopf import Element, _acc
 from .linalg import components, det_bareiss, det_image
 from .report import check
 from .scalars import ONE, ZERO, q_power
-from .twisting import TwistingDatum, deg_add, dual_twisting
+from .twisting import TwistingDatum, dual_twisting, form
 from . import hopf
 
 
@@ -50,12 +50,8 @@ class TwistedPairing:
     """
 
     def __init__(self, minus, plus, gamma, gram_fn, name=None, support=None):
-        if minus.rank != plus.rank:
-            raise ValueError("paired presentations must share the grading rank")
         if not isinstance(gamma, TwistingDatum):
             raise TypeError("gamma must be a TwistingDatum")
-        if gamma.rank != plus.rank:
-            raise ValueError("gamma rank does not match the grading rank")
         self.minus = minus
         self.plus = plus
         self.gamma = gamma
@@ -147,15 +143,15 @@ class TwistedPairing:
         return rows, cols, matrix
 
     def gram_to_json(self, N):
-        """Gram blocks for all degrees of total <= N, entries as strings.
+        """Gram blocks for all degrees <= N, entries as strings.
 
-        Keys are comma-joined degree tuples; values carry the two label lists
-        and the matrix in row-major order.
+        Keys are the degrees as text; values carry the two label lists and
+        the matrix in row-major order.
         """
         out = {}
-        for degree in hopf.degrees_up_to(self.plus.rank, N):
+        for degree in range(N + 1):
             rows, cols, matrix = self.gram_block(degree)
-            out[",".join(str(d) for d in degree)] = {
+            out[str(degree)] = {
                 "minus_labels": [self.minus.label_text(l) for l in rows],
                 "plus_labels": [self.plus.label_text(l) for l in cols],
                 "entries": [[str(v) for v in row] for row in matrix],
@@ -201,12 +197,12 @@ def check_pairing_axioms(P, N, *, presupposed=False):
                    = e(|u|, |v|) e(|g|, |u'|)
                      <g (x) u' (x) v, (Delta (x) id) Delta k>.
       Coassociativity of H+ equates the two tensors, and gamma' is
-      biadditive (a BiadditiveMap is a matrix form), so the two exponents
-      agree.  Every identity used has total degree |u| + |v| <= N, and
-      every law used is checked by check_bialgebra up to N.
+      biadditive (a form c m n on Z), so the two exponents agree.  Every
+      identity used has total degree |u| + |v| <= N, and every law used is
+      checked by check_bialgebra up to N.
 
     The order argument: the sweep runs u outer, in basis order, which
-    sorts by total degree, then v, then k.  For u outside G the proof uses
+    sorts by degree, then v, then k.  For u outside G the proof uses
     only identities whose first factor, g or u', has degree below |u|, and
     so comes before u; the unit case uses none.  So the first failing
     (u, v, k) of the full sweep, if there is one, has u in G.  The reduced
@@ -220,10 +216,10 @@ def check_pairing_axioms(P, N, *, presupposed=False):
     e = Element.from_label
 
     # <1, a> = eps(a) and <x, 1> = eps(x) reduce to <1, 1> = eps(1): a row
-    # holds labels of its own degree only; the sweeps refuse a negative N
+    # holds labels of its own degree only
     u = plus.unit_label
     lhs = P.pair_labels(minus.unit_label, u)
-    if N >= 0 and lhs != plus.counit_label(u):
+    if lhs != plus.counit_label(u):
         return {"identity": "unit against plus", "label": plus.label_text(u),
                 "lhs": lhs, "rhs": plus.counit_label(u)}
 
@@ -234,7 +230,7 @@ def check_pairing_axioms(P, N, *, presupposed=False):
     hit = _first_mismatch(minus, plus, P.row, P.gamma.prime, N, first_factors(minus))
     if hit is not None:
         x, y, a = hit
-        twist = q_power(P.gamma.prime.evaluate(x.degree, y.degree))
+        twist = q_power(form(P.gamma.prime, x.degree, y.degree))
         return {
             "identity": "product-coproduct (minus side)",
             "labels": "%s, %s | %s" % (minus.label_text(x), minus.label_text(y),
@@ -246,7 +242,7 @@ def check_pairing_axioms(P, N, *, presupposed=False):
     hit = _first_mismatch(plus, minus, P.col, P.gamma.doubleprime, N, first_factors(plus))
     if hit is not None:
         a, b, x = hit
-        twist = q_power(P.gamma.doubleprime.evaluate(a.degree, b.degree))
+        twist = q_power(form(P.gamma.doubleprime, a.degree, b.degree))
         return {
             "identity": "coproduct-product (plus side)",
             "labels": "%s | %s, %s" % (minus.label_text(x), plus.label_text(a),
@@ -281,7 +277,7 @@ def _first_mismatch(H, K, store, twist, N, first):
             for k, w in store(z).items():
                 _acc(lhs, k, cz * w)
         rhs = {}
-        q = q_power(twist.evaluate(u.degree, v.degree))
+        q = q_power(form(twist, u.degree, v.degree))
         sv = store(v)
         for k1, w1 in store(u).items():
             for k2, w2 in sv.items():
@@ -289,7 +285,7 @@ def _first_mismatch(H, K, store, twist, N, first):
                 for k, c in inverse.get((k1, k2), ()):
                     _acc(rhs, k, c * w)
         if lhs != rhs:
-            for k in K.basis(deg_add(u.degree, v.degree)):
+            for k in K.basis(u.degree + v.degree):
                 if lhs.get(k, ZERO) != rhs.get(k, ZERO):
                     return u, v, k
     return None
@@ -297,7 +293,7 @@ def _first_mismatch(H, K, store, twist, N, first):
 
 @check
 def perfectness_check(P, N):
-    """Nonvanishing of every Gram determinant for degrees of total <= N.
+    """Nonvanishing of every Gram determinant for degrees <= N.
 
     Square blocks are required; a non-square block is itself a failure.
     Each block is tested component by component on its nonzero pattern
@@ -308,7 +304,7 @@ def perfectness_check(P, N):
     A component whose determinant maps to a nonzero residue of F_p is
     nonsingular (linalg.det_image); only a zero or undefined image is
     eliminated exactly, by det_bareiss, which decides the verdict."""
-    for degree in hopf.degrees_up_to(P.plus.rank, N):
+    for degree in range(N + 1):
         rows, cols, matrix = P.gram_block(degree)
         if len(rows) != len(cols):
             return {"degree": degree,

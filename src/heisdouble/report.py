@@ -7,7 +7,9 @@ witness of its first failing identity as a dict, or None when every
 identity holds.  Keyword arguments, such as check_pairing_axioms's
 ``presupposed``, pass through to the check and do not enter the report.
 The ``check`` decorator turns that into a Report named after the function;
-this module is the only place that builds one.
+this module is the only place that builds one.  It refuses a negative N
+for every check: a sweep over no degrees would pass having checked
+nothing.
 """
 
 from __future__ import annotations
@@ -52,9 +54,12 @@ class Report:
 def check(fn):
     """The check fn(context, ..., N, **options), which returns its first
     witness or None, as a function returning the Report: named fn.__name__,
-    for context.name at N, with each witness value str()-ed in key order."""
+    for context.name at N, with each witness value str()-ed in key order.
+    ValueError when N is negative."""
     @functools.wraps(fn)
     def run(*args, **options):
+        if args[-1] < 0:
+            raise ValueError("degree bound must be nonnegative, got %d" % args[-1])
         witness = fn(*args, **options)
         if witness is None:
             return Report(fn.__name__, args[0].name, args[-1], "pass")

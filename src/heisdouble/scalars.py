@@ -155,16 +155,6 @@ class LaurentPoly:
             k >>= 1
         return out
 
-    def evaluate(self, q0):
-        """Value at q = q0 (a nonzero Fraction or int), as a Fraction."""
-        q0 = Fraction(q0)
-        if q0 == 0:
-            raise ZeroDivisionError("cannot specialize a Laurent polynomial at q = 0")
-        total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * q0 ** e
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -507,13 +497,6 @@ class RatFunc:
     def subs_q_inverse(self):
         """The image under the field map q -> q^-1."""
         return RatFunc(self.num.subs_q_inverse(), self.den.subs_q_inverse())
-
-    def evaluate(self, q0):
-        """Specialize q to a nonzero rational; debugging aid, exact Fraction out."""
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at q = %s" % q0)
-        return self.num.evaluate(q0) / d
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):

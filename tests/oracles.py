@@ -10,14 +10,13 @@ from math import comb, factorial, prod
 from heisdouble import cli
 from heisdouble.double import _gen_labels, _smash
 from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bilinear, bounded_tuples,
-                             check_bialgebra, comultiply, degrees_up_to, element_str,
+                             check_bialgebra, comultiply, element_str,
                              multiply, tensor_str, twisted_tensor_multiply)
 from heisdouble.instances import h_element, mp_label, q_factor
 from heisdouble.linalg import sparse_rank
 from heisdouble.partitions import check_partition, difference, multiplicities, sub_multisets
 from heisdouble.report import check
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_int_sym, q_power
-from heisdouble.twisting import TwistingDatum, deg_add, deg_total
 
 
 # -- partitions ----------------------------------------------------------
@@ -80,19 +79,44 @@ def cartan_affine_d4():
 # -- twisting ------------------------------------------------------------
 
 
-def shift_twisting(chi, xi, gamma, alpha_plus, alpha_minus, beta_plus, beta_minus):
-    """Twisting data after shifting both coproducts and products.
+# A form is its integer matrix here, a nested list: [[c]] for the form c m n
+# on Z.  A twisting datum is a pair (prime, doubleprime) of such matrices.
 
-    alpha_plus/alpha_minus shift the two coproducts, beta_plus/beta_minus the
-    two products.  Returns the triple (chi~, xi~, gamma~).
+
+def transpose(m):
+    return [list(row) for row in zip(*m)]
+
+
+def mat_sum(*terms):
+    """The entrywise sum of s m over the pairs (s, m) of a sign and a matrix."""
+    rows, cols = len(terms[0][1]), len(terms[0][1][0])
+    return [[sum(s * m[i][j] for s, m in terms) for j in range(cols)]
+            for i in range(rows)]
+
+
+def shift_twisting(chi, xi, gamma, alpha_plus, alpha_minus, beta_plus, beta_minus):
+    """Twisting data after shifting both coproducts and products, by the
+    matrix formulas of a grading of any rank.
+
+    chi, xi and gamma are pairs of matrices; alpha_plus/alpha_minus shift
+    the two coproducts, beta_plus/beta_minus the two products.  Returns the
+    triple (chi~, xi~, gamma~):
+      chi~ = (chi' + alpha+^T + beta+, chi'' + alpha+ + beta+),
+      xi~ = (xi' + alpha-^T + beta-, xi'' + alpha- + beta-),
+      gamma~ = (gamma' - alpha+ + beta-, gamma'' - alpha- + beta+).
     """
-    chi_t = TwistingDatum(chi.prime + alpha_plus.transpose() + beta_plus,
-                          chi.doubleprime + alpha_plus + beta_plus)
-    xi_t = TwistingDatum(xi.prime + alpha_minus.transpose() + beta_minus,
-                         xi.doubleprime + alpha_minus + beta_minus)
-    gamma_t = TwistingDatum(gamma.prime - alpha_plus + beta_minus,
-                            gamma.doubleprime - alpha_minus + beta_plus)
+    chi_t = (mat_sum((1, chi[0]), (1, transpose(alpha_plus)), (1, beta_plus)),
+             mat_sum((1, chi[1]), (1, alpha_plus), (1, beta_plus)))
+    xi_t = (mat_sum((1, xi[0]), (1, transpose(alpha_minus)), (1, beta_minus)),
+            mat_sum((1, xi[1]), (1, alpha_minus), (1, beta_minus)))
+    gamma_t = (mat_sum((1, gamma[0]), (-1, alpha_plus), (1, beta_minus)),
+               mat_sum((1, gamma[1]), (-1, alpha_minus), (1, beta_plus)))
     return chi_t, xi_t, gamma_t
+
+
+def compatible(chi, gamma):
+    """chi' = -(gamma')^T on matrices: the double closes."""
+    return chi[0] == mat_sum((-1, transpose(gamma[0])))
 
 
 # -- pairing values ------------------------------------------------------
@@ -205,8 +229,7 @@ def twisted_tensor_multiply_brute(H, s, t):
     total = Element.zero()
     for (a1, a2), c in s.terms.items():
         for (b1, b2), d in t.terms.items():
-            e = (chi.prime.evaluate(a2.degree, b1.degree)
-                 + chi.doubleprime.evaluate(a1.degree, b2.degree))
+            e = chi.prime * a2.degree * b1.degree + chi.doubleprime * a1.degree * b2.degree
             total = total + tensor(H.product(a1, b1), H.product(a2, b2)).scale(
                 c * d * q_power(e))
     return total
@@ -219,7 +242,7 @@ def _label_tuples(H, N, arity):
     """Every tuple of arity basis labels of total degree <= N, in
     lexicographic order of basis positions."""
     labels = H.labels_up_to(N)
-    total = {l: sum(l.degree) for l in labels}
+    total = {l: l.degree for l in labels}
     return [t for t in iproduct(labels, repeat=arity)
             if sum(total[l] for l in t) <= N]
 
@@ -262,14 +285,20 @@ def twisted_associativity_witness(H, N):
     (a1 x a2)(b1 x b2)(c1 x c2) in the twisted tensor square carry different
     powers of q, as check_bialgebra words its witness; None when they agree
     on all of them."""
-    chi_p = H.twisting.prime.evaluate
-    chi_pp = H.twisting.doubleprime.evaluate
-    degrees = degrees_up_to(H.rank, N)
-    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=deg_total):
+    cp, cpp = H.twisting.prime, H.twisting.doubleprime
+
+    def chi_p(m, n):
+        return cp * m * n
+
+    def chi_pp(m, n):
+        return cpp * m * n
+
+    degrees = range(N + 1)
+    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=lambda d: d):
         lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
-               + chi_p(deg_add(a2, b2), c1) + chi_pp(deg_add(a1, b1), c2))
+               + chi_p(a2 + b2, c1) + chi_pp(a1 + b1, c2))
         rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
-               + chi_p(a2, deg_add(b1, c1)) + chi_pp(a1, deg_add(b2, c2)))
+               + chi_p(a2, b1 + c1) + chi_pp(a1, b2 + c2))
         if lhs != rhs:
             return {"identity": "twisted tensor associativity",
                     "labels": "degrees (%r, %r), (%r, %r), (%r, %r)"
@@ -314,8 +343,8 @@ def _product_coproduct_mismatch(H, K, twist, pair, N):
     labels = H.labels_up_to(N)
     for u, v in bounded_tuples([labels, labels], N):
         uv = H.product(u, v).terms.items()
-        e = q_power(twist.evaluate(u.degree, v.degree))
-        for k in K.basis(deg_add(u.degree, v.degree)):
+        e = q_power(twist * u.degree * v.degree)
+        for k in K.basis(u.degree + v.degree):
             lhs = sum((c * pair(z, k) for z, c in uv), ZERO)
             rhs = e * sum((c * pair(u, k1) * pair(v, k2)
                            for (k1, k2), c in K.coproduct(k).terms.items()), ZERO)
@@ -363,14 +392,14 @@ def verify_vacuum(D, N):
     matrix, and each rank computed exactly by sparse_rank, with no F_p
     certificate.  Named after the library check, so that its report is the
     one verify_vacuum gives."""
-    positive = [x for x in D.minus.labels_up_to(N) if deg_total(x.degree)]
+    positive = [x for x in D.minus.labels_up_to(N) if x.degree]
     for x in positive:
         img = D.action_label(x, D.plus.unit_label)
         if not img.is_zero:
             return {"reason": "minus element does not annihilate the vacuum",
                     "label": D.minus.label_text(x),
                     "image": element_str(D.plus, img)}
-    for degree in degrees_up_to(D.rank, N)[1:]:
+    for degree in range(1, N + 1):
         stratum = D.plus.basis(degree)
         ids = {}
         rows = [{ids.setdefault((x, l), len(ids)): c
@@ -506,7 +535,7 @@ def label_action(P, x, a):
     for (a1, a2), c in P.plus.coproduct(a).terms.items():
         v = row.get(a2)
         if v is not None:
-            _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
+            _acc(out, a1, c * v * q_power(gp * a1.degree * a2.degree))
     return Element._raw(out)
 
 
@@ -523,7 +552,7 @@ def left_regular_action(P, x, a):
     for (a1, a2), c in comultiply(P.plus, a).terms.items():
         v = pair_brute(P, x, Element.from_label(a2))
         if not v.is_zero:
-            _acc(out, a1, c * v * q_power(gp.evaluate(a1.degree, a2.degree)))
+            _acc(out, a1, c * v * q_power(gp * a1.degree * a2.degree))
     return Element._raw(out)
 
 

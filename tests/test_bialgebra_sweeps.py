@@ -57,7 +57,7 @@ def test_weyl_is_generated_by_its_letter(side, letter):
     for N in range(1, 9):
         gens = generating_set(H, N)
         assert [H.label_text(g) for g in gens] == [letter]
-    assert generating_set(H, 0) == []
+    assert generating_set(H, 0) == ()
 
 
 @pytest.mark.parametrize("name", ["lattice-i2", "qheis-a2", "lattice-rank-one"])
@@ -67,7 +67,7 @@ def test_symmetric_algebras_are_generated_by_power_sums(name):
     for H in (inst.plus, inst.minus):
         for N in range(top + 1):
             # gen_fn lists the power sums p[n,i], n <= N, in basis order
-            assert generating_set(H, N) == inst.double.gen_fn(N)
+            assert list(generating_set(H, N)) == inst.double.gen_fn(N)
 
 
 # A presentation whose basis is not closed under single-term products: the
@@ -78,7 +78,7 @@ def test_symmetric_algebras_are_generated_by_power_sums(name):
 
 MIXED = mp_label(((1,), (1,)))
 SQUARE = mp_label(((1, 1), ()))
-F = BasisLabel("f", (2,))
+F = BasisLabel("f", 2)
 
 
 def rebased(H):
@@ -100,7 +100,7 @@ def rebased(H):
                       comultiply(H, to_old(label)))
 
     return HopfPresentation(
-        "lattice[2]+rebased", H.rank, H.twisting, H.unit_label,
+        "lattice[2]+rebased", H.twisting, H.unit_label,
         lambda d: tuple(F if l is MIXED else l for l in H.basis(d)),
         product_fn, coproduct_fn,
         lambda l: "f" if l is F else H.label_text(l))
@@ -149,7 +149,7 @@ UNCAUGHT = []
 def _entries(H, N):
     """(cache, key) for every cached product and coproduct of total degree
     <= N."""
-    total = lambda l: sum(l.degree)
+    total = lambda l: l.degree
     return ([(H._prod, k) for k in H._prod if total(k[0]) + total(k[1]) <= N]
             + [(H._coprod, k) for k in H._coprod if total(k) <= N])
 

@@ -7,7 +7,10 @@ whose 35 x 35 Gram component is certified in F_p), `verify --json` on
 qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
 reports and its skipped list), `fock-matrix --json` on A2, lattice I2 and
 Weyl, two `normal-order` answers on A2 (the second, of an h-word, has 84
-terms over Q(q) denominators), and the printout of each script in demos/.
+terms over Q(q) denominators), `info` on Weyl (text), on A2 (`--json`) and
+on the shifted I2 (both; they pin the `rank: 1` line and each twisting form
+printed as its 1x1 matrix, `([c], [c])` and `[[c]]`), and the printout of
+each script in demos/.
 A change that keeps every verdict must keep this output byte for byte.
 
 Basis labels hash by address, so `verify --json` is also run in fresh
@@ -51,6 +54,10 @@ CASES = [
      ["normal-order", "--expr", "p'[2,1] p[2,2] p'[1,2]"]),
     ("normal-order-hword-qheis-a2.txt", "qheis-a2.json",
      ["normal-order", "--expr", "h'[2,2]*h'[3,1]*h[2,2]*h[3,2]"]),
+    ("info-weyl.txt", "weyl.json", ["info"]),
+    ("info-qheis-a2.json", "qheis-a2.json", ["info", "--json"]),
+    ("info-lattice-i2-shift.txt", "lattice-i2-shift.json", ["info"]),
+    ("info-lattice-i2-shift.json", "lattice-i2-shift.json", ["info", "--json"]),
 ]
 
 

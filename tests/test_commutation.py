@@ -76,7 +76,7 @@ KINDS = ("paired coproduct term", "unpaired coproduct term", "product")
 def _entries(D, N):
     """(cache, key) for every cached plus coproduct of a label above N and
     every cached plus product ab with |a| + |b| > N."""
-    total = lambda l: sum(l.degree)
+    total = lambda l: l.degree
     H = D.plus
     return ([(H._coprod, k) for k in H._coprod if total(k) > N]
             + [(H._prod, k) for k in H._prod if total(k[0]) + total(k[1]) > N])

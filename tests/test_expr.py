@@ -34,7 +34,7 @@ def ld():
 
 
 def xel(n):
-    return Element.from_label(BasisLabel(n, (n,)))
+    return Element.from_label(BasisLabel(n, n))
 
 
 # -- tokenizer -----------------------------------------------------------
@@ -143,7 +143,7 @@ def test_trailing_garbage_is_an_error():
 
 def test_evaluate_weyl_word(wd):
     u = evaluate_text(wd, "d*x")
-    x = BasisLabel(1, (1,))
+    x = BasisLabel(1, 1)
     assert u.coeff((x, x)) == Q
     assert u.coeff((wd.plus.unit_label, wd.minus.unit_label)) == ONE
     assert evaluate_text(wd, "d x") == u

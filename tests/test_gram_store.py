@@ -12,11 +12,10 @@ import random
 
 import pytest
 
-from heisdouble.hopf import Element, degrees_up_to
+from heisdouble.hopf import Element
 from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
                                   rank_one_form)
 from heisdouble.scalars import ONE, RatFunc, q_int, q_power
-from heisdouble.twisting import BiadditiveMap
 from oracles import (gram_value, left_regular_action, pair_brute, pair_tensor_brute,
                      tensor)
 
@@ -44,7 +43,7 @@ def random_element(rng, labels, size):
 def test_rows_and_cols_are_the_nonzero_gram_entries(instance):
     inst, N = instance
     P = inst.pairing
-    for degree in degrees_up_to(P.plus.rank, N):
+    for degree in range(N + 1):
         rows, cols, matrix = P.gram_block(degree)
         for x, values in zip(rows, matrix):
             expected = {a: v for a, v in zip(cols, values) if not v.is_zero}
@@ -113,7 +112,7 @@ def test_shifted_double_reads_the_same_gram_values():
         for a in P.plus.labels_up_to(3):
             D.action_label(x, a)
             D.smash_labels((one, x), (a, D.minus.unit_label))
-    S = D.shifted(BiadditiveMap.ones(1))
+    S = D.shifted(1)
     assert S.pairing.gamma != P.gamma
     assert S._action == {} and S._smash == {} and S._generator_elements == {}
     for x in P.minus.labels_up_to(4):
@@ -121,5 +120,5 @@ def test_shifted_double_reads_the_same_gram_values():
             assert S.pairing.row(x)[a] is v
             assert S.pairing.col(a)[x] is v
     # a row first made by the shifted pairing is the one the double reads
-    x = P.minus.basis((5,))[0]
+    x = P.minus.basis(5)[0]
     assert S.pairing.row(x) is P.row(x)

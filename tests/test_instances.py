@@ -33,7 +33,7 @@ from heisdouble.partitions import multipartitions_of, multiplicities, partitions
 from heisdouble.scalars import ONE, ZERO, RatFunc, q_factorial, q_int_sym
 from oracles import (cartan_affine_a, cartan_affine_d4, h_adjoint, left_regular_action,
                      phi_derivation, sym_pair_perm, tensor, z_classical)
-from heisdouble.twisting import BiadditiveMap, TwistingDatum, dual_twisting
+from heisdouble.twisting import TwistingDatum, dual_twisting
 
 A2 = cartan_a(2)
 
@@ -84,9 +84,9 @@ def test_weyl_minus_twisting_is_the_dual_twisting(weyl):
 
 
 def test_weyl_pairing_values(weyl):
-    d3 = Element.from_label(weyl.minus.basis((3,))[0])
-    x3 = Element.from_label(weyl.plus.basis((3,))[0])
-    x2 = Element.from_label(weyl.plus.basis((2,))[0])
+    d3 = Element.from_label(weyl.minus.basis(3)[0])
+    x3 = Element.from_label(weyl.plus.basis(3)[0])
+    x2 = Element.from_label(weyl.plus.basis(2)[0])
     assert weyl.pairing.pair(d3, x3) == q_factorial(3)
     assert weyl.pairing.pair(d3, x2) == ZERO
 
@@ -381,7 +381,7 @@ def test_h_products_span_each_stratum(a2):
     # products of h elements over multipartitions of d are a basis of the
     # degree-d stratum: the transition matrix to the p basis is invertible
     for d in range(1, 5):
-        basis = a2.plus.basis((d,))
+        basis = a2.plus.basis(d)
         index = {label: t for t, label in enumerate(basis)}
         rows = []
         for mp in multipartitions_of(d, 2):
@@ -472,11 +472,11 @@ def test_lattice_scalars_are_q_free(lat):
 
 
 def test_shifted_instance_weyl(weyl):
-    alpha = BiadditiveMap(((1,),))
+    alpha = 1
     s = shifted_instance(weyl, alpha)
     assert s.name == "weyl~shifted"
     assert s.kind == "weyl"
-    zeta = BiadditiveMap(((1,),))
+    zeta = 1
     assert s.pairing.gamma == TwistingDatum(-alpha, zeta - alpha)
     # generator hooks survive the shift
     u = s.double.generator_element("x")
@@ -486,18 +486,18 @@ def test_shifted_instance_weyl(weyl):
 
 def test_shifted_instance_qheis_keeps_axioms(a2):
     # all instances carry a rank-1 total grading, so shifts act through it
-    s = shifted_instance(a2, BiadditiveMap(((1,),)))
+    s = shifted_instance(a2, 1)
     assert check_pairing_axioms(s.pairing, 2).passed
 
 
 def test_shifted_instance_rejects_bad_beta(weyl):
-    # a symmetric beta breaks compatibility through either entry point
+    # a nonzero beta breaks compatibility through every entry point
     with pytest.raises(IncompatiblePairError):
-        shifted_instance(weyl, BiadditiveMap.zero(1), BiadditiveMap(((2,),)))
+        shifted_instance(weyl, 0, 2)
+    with pytest.raises(ConfigError, match="cannot form the double"):
+        load_instance({"type": "weyl", "shift": {"alpha": [[0]], "beta": [[2]]}})
     with pytest.raises(IncompatiblePairError):
-        shifted_instance(weyl, ((0,),), ((2,),))
-    with pytest.raises(IncompatiblePairError):
-        weyl.double.shifted(BiadditiveMap.zero(1), BiadditiveMap(((2,),)))
+        weyl.double.shifted(0, 2)
 
 
 # -- configuration loading -----------------------------------------------
@@ -522,7 +522,7 @@ def test_load_instance_from_path(tmp_path):
 def test_load_instance_with_shift():
     inst = load_instance({"type": "weyl", "shift": {"alpha": [[1]]}})
     assert inst.name == "weyl~shifted"
-    assert inst.plus.twisting.doubleprime == BiadditiveMap(((2,),))
+    assert inst.plus.twisting.doubleprime == 2
 
 
 def test_load_instance_errors(tmp_path):
@@ -552,6 +552,12 @@ def test_load_instance_errors(tmp_path):
         load_instance({"type": "weyl", "shift": {}})
     with pytest.raises(ConfigError):
         load_instance({"type": "weyl", "shift": {"beta": [[2]]}})
+    # every instance is graded by N, so a shift is a 1x1 matrix
+    for alpha in ([[1, 0], [0, 1]], [[1], [2]], [], [[1, 2]], [[]]):
+        with pytest.raises(ConfigError, match="shift matrices must be 1x1 for weyl"):
+            load_instance({"type": "weyl", "shift": {"alpha": alpha}})
+    with pytest.raises(ConfigError, match="cannot form the double"):
+        load_instance({"type": "lattice", "form": [[1]], "shift": {"beta": [[-1]]}})
 
 
 @pytest.mark.parametrize("config", [

@@ -83,6 +83,33 @@ def test_a_direct_call_runs_the_full_sweep(monkeypatch):
     assert check_pairing_axioms(a2().pairing, 3).passed
 
 
+class _CountingCache(dict):
+    """A generating-set cache that counts its lookups and its misses; each
+    miss is one scan of the cached products."""
+
+    lookups = misses = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def setdefault(self, key, value):
+        self.misses += 1
+        return super().setdefault(key, value)
+
+
+def test_verify_scans_each_side_for_its_generating_set_once():
+    # both check_bialgebra runs, both pairing sweeps, dual_presentation_check
+    # and the vacuum ask for a generating set; each side scans once
+    inst = a2()
+    plus, minus = _CountingCache(), _CountingCache()
+    inst.plus._gens, inst.minus._gens = plus, minus
+    reports, _ = cli.verify_suite(inst, 4)
+    assert all(r.passed for r in reports)
+    assert (plus.lookups, minus.lookups) == (2, 4)
+    assert (plus.misses, minus.misses) == (1, 1)
+
+
 def _counted_tuples(monkeypatch):
     """The number of tuples hopf.bounded_tuples yields, by (pool count,
     whether the entries are labels or degrees)."""
@@ -108,8 +135,8 @@ def test_pairing_sweep_sizes_at_a2_n4(monkeypatch, presupposed, pairs):
 
 @pytest.mark.parametrize("N, triples", [(4, 35), (5, 56)])
 def test_twisted_associativity_sweeps_triples_only(monkeypatch, N, triples):
-    # Weyl's twists are BiadditiveMaps, additive on every triple, so no
-    # six-tuple is swept
+    # Weyl's twists are integer forms c m n, additive on every triple, so
+    # no six-tuple is swept
     H = build_weyl().plus
     counts = _counted_tuples(monkeypatch)
     assert check_bialgebra(H, N).passed

@@ -86,13 +86,6 @@ def test_laurent_subs_q_inverse():
     assert a.subs_q_inverse().subs_q_inverse() == a
 
 
-def test_laurent_evaluate():
-    a = lp({-1: 1, 1: 1})
-    assert a.evaluate(Fraction(2)) == Fraction(5, 2)
-    with pytest.raises(ZeroDivisionError):
-        a.evaluate(Fraction(0))
-
-
 def test_laurent_str_canonical():
     assert str(LP_ZERO) == "0"
     assert str(LP_ONE) == "1"
@@ -194,13 +187,6 @@ def test_ratfunc_subs_q_inverse_involution():
     r = (Q + 1) / (QINV + 3)
     assert r.subs_q_inverse().subs_q_inverse() == r
     assert Q.subs_q_inverse() == QINV
-
-
-def test_ratfunc_evaluate():
-    r = (Q**2 - 1) / (Q - 1)
-    assert r.evaluate(Fraction(3)) == Fraction(4)
-    with pytest.raises(ZeroDivisionError):
-        (ONE / (Q - 1)).evaluate(Fraction(1))
 
 
 def test_ratfunc_is_flags():

@@ -15,7 +15,6 @@ from heisdouble.instances import (build_lattice, build_qheis, cartan_a, lattice_
                                   q_factor, rank_one_form, sym_pair, zero_form)
 from heisdouble.pairing import TwistedPairing
 from heisdouble.scalars import RatFunc
-from heisdouble.twisting import BiadditiveMap
 from oracles import cartan_affine_d4, sym_pair_perm
 
 VALUES = (1, 2, 3)
@@ -115,5 +114,5 @@ def test_supported_rows_equal_the_full_scan(name):
 
 def test_shifted_pairing_shares_the_support():
     D = build_qheis(cartan_a(2)).double
-    S = D.shifted(BiadditiveMap.ones(1))
+    S = D.shifted(1)
     assert S.pairing._support is D.pairing._support

@@ -1,125 +1,69 @@
-"""Degree tuples, biadditive maps, and the twisting calculus."""
+"""Integer twisting forms and the twisting calculus."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisdouble.twisting import (
-    BiadditiveMap,
-    TwistingDatum,
-    compatibility_check,
-    deg_add,
-    deg_sub,
-    deg_total,
-    deg_zero,
-    dual_twisting,
-)
-from oracles import shift_twisting
-
-
-def bm(*rows):
-    return BiadditiveMap(rows)
+from heisdouble.double import HeisenbergDouble, IncompatiblePairError
+from heisdouble.hopf import shifted_presentation
+from heisdouble.instances import _weyl_presentation
+from heisdouble.pairing import TwistedPairing
+from heisdouble.scalars import q_binomial, q_factorial
+from heisdouble.twisting import TwistingDatum, compatibility_check, dual_twisting, form
+from oracles import compatible, shift_twisting
 
 
 def td(prime, doubleprime):
     return TwistingDatum(prime, doubleprime)
 
 
-ZETA = bm((1,))  # zeta(m, n) = m n in rank one
+def matrices(datum):
+    """A twisting datum as the oracle's pair of 1x1 matrices."""
+    return [[datum.prime]], [[datum.doubleprime]]
 
 
-def random_map(rng, rank):
-    return BiadditiveMap(
-        tuple(tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Degrees
-
-
-def test_degree_helpers():
-    assert deg_zero(3) == (0, 0, 0)
-    assert deg_add((1, 2), (3, 4)) == (4, 6)
-    assert deg_sub((1, 2), (3, 4)) == (-2, -2)
-    assert deg_total((1, 2, 3)) == 6
-    with pytest.raises(ValueError):
-        deg_add((1,), (1, 2))
-    with pytest.raises(ValueError):
-        deg_sub((1, 2, 3), (1, 2))
+def random_datum(rng):
+    return td(rng.randint(-3, 3), rng.randint(-3, 3))
 
 
 # ---------------------------------------------------------------------------
-# BiadditiveMap
+# Forms
 
 
 def test_evaluate_examples():
-    assert ZETA.evaluate((2,), (3,)) == 6
-    zero = BiadditiveMap.zero(2)
-    assert zero.evaluate((5, 7), (1, 9)) == 0
-    m = bm((1, 0), (0, -1))
-    assert m.evaluate((1, 2), (3, 1)) == 1
-
-
-def test_evaluate_rank_mismatch():
-    with pytest.raises(ValueError):
-        ZETA.evaluate((1, 2), (1,))
-    with pytest.raises(ValueError):
-        bm((1, 0), (0, 1)).evaluate((1, 2), (1, 2, 3))
+    assert form(1, 2, 3) == 6  # zeta(m, n) = m n
+    assert form(0, 5, 7) == 0
+    assert form(-2, 3, -1) == 6
 
 
 def test_biadditivity_random():
     rng = random.Random(7)
     for _ in range(50):
-        r = rng.randint(1, 3)
-        m = random_map(rng, r)
-        a = tuple(rng.randint(0, 4) for _ in range(r))
-        b = tuple(rng.randint(0, 4) for _ in range(r))
-        c = tuple(rng.randint(0, 4) for _ in range(r))
-        assert m.evaluate(deg_add(a, b), c) == m.evaluate(a, c) + m.evaluate(b, c)
-        assert m.evaluate(a, deg_add(b, c)) == m.evaluate(a, b) + m.evaluate(a, c)
-        assert m.evaluate(deg_zero(r), a) == 0
-        assert m.evaluate(a, deg_zero(r)) == 0
-
-
-def test_transpose():
-    sym = bm((2, -1), (-1, 2))
-    assert sym.transpose() == sym
-    assert bm((0, 1), (0, 0)).transpose() == bm((0, 0), (1, 0))
-    rng = random.Random(11)
-    for _ in range(20):
-        m = random_map(rng, rng.randint(1, 3))
-        assert m.transpose().transpose() == m
-        a = tuple(rng.randint(0, 3) for _ in range(m.rank))
-        b = tuple(rng.randint(0, 3) for _ in range(m.rank))
-        assert m.transpose().evaluate(a, b) == m.evaluate(b, a)
-
-
-def test_matrix_arithmetic():
-    a = bm((1, 2), (3, 4))
-    b = bm((0, 1), (1, 0))
-    assert a + b == bm((1, 3), (4, 4))
-    assert a - b == bm((1, 1), (2, 4))
-    assert -a == bm((-1, -2), (-3, -4))
-    with pytest.raises(ValueError):
-        a + ZETA
-    with pytest.raises(ValueError):
-        BiadditiveMap(((1, 2),))
+        c = rng.randint(-3, 3)
+        a, b, d = (rng.randint(0, 4) for _ in range(3))
+        assert form(c, a + b, d) == form(c, a, d) + form(c, b, d)
+        assert form(c, a, b + d) == form(c, a, b) + form(c, a, d)
+        assert form(c, 0, a) == form(c, a, 0) == 0
 
 
 def test_map_str_and_constructors():
-    assert str(bm((1, 0), (0, -1))) == "[1 0; 0 -1]"
-    assert BiadditiveMap.ones(2) == bm((1, 1), (1, 1))
+    # a form prints as its 1x1 matrix, the shape a config gives it in
+    assert str(td(1, -1)) == "([1], [-1])"
+    assert str(td(0, 0)) == "([0], [0])"
+    assert td(2, 3) == td(2, 3) and hash(td(2, 3)) == hash(td(2, 3))
 
 
 # ---------------------------------------------------------------------------
 # TwistingDatum
 
 
-def test_datum_rank_guard():
-    with pytest.raises(ValueError):
-        TwistingDatum(ZETA, BiadditiveMap.zero(2))
-    assert TwistingDatum.zero(2).rank == 2
+def test_datum_type_guard():
+    for bad in (1.0, True, "1", None, [[1]]):
+        with pytest.raises(TypeError, match="integer form constant"):
+            TwistingDatum(bad, 0)
+        with pytest.raises(TypeError, match="integer form constant"):
+            TwistingDatum(0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -127,109 +71,133 @@ def test_datum_rank_guard():
 
 
 def test_dual_twisting_weyl():
-    zero1 = BiadditiveMap.zero(1)
-    xi = dual_twisting(td(zero1, ZETA), td(zero1, ZETA))
-    assert xi == td(-ZETA, zero1)
+    xi = dual_twisting(td(0, 1), td(0, 1))
+    assert xi == td(-1, 0)
 
 
 def test_dual_twisting_zero():
-    z = TwistingDatum.zero(2)
+    z = td(0, 0)
     assert dual_twisting(z, z) == z
 
 
 def test_dual_twisting_rank_one_substitution():
-    chi = td(bm((1,)), bm((2,)))
-    gamma = td(bm((3,)), bm((4,)))
-    assert dual_twisting(chi, gamma) == td(bm((0,)), bm((1,)))
+    chi = td(1, 2)
+    gamma = td(3, 4)
+    assert dual_twisting(chi, gamma) == td(0, 1)
 
 
 def test_dual_twisting_additive_in_gamma():
     rng = random.Random(13)
     for _ in range(30):
-        r = rng.randint(1, 3)
-        chi = td(random_map(rng, r), random_map(rng, r))
-        g1 = td(random_map(rng, r), random_map(rng, r))
-        g2 = td(random_map(rng, r), random_map(rng, r))
+        chi = random_datum(rng)
+        g1 = random_datum(rng)
+        g2 = random_datum(rng)
         gsum = td(g1.prime + g2.prime, g1.doubleprime + g2.doubleprime)
         lhs = dual_twisting(chi, gsum)
         a = dual_twisting(chi, g1)
         b = dual_twisting(chi, g2)
-        zero = TwistingDatum.zero(r)
-        base = dual_twisting(chi, zero)
+        base = dual_twisting(chi, td(0, 0))
         assert lhs.prime == a.prime + b.prime - base.prime
         assert lhs.doubleprime == a.doubleprime + b.doubleprime - base.doubleprime
 
 
 def test_compatibility_forces_dual_relation():
-    # chi' = -(gamma')^T makes gamma'' = -(xi')^T for the dual twisting.
+    # chi' = -gamma' makes gamma'' = -xi' for the dual twisting.
     rng = random.Random(17)
     for _ in range(40):
-        r = rng.randint(1, 3)
-        gp = random_map(rng, r)
-        chi = td(-gp.transpose(), random_map(rng, r))
-        gamma = td(gp, random_map(rng, r))
+        gp = rng.randint(-3, 3)
+        chi = td(-gp, rng.randint(-3, 3))
+        gamma = td(gp, rng.randint(-3, 3))
         assert compatibility_check(chi, gamma)
         xi = dual_twisting(chi, gamma)
-        assert gamma.doubleprime == -xi.prime.transpose()
+        assert gamma.doubleprime == -xi.prime
 
 
 # ---------------------------------------------------------------------------
-# shift_twisting
+# shift_twisting, the matrix oracle
 
 
 def test_shift_identity():
-    zero1 = BiadditiveMap.zero(1)
-    chi = td(zero1, ZETA)
-    xi = td(-ZETA, zero1)
-    gamma = td(zero1, ZETA)
-    out = shift_twisting(chi, xi, gamma, zero1, zero1, zero1, zero1)
+    chi, xi, gamma = matrices(td(0, 1)), matrices(td(-1, 0)), matrices(td(0, 1))
+    out = shift_twisting(chi, xi, gamma, [[0]], [[0]], [[0]], [[0]])
     assert out == (chi, xi, gamma)
 
 
 def test_shift_equal_alpha_moves_xi_doubleprime():
-    zero1 = BiadditiveMap.zero(1)
-    chi = td(zero1, ZETA)
-    xi = td(-ZETA, zero1)
-    gamma = td(zero1, ZETA)
-    alpha = ZETA
-    chi_t, xi_t, gamma_t = shift_twisting(chi, xi, gamma, alpha, alpha, zero1, zero1)
-    assert xi_t.doubleprime == xi.doubleprime + alpha
-    assert chi_t == td(ZETA, ZETA + ZETA)
-    assert gamma_t == td(-ZETA, zero1)
+    chi, xi, gamma = matrices(td(0, 1)), matrices(td(-1, 0)), matrices(td(0, 1))
+    alpha = [[1]]
+    chi_t, xi_t, gamma_t = shift_twisting(chi, xi, gamma, alpha, alpha, [[0]], [[0]])
+    assert xi_t[1] == [[xi[1][0][0] + 1]]
+    assert chi_t == matrices(td(1, 2))
+    assert gamma_t == matrices(td(-1, 0))
 
 
 def test_shift_equal_alpha_preserves_compatibility():
     rng = random.Random(19)
     for _ in range(30):
-        r = rng.randint(1, 3)
-        gp = random_map(rng, r)
-        chi = td(-gp.transpose(), random_map(rng, r))
-        gamma = td(gp, random_map(rng, r))
+        gp = rng.randint(-3, 3)
+        chi = td(-gp, rng.randint(-3, 3))
+        gamma = td(gp, rng.randint(-3, 3))
         xi = dual_twisting(chi, gamma)
-        alpha = random_map(rng, r)
-        zero = BiadditiveMap.zero(r)
-        chi_t, xi_t, gamma_t = shift_twisting(chi, xi, gamma, alpha, alpha, zero, zero)
-        assert compatibility_check(chi_t, gamma_t)
-        assert xi_t.doubleprime - alpha == xi.doubleprime
+        alpha = [[rng.randint(-3, 3)]]
+        chi_t, xi_t, gamma_t = shift_twisting(
+            matrices(chi), matrices(xi), matrices(gamma), alpha, alpha, [[0]], [[0]])
+        assert compatible(chi_t, gamma_t)
+        assert xi_t[1][0][0] - alpha[0][0] == xi.doubleprime
 
 
 def test_shift_antisymmetric_beta_preserves_compatibility():
     # beta+ = -(beta-)^T keeps chi~' = -(gamma~')^T.
     rng = random.Random(23)
     for _ in range(30):
-        r = rng.randint(1, 3)
-        gp = random_map(rng, r)
-        chi = td(-gp.transpose(), random_map(rng, r))
-        gamma = td(gp, random_map(rng, r))
+        gp = rng.randint(-3, 3)
+        chi = td(-gp, rng.randint(-3, 3))
+        gamma = td(gp, rng.randint(-3, 3))
         xi = dual_twisting(chi, gamma)
-        a_plus = random_map(rng, r)
-        a_minus = random_map(rng, r)
-        b_minus = random_map(rng, r)
-        b_plus = -b_minus.transpose()
+        b_minus = [[rng.randint(-3, 3)]]
         chi_t, _, gamma_t = shift_twisting(
-            chi, xi, gamma, a_plus, a_minus, b_plus, b_minus
-        )
-        assert compatibility_check(chi_t, gamma_t)
+            matrices(chi), matrices(xi), matrices(gamma),
+            [[rng.randint(-3, 3)]], [[rng.randint(-3, 3)]],
+            [[-b_minus[0][0]]], b_minus)
+        assert compatible(chi_t, gamma_t)
+
+
+CONSTANTS = st.integers(-4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chi_p=CONSTANTS, chi_pp=CONSTANTS, alpha=CONSTANTS, beta=CONSTANTS)
+def test_shifted_presentation_twisting_matches_the_oracle(chi_p, chi_pp, alpha, beta):
+    chi = td(chi_p, chi_pp)
+    H = _weyl_presentation("w+", "x", chi, q_binomial)
+    zero = matrices(td(0, 0))
+    chi_t, _, _ = shift_twisting(matrices(chi), zero, zero, [[alpha]], [[0]], [[beta]], [[0]])
+    assert matrices(shifted_presentation(H, alpha, beta).twisting) == chi_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(chi_pp=CONSTANTS, gamma_p=CONSTANTS, gamma_pp=CONSTANTS,
+       alpha=CONSTANTS, beta=CONSTANTS)
+def test_shifted_double_twistings_match_the_oracle(chi_pp, gamma_p, gamma_pp, alpha, beta):
+    # chi' = -gamma', so the double closes; its shift by (alpha, beta)
+    # closes exactly when the oracle's shifted data are compatible, beta = 0
+    chi, gamma = td(-gamma_p, chi_pp), td(gamma_p, gamma_pp)
+    xi = dual_twisting(chi, gamma)
+    plus = _weyl_presentation("w+", "x", chi, q_binomial)
+    minus = _weyl_presentation("w-", "d", xi, q_binomial)
+    D = HeisenbergDouble(TwistedPairing(minus, plus, gamma,
+                                        lambda x, a: q_factorial(a.key)))
+    chi_t, xi_t, gamma_t = shift_twisting(
+        matrices(chi), matrices(xi), matrices(gamma),
+        [[alpha]], [[alpha]], [[beta]], [[beta]])
+    if not compatible(chi_t, gamma_t):
+        assert beta != 0
+        with pytest.raises(IncompatiblePairError):
+            D.shifted(alpha, beta)
+        return
+    S = D.shifted(alpha, beta)
+    assert (matrices(S.plus.twisting), matrices(S.minus.twisting),
+            matrices(S.gamma)) == (chi_t, xi_t, gamma_t)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +205,6 @@ def test_shift_antisymmetric_beta_preserves_compatibility():
 
 
 def test_compatibility_examples():
-    zero1 = BiadditiveMap.zero(1)
-    assert compatibility_check(td(zero1, ZETA), td(zero1, ZETA))
-    assert compatibility_check(TwistingDatum.zero(3), TwistingDatum.zero(3))
-    assert not compatibility_check(td(ZETA, zero1), td(ZETA, zero1))
+    assert compatibility_check(td(0, 1), td(0, 1))
+    assert compatibility_check(td(0, 0), td(0, 0))
+    assert not compatibility_check(td(1, 0), td(1, 0))

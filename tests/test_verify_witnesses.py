@@ -23,13 +23,13 @@ from heisdouble.double import verify_commutation, verify_faithful, verify_vacuum
 from heisdouble.hopf import Element, HopfPresentation, check_bialgebra
 from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a, mp_label
 from heisdouble.scalars import ONE, Q
-from heisdouble.twisting import BiadditiveMap, TwistingDatum
+from heisdouble.twisting import TwistingDatum
 import oracles
 from oracles import assert_agrees_with_full_sweeps
 
 GOLDEN = Path(__file__).parent / "golden" / "bialgebra-witnesses.json"
 FOCK_GOLDEN = Path(__file__).parent / "golden" / "fock-witnesses.json"
-ZETA = BiadditiveMap(((1,),))
+ZETA = 1
 TWO = ONE + ONE
 UNIT = mp_label(((), ()))
 P11 = mp_label(((1,), ()))  # p[1,1]
@@ -91,7 +91,7 @@ def a2_wrong_twist():
     # but Delta is no longer multiplicative
     H = a2().plus
     twisting = TwistingDatum(H.twisting.prime, H.twisting.doubleprime + ZETA)
-    broken = HopfPresentation("qheis[2]+chi''", 1, twisting, H.unit_label, H.basis,
+    broken = HopfPresentation("qheis[2]+chi''", twisting, H.unit_label, H.basis,
                               H.product, H.coproduct, H.label_text)
     return broken, 3, None
 
@@ -199,9 +199,9 @@ def copy_actions(D, degree, source, targets):
     """Make every positive minus label act on the plus labels at the indices
     targets of the basis of degree as it acts on the one at source."""
     basis = D.plus.basis(degree)
-    n = sum(degree)
+    n = degree
     for x in D.minus.labels_up_to(n):
-        if sum(x.degree):
+        if x.degree:
             act = D.action_label(x, basis[source])
             for t in targets:
                 D.actions(basis[t])[x] = act
@@ -212,7 +212,7 @@ def a2_vacuum_copied_actions():
     # of the degree-2 stratum gains two dimensions
     D = a2().double
     assert verify_vacuum(D, 3).passed
-    copy_actions(D, (2,), 0, (2, 3))
+    copy_actions(D, 2, 0, (2, 3))
     return verify_vacuum, (D, 3)
 
 
@@ -220,9 +220,9 @@ def i2_vacuum_zero_column():
     # nothing acts on p[1,1]*p[1,2] any more
     D = i2().double
     assert verify_vacuum(D, 3).passed
-    b = D.plus.basis((2,))[1]
+    b = D.plus.basis(2)[1]
     for x in D.minus.labels_up_to(2):
-        if sum(x.degree):
+        if x.degree:
             D.actions(b)[x] = Element.zero()
     return verify_vacuum, (D, 3)
 
@@ -230,11 +230,11 @@ def i2_vacuum_zero_column():
 def weyl_faithful_dead_d():
     # d acts as zero on every input, so the row of x#d on the stratum 0 dies
     D = build_weyl().double
-    assert verify_faithful(D, (0,), 2).passed
-    d = D.minus.basis((1,))[0]
+    assert verify_faithful(D, 0, 2).passed
+    d = D.minus.basis(1)[0]
     for b in D.plus.labels_up_to(2):
         D.actions(b)[d] = Element.zero()
-    return verify_faithful, (D, (0,), 2)
+    return verify_faithful, (D, 0, 2)
 
 
 FOCK_CASES = {
