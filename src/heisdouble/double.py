@@ -18,11 +18,13 @@ label l of u.  A context caches it once per plus label b, as actions(b) =
 {x: x(b)}; action_label(x, b) is a lookup there, and every Fock-space check
 reads this one cache, as does _fock, the one Fock kernel: fock_matrix and
 fock_apply sum u(b) through it, reading actions(b) once per label b.  A
-context also caches the smash product on labels, and the embedded element
-of each generator it has built, under (name, args).  A builder that raises
-leaves nothing in the cache, registering a generator drops that name's
-entries, and a shifted context starts with empty caches; only the Gram rows
-of its pairing are shared, since a shift leaves the Gram values unchanged.
+context also caches the smash product on labels, the embedded element of
+each generator it has built, under (name, args), and, in its normal-form
+memo, the element each text given to expr.evaluate_text evaluated to.  A
+builder or text that raises leaves nothing in a cache, registering a
+generator drops that name's entries and the whole memo, and a shifted
+context starts with empty caches; only the Gram rows of its pairing are
+shared, since a shift leaves the Gram values unchanged.
 
 The commutation sweep computes its left side x(ab) with the same kernel at
 every degree, once per (a, b) for all minus generators x, and caches none
@@ -145,6 +147,8 @@ class HeisenbergDouble:
         self._smash = {}
         self._generators = {}
         self._generator_elements = {}
+        # text -> Element, filled and bounded by expr.evaluate_text
+        self._normal_forms = {}
         # gen_fn(N) lists the generator labels of degree <= N, one list
         # for both sides; None takes every basis label as a generator.
         self.gen_fn = None
@@ -164,10 +168,12 @@ class HeisenbergDouble:
 
     def register_generator(self, name, builder):
         """builder(args) -> ("plus"|"minus", Element); context-free so
-        shifted copies of the context can reuse it."""
+        shifted copies of the context can reuse it.  Drops the cached
+        elements of that name and the whole normal-form memo."""
         self._generators[name] = builder
         self._generator_elements = {k: v for k, v in self._generator_elements.items()
                                     if k[0] != name}
+        self._normal_forms = {}
 
     def generator_element(self, name, args=()):
         """The generator name[args] embedded in the double, cached: callers

@@ -13,15 +13,18 @@ Parentheses nest at most 100 deep.  Syntax errors carry the 0-based offset
 of the offending character.
 
 An AST is a tree of tuples, so it is immutable and hashable.
-``parse_expression`` keeps the ASTs of the last PARSE_CACHE_SIZE texts in an
-LRU cache, so a session that asks about the same text again skips the
-tokenizer and the parser.  A syntax error is not cached: it is raised again,
-with its offset, on every call.
+
+``evaluate_text`` keeps the Element each text evaluated to in the double's
+normal-form memo, a plain dict keyed by the text, so a session that asks
+about the same text again skips the tokenizer, the parser and the smash
+products.  The memo holds at most NORMAL_FORM_CACHE_SIZE texts and drops
+its oldest entry when full; it never holds a failure, so a syntax or
+evaluation error is raised again, with its offset, on every call.  It lives
+and dies with its double: registering a generator clears it, and a shifted
+double starts with an empty one.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .hopf import Element
 from .scalars import Q, RatFunc, ZERO
@@ -43,8 +46,8 @@ class ExprEvalError(ValueError):
 
 _SYMBOLS = set("+-*/^()[],#")
 
-# Distinct texts whose ASTs parse_expression keeps.
-PARSE_CACHE_SIZE = 4096
+# Distinct texts whose evaluated Elements each double keeps.
+NORMAL_FORM_CACHE_SIZE = 4096
 
 # Deepest parenthesis nesting the parser accepts; each level costs a few
 # stack frames, so a bound keeps deep input a syntax error, not a crash.
@@ -207,10 +210,8 @@ class _Parser:
         return sign * val
 
 
-@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_expression(text):
-    """Parse text into an AST; offsets in errors are 0-based.  Cached:
-    callers share the returned tree."""
+    """Parse text into an AST; offsets in errors are 0-based."""
     return _Parser(text).parse()
 
 
@@ -288,7 +289,18 @@ def evaluate(D, node):
 
 
 def evaluate_text(D, text):
-    return evaluate(D, parse_expression(text))
+    """The Element text denotes in the double D, kept in D's normal-form
+    memo under the text: callers share the returned Element and must not
+    mutate it.  An error is raised before anything is stored; a full memo
+    drops its oldest text."""
+    memo = D._normal_forms
+    hit = memo.get(text)
+    if hit is None:
+        hit = evaluate(D, parse_expression(text))
+        if len(memo) >= NORMAL_FORM_CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[text] = hit
+    return hit
 
 
 def pure_plus(D, el):

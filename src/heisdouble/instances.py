@@ -28,7 +28,6 @@ degree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -51,15 +50,28 @@ class SingularFormError(ValueError):
     """The symmetrized form fails the nonsingularity precondition."""
 
 
-@dataclass
 class Instance:
-    """A built instance: paired presentations plus the double context."""
+    """A built instance: paired presentations plus the double context.
+    Two instances are equal when their fields are."""
 
-    name: str
-    kind: str
-    pairing: TwistedPairing
-    double: HeisenbergDouble
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("name", "kind", "pairing", "double", "meta")
+
+    def __init__(self, name, kind, pairing, double, meta=None):
+        self.name = name
+        self.kind = kind
+        self.pairing = pairing
+        self.double = double
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.kind, self.pairing, self.double, self.meta)
+                == (other.name, other.kind, other.pairing, other.double, other.meta))
+
+    def __repr__(self):
+        return ("Instance(name=%r, kind=%r, pairing=%r, double=%r, meta=%r)"
+                % (self.name, self.kind, self.pairing, self.double, self.meta))
 
     @property
     def plus(self):

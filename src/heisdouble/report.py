@@ -15,22 +15,34 @@ nothing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 
-@dataclass
 class Report:
     """Outcome of one degree-truncated verification.
 
     witness, present only on failure, carries the identity that broke and a
-    printable description of the offending elements and both sides.
+    printable description of the offending elements and both sides.  Two
+    reports are equal when their fields are.
     """
 
-    check: str
-    instance: str
-    N: int
-    status: str
-    witness: dict | None = None
+    __slots__ = ("check", "instance", "N", "status", "witness")
+
+    def __init__(self, check, instance, N, status, witness=None):
+        self.check = check
+        self.instance = instance
+        self.N = N
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check, self.instance, self.N, self.status, self.witness)
+                == (other.check, other.instance, other.N, other.status, other.witness))
+
+    def __repr__(self):
+        return ("Report(check=%r, instance=%r, N=%r, status=%r, witness=%r)"
+                % (self.check, self.instance, self.N, self.status, self.witness))
 
     @property
     def passed(self):

@@ -11,12 +11,12 @@ canonical form with a polynomial gcd, keeps the canonical pairs of the last
 CANONICAL_CACHE_SIZE distinct (num, den) pairs in an LRU cache, keyed by
 value.  The same few fractions recur: one pass over every query of the A2
 session pool makes 17,190 calls on 1,874 distinct pairs, and an A2
-``verify`` at N=8 24,130 calls on 970.  Like ``expr.parse_expression``'s
-cache it is process-wide and shared by every instance; a hit returns the
-same two immutable polynomials.  A LaurentPoly builds its printed text once and
-keeps it, so the text of a memoised numerator or denominator is built once
-too; ``==`` and ``hash`` ignore it.  ``q_factorial`` keeps the last
-Q_FACTORIAL_CACHE_SIZE values it computed.
+``verify`` at N=8 24,130 calls on 970.  The cache is process-wide and
+shared by every instance; a hit returns the same two immutable polynomials.
+A LaurentPoly builds its printed text once and keeps it, so the text of a
+memoised numerator or denominator is built once too; ``==`` and ``hash``
+ignore it.  ``q_factorial`` keeps the last Q_FACTORIAL_CACHE_SIZE values it
+computed.
 """
 
 from __future__ import annotations
@@ -637,7 +637,8 @@ class RatFunc:
 
     def __str__(self):
         if self.den is LP_ONE:
-            return str(self.num)
+            # the numerator's text, once built, without a second call
+            return self.num._str or str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
     def __repr__(self):

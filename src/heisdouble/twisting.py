@@ -8,8 +8,6 @@ data are pairs (c', c'') of such forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def form(c, lam, mu):
     """The biadditive form with constant c on the degrees lam, mu: c lam mu."""
@@ -23,16 +21,34 @@ def require_form(what, c):
                         % (what, type(c).__name__))
 
 
-@dataclass(frozen=True)
 class TwistingDatum:
-    """A pair (prime, doubleprime) of form constants."""
+    """A pair (prime, doubleprime) of form constants: immutable, equal and
+    hashed as the pair."""
 
-    prime: int
-    doubleprime: int
+    __slots__ = ("prime", "doubleprime")
 
-    def __post_init__(self):
-        require_form("twisting prime", self.prime)
-        require_form("twisting doubleprime", self.doubleprime)
+    def __init__(self, prime, doubleprime):
+        require_form("twisting prime", prime)
+        require_form("twisting doubleprime", doubleprime)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "doubleprime", doubleprime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prime == other.prime and self.doubleprime == other.doubleprime
+
+    def __hash__(self):
+        return hash((self.prime, self.doubleprime))
+
+    def __repr__(self):
+        return "TwistingDatum(prime=%r, doubleprime=%r)" % (self.prime, self.doubleprime)
 
     def __str__(self):
         return "([%d], [%d])" % (self.prime, self.doubleprime)

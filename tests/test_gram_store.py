@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from heisdouble.expr import evaluate_text
 from heisdouble.hopf import Element
 from heisdouble.instances import (build_lattice, build_qheis, build_weyl, cartan_a,
                                   rank_one_form)
@@ -107,6 +108,7 @@ def test_shifted_double_reads_the_same_gram_values():
     D = build_lattice(((1, 0), (0, 1))).double
     P = D.pairing
     D.generator_element("p", (1, 1))
+    evaluate_text(D, "p'[1,1] p[1,1]")
     one = D.plus.unit_label
     for x in P.minus.labels_up_to(3):
         for a in P.plus.labels_up_to(3):
@@ -115,6 +117,7 @@ def test_shifted_double_reads_the_same_gram_values():
     S = D.shifted(1)
     assert S.pairing.gamma != P.gamma
     assert S._action == {} and S._smash == {} and S._generator_elements == {}
+    assert D._normal_forms and S._normal_forms == {}
     for x in P.minus.labels_up_to(4):
         for a, v in P.row(x).items():
             assert S.pairing.row(x)[a] is v

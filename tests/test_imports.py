@@ -3,6 +3,9 @@ function, class and method a library module defines is used by the program:
 the library, the demos or the benchmark, not only by tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +176,15 @@ def test_only_the_report_module_builds_reports(path):
     # every check returns its witness and report.check builds the Report
     if path.name != "report.py":
         assert report_constructions(path.read_text()) == []
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # dataclasses would bring inspect, ast, dis and tokenize into every
+    # start of the CLI; -S keeps site's own imports out of the count
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys, heisdouble.cli\n"
+            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout.split() == []

@@ -9,6 +9,7 @@ from heisdouble.double import IncompatiblePairError, max_term_degree, smash_mult
 from heisdouble.hopf import Element, comultiply, multiply
 from heisdouble.instances import (
     ConfigError,
+    Instance,
     SingularFormError,
     build_lattice,
     build_qheis,
@@ -591,3 +592,11 @@ def test_standard_matrices():
         cartan_a(0)
     with pytest.raises(ValueError):
         cartan_affine_a(0)
+
+
+def test_instance_repr_and_field_equality():
+    w = build_weyl()
+    assert repr(w) == ("Instance(name='weyl', kind='weyl', pairing=TwistedPairing(weyl), "
+                       "double=HeisenbergDouble(weyl), meta={})")
+    assert w == Instance(w.name, w.kind, w.pairing, w.double)
+    assert w != Instance(w.name, w.kind, w.pairing, w.double, {"form": 1})

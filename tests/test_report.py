@@ -55,3 +55,11 @@ def test_keyword_arguments_reach_the_check_and_n_stays_the_last_positional():
     rep = keyword_check(CONTEXT, 4, flag=True)
     assert (rep.N, rep.witness) == (4, {"flag": "True"})
     assert keyword_check(CONTEXT, 4).witness == {"flag": "False"}
+
+
+def test_report_repr_and_field_equality():
+    rep = Report("c", "i", 3, "fail", {"a": "b"})
+    assert repr(rep) == "Report(check='c', instance='i', N=3, status='fail', witness={'a': 'b'})"
+    assert rep == Report("c", "i", 3, "fail", {"a": "b"})
+    assert rep != Report("c", "i", 3, "fail", {"a": "c"})
+    assert rep != ("c", "i", 3, "fail", {"a": "b"})

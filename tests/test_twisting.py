@@ -66,6 +66,19 @@ def test_datum_type_guard():
             TwistingDatum(0, bad)
 
 
+def test_datum_is_an_immutable_value():
+    t = td(1, -2)
+    assert repr(t) == "TwistingDatum(prime=1, doubleprime=-2)"
+    assert hash(t) == hash((1, -2)) and t != (1, -2)
+    with pytest.raises(AttributeError):
+        t.prime = 3
+    with pytest.raises(AttributeError):
+        del t.doubleprime
+    with pytest.raises(AttributeError):
+        t.other = 0
+    assert (t.prime, t.doubleprime) == (1, -2)
+
+
 # ---------------------------------------------------------------------------
 # dual_twisting
 
