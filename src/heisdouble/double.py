@@ -17,14 +17,14 @@ that pairs with a right factor of Delta(u), in one scan of Delta(l) per
 label l of u.  A context caches it once per plus label b, as actions(b) =
 {x: x(b)}; action_label(x, b) is a lookup there, and every Fock-space check
 reads this one cache, as does _fock, the one Fock kernel: fock_matrix and
-fock_apply sum u(b) through it, reading actions(b) once per label b.  A
-context also caches the smash product on labels, the embedded element of
-each generator it has built, under (name, args), and, in its normal-form
-memo, the element each text given to expr.evaluate_text evaluated to.  A
-builder or text that raises leaves nothing in a cache, registering a
-generator drops that name's entries and the whole memo, and a shifted
-context starts with empty caches; only the Gram rows of its pairing are
-shared, since a shift leaves the Gram values unchanged.
+fock_apply sum u(b) through it, reading actions(b) once per label b.  The
+only other cache of a context is its normal-form memo: the element each
+text given to expr.evaluate_text evaluated to.  Smash products on labels
+and generator elements are built on every call; a repeated text never
+reaches them.  A text that raises leaves nothing in the memo, registering a
+generator drops the whole memo, and a shifted context starts with empty
+caches; only the Gram rows of its pairing are shared, since a shift leaves
+the Gram values unchanged.
 
 The commutation sweep computes its left side x(ab) with the same kernel at
 every degree, once per (a, b) for all minus generators x, and caches none
@@ -144,9 +144,7 @@ class HeisenbergDouble:
         self.name = name or pairing.name
         self.perfect = perfect
         self._action = {}
-        self._smash = {}
         self._generators = {}
-        self._generator_elements = {}
         # text -> Element, filled and bounded by expr.evaluate_text
         self._normal_forms = {}
         # gen_fn(N) lists the generator labels of degree <= N, one list
@@ -168,25 +166,17 @@ class HeisenbergDouble:
 
     def register_generator(self, name, builder):
         """builder(args) -> ("plus"|"minus", Element); context-free so
-        shifted copies of the context can reuse it.  Drops the cached
-        elements of that name and the whole normal-form memo."""
+        shifted copies of the context can reuse it.  Drops the whole
+        normal-form memo."""
         self._generators[name] = builder
-        self._generator_elements = {k: v for k, v in self._generator_elements.items()
-                                    if k[0] != name}
         self._normal_forms = {}
 
     def generator_element(self, name, args=()):
-        """The generator name[args] embedded in the double, cached: callers
-        share the returned Element and must not mutate it."""
-        key = (name, tuple(args))
-        hit = self._generator_elements.get(key)
-        if hit is None:
-            if name not in self._generators:
-                raise KeyError("unknown generator %r for instance %s" % (name, self.name))
-            side, el = self._generators[name](args)
-            hit = self._generator_elements.setdefault(
-                key, self.embed_plus(el) if side == "plus" else self.embed_minus(el))
-        return hit
+        """The generator name[args] embedded in the double, built afresh."""
+        if name not in self._generators:
+            raise KeyError("unknown generator %r for instance %s" % (name, self.name))
+        side, el = self._generators[name](args)
+        return self.embed_plus(el) if side == "plus" else self.embed_minus(el)
 
     def generator_names(self):
         return sorted(self._generators)
@@ -209,13 +199,9 @@ class HeisenbergDouble:
         return self.actions(a_label).get(x_label, _NO_ACTION)
 
     def smash_labels(self, s, t):
-        """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), cached
-        under the key (a, x, b, y)."""
-        key = s + t
-        hit = self._smash.get(key)
-        if hit is None:
-            hit = self._smash.setdefault(key, _smash(self, s, t))
-        return hit
+        """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), from
+        _smash; the product is not cached."""
+        return _smash(self, s, t)
 
     # -- derived contexts ------------------------------------------------
 
@@ -330,22 +316,23 @@ def verify_commutation(D, N):
         x(a b) = ((1#x)(a#1))(b)
                = sum q^(gamma''(|a|,|x2|) + xi''(|a|-|x1|,|x2|)) x1(a) x2(b),
 
-    the Fock action of the cached smash product (1#x)(a#1), checked for all
-    generator pairs and all basis inputs b of degree <= N, with a outer, x
-    in the middle and b inner.  Both sides are summed into term dicts.
+    the Fock action of the smash product (1#x)(a#1) that sessions use,
+    D.smash_labels, checked for all generator pairs and all basis inputs b
+    of degree <= N, with a outer, x in the middle and b inner.  Both sides
+    are summed into term dicts.
 
-    The right side reads the cached actions y(b), which verify_vacuum and
-    the shift sweep read again.  The left side is computed afresh at every
-    degree, so the sweep checks that cache against an independent sum: the
-    first time some x reaches (a, b), the actions of every minus generator
-    on ab are computed together by _actions, the kernel behind the cache,
-    through an index {a2: {x: <x, a2>}} of the generators' Gram rows, in
-    one scan of Delta(l) per label l of ab.  They are cached nowhere and
-    kept for the current a only, until the later x have read them.
-    Delta(l) is read through the plus coproduct cache, so a corrupted
-    cached coproduct is seen.  The comparisons, their order, and so the
-    first failure and its witness, are those of a sweep that computes each
-    x(ab) on its own.
+    The right side reads the cached actions twice, x1(a) inside (1#x)(a#1)
+    and y(b) to apply its terms to b; verify_vacuum and the shift sweep read
+    the same cache.  The left side is computed afresh at every degree, so
+    the sweep checks that cache against an independent sum: the first time
+    some x reaches (a, b), the actions of every minus generator on ab are
+    computed together by _actions, the kernel behind the cache, through an
+    index {a2: {x: <x, a2>}} of the generators' Gram rows, in one scan of
+    Delta(l) per label l of ab.  They are cached nowhere and kept for the
+    current a only, until the later x have read them.  Delta(l) is read
+    through the plus coproduct cache, so a corrupted cached coproduct is
+    seen.  The comparisons, their order, and so the first failure and its
+    witness, are those of a sweep that computes each x(ab) on its own.
     """
     plus_gens = _gen_labels(D.plus, D.gen_fn, N)
     minus_gens = _gen_labels(D.minus, D.gen_fn, N)
@@ -506,7 +493,7 @@ def verify_shift_invariance(D, alpha, N):
     inner the first differing core names the full sweep's first failing
     pair; the witness prints _smash of that pair on both doubles.
 
-    Each core is read once, so the sweep caches no smash product."""
+    Each core is read once and cached nowhere."""
     D2 = D.shifted(alpha)
     pu, mu = D.plus.unit_label, D.minus.unit_label
     for x, b in bounded_tuples([D.minus.labels_up_to(N), D.plus.labels_up_to(N)], N):

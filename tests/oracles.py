@@ -279,39 +279,9 @@ def multiplicativity_witness(H, N):
     return None
 
 
-def twisted_associativity_witness(H, N):
-    """The first failing six-tuple of degrees (a1, a2, b1, b2, c1, c2) of
-    total <= N, in bounded_tuples order, at which the two bracketings of
-    (a1 x a2)(b1 x b2)(c1 x c2) in the twisted tensor square carry different
-    powers of q, as check_bialgebra words its witness; None when they agree
-    on all of them."""
-    cp, cpp = H.twisting.prime, H.twisting.doubleprime
-
-    def chi_p(m, n):
-        return cp * m * n
-
-    def chi_pp(m, n):
-        return cpp * m * n
-
-    degrees = range(N + 1)
-    for a1, a2, b1, b2, c1, c2 in bounded_tuples([degrees] * 6, N, total=lambda d: d):
-        lhs = (chi_p(a2, b1) + chi_pp(a1, b2)
-               + chi_p(a2 + b2, c1) + chi_pp(a1 + b1, c2))
-        rhs = (chi_p(b2, c1) + chi_pp(b1, c2)
-               + chi_p(a2, b1 + c1) + chi_pp(a1, b2 + c2))
-        if lhs != rhs:
-            return {"identity": "twisted tensor associativity",
-                    "labels": "degrees (%r, %r), (%r, %r), (%r, %r)"
-                              % (a1, a2, b1, b2, c1, c2),
-                    "lhs": "q^%d" % lhs, "rhs": "q^%d" % rhs}
-    return None
-
-
 BIALGEBRA_ORDER = ("unit law", "counit law", "associativity", "coassociativity",
-                   "twisted tensor associativity", "coproduct multiplicativity",
-                   "antipode law")
+                   "coproduct multiplicativity", "antipode law")
 FULL_SWEEPS = (("associativity", associativity_witness),
-               ("twisted tensor associativity", twisted_associativity_witness),
                ("coproduct multiplicativity", multiplicativity_witness))
 
 

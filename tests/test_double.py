@@ -192,21 +192,36 @@ def test_smash_unit_neutral(wd):
     assert smash_multiply(wd, u, wd.unit()) == u
 
 
-def test_smash_associative_on_basis(wd):
-    # Associativity on normal-form basis elements of small degree.
+def _assert_smash_associative(D, na, nx):
+    # Associativity on the normal-form pairs a#x with |a| <= na, |x| <= nx;
+    # every label product is recomputed on each call, as sessions compute it
     pairs = [
         (a, x)
-        for a in wd.plus.labels_up_to(2)
-        for x in wd.minus.labels_up_to(2)
+        for a in D.plus.labels_up_to(na)
+        for x in D.minus.labels_up_to(nx)
     ]
     els = [Element({(a, x): ONE}) for (a, x) in pairs]
     for u in els:
         for v in els:
-            uv = smash_multiply(wd, u, v)
+            uv = smash_multiply(D, u, v)
             for w in els:
-                lhs = smash_multiply(wd, uv, w)
-                rhs = smash_multiply(wd, u, smash_multiply(wd, v, w))
+                lhs = smash_multiply(D, uv, w)
+                rhs = smash_multiply(D, u, smash_multiply(D, v, w))
                 assert lhs == rhs
+    return len(pairs)
+
+
+def test_smash_associative_on_basis(wd):
+    assert _assert_smash_associative(wd, 2, 2) == 9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_qheis(cartan_a(2)),
+    lambda: build_lattice(((1, 0), (0, 1))),
+], ids=["qheis-a2", "lattice-i2"])
+def test_smash_associative_on_basis_of_each_family(build):
+    # 24 pairs, so 13,824 triples
+    assert _assert_smash_associative(build().double, 2, 1) == 24
 
 
 def test_smash_grading(wd):
@@ -511,17 +526,6 @@ def test_verify_commutation_catches_corrupted_action():
                            "rhs": "q*x"}
 
 
-def test_verify_commutation_catches_corrupted_smash():
-    # the right side is the Fock action of the cached product (1#d)(x#1)
-    D = build_weyl().double
-    assert verify_commutation(D, 3).passed
-    D._smash[(xlab(0), xlab(1), xlab(1), xlab(0))] = Element(
-        {(xlab(1), xlab(1)): Q})  # d x is q x#d + 1
-    rep = verify_commutation(D, 3)
-    assert not rep.passed
-    assert rep.witness == {"labels": "x=d, a=x, b=1", "lhs": "1", "rhs": "0"}
-
-
 def test_verify_vacuum_catches_nonzero_vacuum_image():
     D = build_weyl().double
     assert verify_vacuum(D, 3).passed
@@ -542,23 +546,6 @@ def test_verify_shift_invariance_catches_corrupted_smash():
     assert not rep.passed
     assert rep.witness == {"labels": "(1 # d)(x # 1)", "lhs": "q*x#d",
                            "rhs": "q*x#d + 1"}
-
-
-@pytest.mark.parametrize("build, N", [
-    (build_weyl, 6),
-    (lambda: build_qheis(cartan_a(2)), 4),
-    (lambda: build_lattice(((1, 0), (0, 1))), 5),
-], ids=["weyl", "qheis-a2", "lattice-i2"])
-def test_shift_invariance_fills_no_smash_cache(build, N):
-    # each product of the sweep is read once, so none is kept; the products
-    # the commutation sweep cached before stay as they were
-    D = build().double
-    assert verify_commutation(D, N).passed
-    before = dict(D._smash)
-    assert before
-    assert verify_shift_invariance(D, ZETA, N).passed
-    assert len(D._smash) == len(before)
-    assert all(D._smash[k] is v for k, v in before.items())
 
 
 # ---------------------------------------------------------------------------

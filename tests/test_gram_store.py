@@ -107,7 +107,6 @@ def test_action_label_matches_definition(instance):
 def test_shifted_double_reads_the_same_gram_values():
     D = build_lattice(((1, 0), (0, 1))).double
     P = D.pairing
-    D.generator_element("p", (1, 1))
     evaluate_text(D, "p'[1,1] p[1,1]")
     one = D.plus.unit_label
     for x in P.minus.labels_up_to(3):
@@ -116,7 +115,7 @@ def test_shifted_double_reads_the_same_gram_values():
             D.smash_labels((one, x), (a, D.minus.unit_label))
     S = D.shifted(1)
     assert S.pairing.gamma != P.gamma
-    assert S._action == {} and S._smash == {} and S._generator_elements == {}
+    assert S._action == {}
     assert D._normal_forms and S._normal_forms == {}
     for x in P.minus.labels_up_to(4):
         for a, v in P.row(x).items():

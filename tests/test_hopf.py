@@ -441,14 +441,16 @@ def _weyl_with_coproduct(H, coproduct_fn):
 
 
 def test_check_bialgebra_non_biadditive_twist_fails(weyl_plus, monkeypatch):
+    # a twist that does not vanish on degree zero breaks Delta(x 1) =
+    # Delta(x) Delta(1), the first pair of the multiplicativity sweep
     form = hopf.form
     monkeypatch.setattr(hopf, "form", lambda c, lam, mu: form(c, lam, mu) + lam * lam)
     rep = check_bialgebra(weyl_plus, 3)
     assert not rep.passed
     assert rep.witness == {
-        "identity": "twisted tensor associativity",
-        "labels": "degrees (0, 1), (0, 0), (0, 0)",
-        "lhs": "q^2", "rhs": "q^1"}
+        "identity": "coproduct multiplicativity",
+        "labels": "x, 1",
+        "lhs": "1 (x) x + x (x) 1", "rhs": "q*1 (x) x + q*x (x) 1"}
 
 
 def test_check_bialgebra_coassociativity_failure_witness(weyl_plus):

@@ -1,14 +1,11 @@
 """The reduced sweeps of verify against the full sweeps of tests/oracles.py.
 
-Three checks do less work than their identities suggest:
+Two checks do less work than their identities suggest:
 
 - check_pairing_axioms, told that both check_bialgebra runs passed, takes
   its first factors from a generating set only;
 - verify_vacuum first stacks only the actions of the minus generators, and
-  stacks every minus label only for a stratum that falls short;
-- check_bialgebra checks that the twists are additive on degree triples,
-  and sweeps the six-tuples of twisted associativity only when they are
-  not.
+  stacks every minus label only for a stratum that falls short.
 
 On every shipped instance up to the tier-1 degrees, verify's reports equal
 the full sweeps' report for report; the sweep sizes of the docstrings are
@@ -21,7 +18,6 @@ import pytest
 
 from heisdouble import cli, double, hopf
 from heisdouble.double import verify_vacuum
-from heisdouble.hopf import check_bialgebra
 from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a, load_instance
 from heisdouble.pairing import check_pairing_axioms
 import oracles
@@ -111,15 +107,13 @@ def test_verify_scans_each_side_for_its_generating_set_once():
 
 
 def _counted_tuples(monkeypatch):
-    """The number of tuples hopf.bounded_tuples yields, by (pool count,
-    whether the entries are labels or degrees)."""
+    """The number of tuples hopf.bounded_tuples yields, by pool count."""
     counts = {}
     real = hopf.bounded_tuples
 
-    def counting(pools, N, total=None):
-        key = (len(pools), "labels" if total is None else "degrees")
-        for t in real(pools, N, total):
-            counts[key] = counts.get(key, 0) + 1
+    def counting(pools, N):
+        for t in real(pools, N):
+            counts[len(pools)] = counts.get(len(pools), 0) + 1
             yield t
     monkeypatch.setattr(hopf, "bounded_tuples", counting)
     return counts
@@ -130,18 +124,7 @@ def test_pairing_sweep_sizes_at_a2_n4(monkeypatch, presupposed, pairs):
     P = a2().pairing
     counts = _counted_tuples(monkeypatch)
     assert check_pairing_axioms(P, 4, presupposed=presupposed).passed
-    assert counts == {(2, "labels"): pairs}
-
-
-@pytest.mark.parametrize("N, triples", [(4, 35), (5, 56)])
-def test_twisted_associativity_sweeps_triples_only(monkeypatch, N, triples):
-    # Weyl's twists are integer forms c m n, additive on every triple, so
-    # no six-tuple is swept
-    H = build_weyl().plus
-    counts = _counted_tuples(monkeypatch)
-    assert check_bialgebra(H, N).passed
-    assert counts[3, "degrees"] == triples
-    assert (6, "degrees") not in counts
+    assert counts == {2: pairs}
 
 
 def test_vacuum_stacks_every_label_only_on_a_shortfall(monkeypatch):

@@ -38,10 +38,12 @@ def test_evaluate_examples():
 
 
 def test_biadditivity_random():
+    # signed degrees: inside the double, _core evaluates
+    # form(xi'', |b| - |x1|, |x2|), whose first argument can be negative
     rng = random.Random(7)
     for _ in range(50):
         c = rng.randint(-3, 3)
-        a, b, d = (rng.randint(0, 4) for _ in range(3))
+        a, b, d = (rng.randint(-6, 6) for _ in range(3))
         assert form(c, a + b, d) == form(c, a, d) + form(c, b, d)
         assert form(c, a, b + d) == form(c, a, b) + form(c, a, d)
         assert form(c, 0, a) == form(c, a, 0) == 0
