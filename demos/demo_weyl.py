@@ -6,7 +6,7 @@ k[x] with the q-binomial coproduct, its dual k[d], and the relation
 d x = q x d + 1 recovered from the smash product.
 """
 
-from heisdouble.double import fock_apply, fock_matrix
+from heisdouble.double import fock_matrix
 from heisdouble.expr import evaluate_text, pure_minus, pure_plus
 from heisdouble.hopf import Element, antipode, check_bialgebra, comultiply, element_str
 from heisdouble.instances import build_weyl
@@ -47,7 +47,7 @@ for n in range(1, 4):
 
 # d acts on the Fock space k[x] as the q-derivative
 d = evaluate_text(D, "d")
-print("\nd applied to x^3:", element_str(H, fock_apply(D, d, x3)))
+print()
 rows, cols, m = fock_matrix(D, d, 4)
 print("matrix of d on 1, x, ..., x^4 (rows = outputs):")
 for r, row in zip(rows, m):

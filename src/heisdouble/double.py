@@ -16,8 +16,8 @@ Every action is computed by one kernel, _actions: x(u) for each minus x
 that pairs with a right factor of Delta(u), in one scan of Delta(l) per
 label l of u.  A context caches it once per plus label b, as actions(b) =
 {x: x(b)}; action_label(x, b) is a lookup there, and every Fock-space check
-reads this one cache, as does _fock, the one Fock kernel: fock_matrix and
-fock_apply sum u(b) through it, reading actions(b) once per label b.  The
+reads this one cache, as does _fock, the one Fock kernel: fock_matrix
+builds each column u(b) through it, reading actions(b) once per label b.  The
 only other cache of a context is its normal-form memo: the element each
 text given to expr.evaluate_text evaluated to.  Smash products on labels
 and generator elements are built on every call; a repeated text never
@@ -105,22 +105,6 @@ def _core(D, x, b):
     return out
 
 
-def _smash(D, s, t):
-    """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y): the core
-    (1#x)(b#1) lifted by the products a*u and x2*y, that is the sum of
-    k (a*u) # (x2*y) over the terms k u # x2 of _core(D, x, b); the result
-    is not cached."""
-    (a, x), (b, y) = s, t
-    out = {}
-    for (u, x2), k in _core(D, x, b).items():
-        right = D.minus.product(x2, y).terms
-        for la, ca in D.plus.product(a, u).terms.items():
-            k1 = k * ca
-            for lx, cx in right.items():
-                _acc(out, (la, lx), k1 * cx)
-    return Element._raw(out)
-
-
 class HeisenbergDouble:
     """Smash-product context for a compatible twisted pairing.
 
@@ -199,9 +183,19 @@ class HeisenbergDouble:
         return self.actions(a_label).get(x_label, _NO_ACTION)
 
     def smash_labels(self, s, t):
-        """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y), from
-        _smash; the product is not cached."""
-        return _smash(self, s, t)
+        """(a#x)(b#y) on normal-form pairs s = (a, x) and t = (b, y): the core
+        (1#x)(b#1) lifted by the products a*u and x2*y, that is the sum of
+        k (a*u) # (x2*y) over the terms k u # x2 of _core(self, x, b); the
+        result is not cached."""
+        (a, x), (b, y) = s, t
+        out = {}
+        for (u, x2), k in _core(self, x, b).items():
+            right = self.minus.product(x2, y).terms
+            for la, ca in self.plus.product(a, u).terms.items():
+                k1 = k * ca
+                for lx, cx in right.items():
+                    _acc(out, (la, lx), k1 * cx)
+        return Element._raw(out)
 
     # -- derived contexts ------------------------------------------------
 
@@ -273,11 +267,6 @@ def _fock(D, terms, b):
             for l, e in multiply(D.plus, Element.from_label(a), acts[x]).terms.items():
                 _acc(out, l, c * e)
     return out
-
-
-def fock_apply(D, u, b):
-    """u acting on the plus element b: the sum of e u(l) over the terms e l of b."""
-    return Element._raw(_sum_terms((e, _fock(D, u.terms, l)) for l, e in b.terms.items()))
 
 
 def max_term_degree(u):
@@ -478,7 +467,7 @@ def verify_shift_invariance(D, alpha, N):
     the double and on D.shifted(alpha).
 
     The sweep compares only the cores (1#x)(b#1), for |x| + |b| <= N, which
-    is exactly as strong.  _smash builds (a#x)(b#y) as the sum of
+    is exactly as strong.  smash_labels builds (a#x)(b#y) as the sum of
     k (a*u) # (x2*y) over the terms k u # x2 of the core, and the shift
     scales each product by q^beta with beta = 0, so both doubles apply the
     same products to their cores: if every core agrees, every smash product
@@ -491,7 +480,7 @@ def verify_shift_invariance(D, alpha, N):
     t = (b, 1) comes before every (b, y).  A failure at
     ((1,x),(b,1)) needs a differing core (x, b), and with x outer and b
     inner the first differing core names the full sweep's first failing
-    pair; the witness prints _smash of that pair on both doubles.
+    pair; the witness prints smash_labels of that pair on both doubles.
 
     Each core is read once and cached nowhere."""
     D2 = D.shifted(alpha)
@@ -502,6 +491,6 @@ def verify_shift_invariance(D, alpha, N):
             return {"labels": "(%s # %s)(%s # %s)" % (
                         D.plus.label_text(pu), D.minus.label_text(x),
                         D.plus.label_text(b), D.minus.label_text(mu)),
-                    "lhs": D.element_str(_smash(D, s, t)),
-                    "rhs": D2.element_str(_smash(D2, s, t))}
+                    "lhs": D.element_str(D.smash_labels(s, t)),
+                    "rhs": D2.element_str(D2.smash_labels(s, t))}
     return None

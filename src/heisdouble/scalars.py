@@ -4,7 +4,9 @@ Every scalar in the library is a :class:`RatFunc`, a rational function in the
 formal variable q kept in a canonical reduced form so that equality is
 structural.  Laurent polynomials get their own class because most structure
 constants live in Z[q,q^-1] and the common operations never need a gcd there.
-No floating point is used anywhere.
+A RatFunc takes RatFunc, LaurentPoly and int operands, an int n standing for
+the constant n; every other operand is refused.  No floating point is used
+anywhere.
 
 ``_canonical``, which reduces a (num, den) pair of Laurent polynomials to
 canonical form with a polynomial gcd, keeps the canonical pairs of the last
@@ -21,7 +23,6 @@ computed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -102,11 +103,6 @@ class LaurentPoly:
         """Substitute q -> q^-1 (negate all exponents)."""
         return LaurentPoly._raw({-e: v for e, v in self._c.items()})
 
-    def scale(self, n):
-        if not n:
-            return LP_ZERO
-        return LaurentPoly._raw({e: n * v for e, v in self._c.items()})
-
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -143,26 +139,14 @@ class LaurentPoly:
                     del c[e]
         return LaurentPoly._raw(c)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("LaurentPoly powers must be nonnegative integers")
-        out = LP_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self):
-        # A constant hashes as its integer, so that RatFunc constants, which
-        # compare equal to both, can hash consistently with each.
+        # A constant hashes as its integer, so that a RatFunc integer, which
+        # compares equal to both, hashes consistently with each.
         if self._hash is None:
             if self.is_constant:
                 self._hash = hash(self._c.get(0, 0))
@@ -419,9 +403,10 @@ class RatFunc:
     constant term and positive leading coefficient; the two are coprime and
     share no integer content.  A denominator equal to 1 is always the object
     LP_ONE, so ``den is LP_ONE`` tests for a Laurent value.  Equality is
-    structural, and equal values hash equal, also across the int, Fraction
-    and LaurentPoly operands that ``==`` accepts.  Instances are immutable,
-    so from_int and q_power may hand out shared objects.
+    structural, and equal values hash equal, also across the int and
+    LaurentPoly operands that ``==`` accepts; any other operand, a rational
+    from the ``fractions`` module included, is refused.  Instances are
+    immutable, so from_int and q_power may hand out shared objects.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -453,11 +438,6 @@ class RatFunc:
         return hit
 
     @classmethod
-    def from_fraction(cls, f):
-        f = Fraction(f)
-        return cls(LaurentPoly.const(f.numerator), LaurentPoly.const(f.denominator))
-
-    @classmethod
     def q_power(cls, e):
         hit = _POWERS.get(e)
         if hit is None:
@@ -476,10 +456,6 @@ class RatFunc:
         return self.den is LP_ONE
 
     @property
-    def is_constant(self):
-        return self.num.is_constant and self.den.is_constant
-
-    @property
     def is_monomial(self):
         """A single term c*q^e with integer c."""
         return self.den is LP_ONE and self.num.is_monomial
@@ -488,11 +464,6 @@ class RatFunc:
         if self.den is not LP_ONE:
             raise ValueError("%s is not a Laurent polynomial" % self)
         return self.num
-
-    def as_fraction(self):
-        if not self.is_constant:
-            raise ValueError("%s is not a constant" % self)
-        return Fraction(self.num.coeff(0), self.den.coeff(0))
 
     def subs_q_inverse(self):
         """The image under the field map q -> q^-1."""
@@ -503,8 +474,6 @@ class RatFunc:
             return other
         if isinstance(other, int):
             return RatFunc.from_int(other)
-        if isinstance(other, Fraction):
-            return RatFunc.from_fraction(other)
         if isinstance(other, LaurentPoly):
             return RatFunc(other)
         return None
@@ -620,14 +589,12 @@ class RatFunc:
         return self.num._c == o.num._c and self.den._c == o.den._c
 
     def __hash__(self):
-        # Must agree with every int, Fraction and LaurentPoly that __eq__
-        # accepts: a Laurent value hashes as its numerator, a constant as
-        # its Fraction.
+        # Must agree with every int and LaurentPoly that __eq__ accepts: a
+        # Laurent value hashes as its numerator, and a value with a
+        # denominator equals neither, so it hashes as the pair.
         if self._hash is None:
             if self.den is LP_ONE:
                 self._hash = hash(self.num)
-            elif self.is_constant:
-                self._hash = hash(self.as_fraction())
             else:
                 self._hash = hash((self.num, self.den))
         return self._hash

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 
 from heisdouble import cli
-from heisdouble.double import _gen_labels, _smash
+from heisdouble.double import _gen_labels
 from heisdouble.hopf import (Element, _acc, _sum_terms, antipode, bilinear, bounded_tuples,
                              check_bialgebra, comultiply, element_str,
                              multiply, tensor_str, twisted_tensor_multiply)
@@ -414,8 +414,8 @@ def verify_shift_invariance(D, alpha, N):
     pairs = list(bounded_tuples(
         [D.plus.labels_up_to(N), D.minus.labels_up_to(N)], N))
     for s, t in bounded_tuples([pairs, pairs], N):
-        lhs = _smash(D, s, t)
-        rhs = _smash(D2, s, t)
+        lhs = D.smash_labels(s, t)
+        rhs = D2.smash_labels(s, t)
         if lhs != rhs:
             (a, x), (b, y) = s, t
             return {"labels": "(%s # %s)(%s # %s)" % (

@@ -7,7 +7,6 @@ import pytest
 from heisdouble.double import (
     HeisenbergDouble,
     IncompatiblePairError,
-    fock_apply,
     fock_matrix,
     max_term_degree,
     smash_multiply,
@@ -278,6 +277,17 @@ def test_normal_order_unknown_generator(wd):
 
 # ---------------------------------------------------------------------------
 # Fock representation
+
+
+def fock_apply(D, u, b):
+    """u acting on the plus element b, summed from the columns of
+    fock_matrix: the sum of e u(l) over the terms e l of b."""
+    rows, cols, matrix = fock_matrix(D, u, max((l.degree for l in b.terms), default=0))
+    out = Element.zero()
+    for j, l in enumerate(cols):
+        if l in b.terms:
+            out = out + Element({r: row[j] for r, row in zip(rows, matrix)}).scale(b.terms[l])
+    return out
 
 
 def test_fock_apply_weyl(wd):

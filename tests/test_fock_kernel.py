@@ -1,4 +1,4 @@
-"""The Fock kernel double._fock, behind fock_matrix and fock_apply, against
+"""The Fock kernel double._fock, behind fock_matrix, against
 the bilinear route of tests/oracles.py, which applies each term a#x of u to
 each input label on its own, as an Element product a * x(b).
 
@@ -14,11 +14,11 @@ from itertools import product
 
 import pytest
 
-from heisdouble.double import fock_apply, fock_matrix
+from heisdouble.double import fock_matrix
 from heisdouble.expr import evaluate_text
 from heisdouble.hopf import Element
 from heisdouble.instances import build_lattice, build_qheis, build_weyl, cartan_a
-from heisdouble.scalars import ONE, Q, RatFunc, ZERO
+from heisdouble.scalars import ONE, Q, ZERO
 import oracles
 
 IN_DEGREE = 3
@@ -89,18 +89,6 @@ def test_fock_matrix_matches_the_oracle_entry_by_entry(case):
     for u in elements:
         for Nin in range(IN_DEGREE + 1):
             assert_matches_oracle(D, u, Nin)
-
-
-def test_fock_apply_matches_the_oracle(case):
-    D, elements = case
-    labels = D.plus.labels_up_to(IN_DEGREE)
-    # a sum of every input label, with scalars, and single scaled labels
-    mixed = Element._raw({l: RatFunc.from_int(j + 1) + Q ** j
-                          for j, l in enumerate(labels)})
-    inputs = [mixed, Element.zero()] + [Element.from_label(l, Q - 2) for l in labels]
-    for u in elements:
-        for b in inputs:
-            assert fock_apply(D, u, b) == oracles.fock_apply(D, u, b)
 
 
 def test_rows_go_past_the_in_degree_for_positive_degree(case):

@@ -180,8 +180,10 @@ def test_only_the_report_module_builds_reports(path):
 
 def test_cli_import_loads_no_introspection_modules():
     # dataclasses would bring inspect, ast, dis and tokenize into every
-    # start of the CLI; -S keeps site's own imports out of the count
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # start of the CLI, and fractions would bring decimal and numbers; -S
+    # keeps site's own imports out of the count
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+             "fractions", "decimal", "numbers")
     code = ("import sys, heisdouble.cli\n"
             "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,

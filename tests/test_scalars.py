@@ -64,14 +64,6 @@ def test_laurent_add_sub_neg():
     assert -(a - b) == b - a
 
 
-def test_laurent_pow():
-    a = lp({0: 1, 1: 1})
-    assert a**0 == LP_ONE
-    assert a**3 == lp({0: 1, 1: 3, 2: 3, 3: 1})
-    with pytest.raises(ValueError):
-        a ** (-1)
-
-
 def test_laurent_shift_and_bounds():
     a = lp({-1: 2, 3: 5})
     assert a.min_exp() == -1
@@ -158,7 +150,7 @@ def test_ratfunc_arith_mixed_ints_fractions():
     r = Q + 1
     assert r == RatFunc(lp({0: 1, 1: 1}))
     assert 1 - Q == RatFunc(lp({0: 1, 1: -1}))
-    assert Q * Fraction(1, 2) + Q * Fraction(1, 2) == Q
+    assert Q * (ONE / 2) + Q * (ONE / 2) == Q
     assert (ONE / 2) + (ONE / 2) == ONE
 
 
@@ -194,15 +186,29 @@ def test_ratfunc_is_flags():
     assert not (ONE / (Q + 1)).is_laurent
     assert Q.is_monomial
     assert not (Q + 1).is_monomial
-    assert TWO_THIRDS.is_constant
+    assert not TWO_THIRDS.is_laurent
 
 
-TWO_THIRDS = RatFunc.from_fraction(Fraction(2, 3))
+TWO_THIRDS = RatFunc.from_int(2) / 3
 
 
 def test_ratfunc_from_fraction():
+    # a rational number is a quotient of integer scalars
     assert TWO_THIRDS * 3 == RatFunc.from_int(2)
+    assert TWO_THIRDS == RatFunc(LaurentPoly.const(4), LaurentPoly.const(6))
     assert str(TWO_THIRDS) == "(2)/(3)"
+
+
+def test_fractions_fraction_is_refused_both_ways():
+    # a scalar meets only RatFunc, LaurentPoly and int operands
+    assert (ONE == Fraction(1)) is False
+    assert (Fraction(1) == ONE) is False
+    assert ONE != Fraction(1)
+    with pytest.raises(TypeError):
+        ONE + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * Q
+    assert len({ONE, Fraction(1)}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +265,10 @@ def test_q_factorial_table():
         product = LP_ONE
         for i in range(1, n + 1):
             product = product * lp({0: 1, i: -1})
-        expected = laurent_exact_div(product, lp({0: 1, 1: -1}) ** n)
+        power = LP_ONE
+        for _ in range(n):
+            power = power * lp({0: 1, 1: -1})
+        expected = laurent_exact_div(product, power)
         miss = q_factorial(n)
         assert miss == expected and q_factorial(n) is miss
     info = scalars._q_factorial.cache_info()
@@ -354,9 +363,9 @@ def test_hash_consistency():
     (ONE, 1),
     (ZERO, 0),
     (RatFunc.from_int(-3), -3),
-    (RatFunc.from_fraction(Fraction(4, 2)), 2),
-    (RatFunc.from_fraction(Fraction(-1, 2)), Fraction(-1, 2)),
-    (ONE, Fraction(1)),
+    (RatFunc.from_int(4) / 2, 2),
+    (RatFunc.from_int(-1) / 2, RatFunc(LaurentPoly.const(2), LaurentPoly.const(-4))),
+    (ONE, RatFunc(LP_ONE, LP_ONE)),
     (ONE, LP_ONE),
     (ZERO, LP_ZERO),
     (RatFunc.from_int(5), LaurentPoly.const(5)),
