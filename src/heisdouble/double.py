@@ -225,8 +225,10 @@ class HeisenbergDouble:
     # -- printing --------------------------------------------------------
 
     def pair_sort_key(self, pair):
+        """The pair (plus key, minus key), which orders normal-form pairs as
+        the two keys concatenated would."""
         a, x = pair
-        return self.plus.label_sort_key(a) + self.minus.label_sort_key(x)
+        return self.plus.label_sort_key(a), self.minus.label_sort_key(x)
 
     def pair_text(self, pair):
         a, x = pair

@@ -13,6 +13,11 @@ to Elements.  The verify sweeps sum cached constants straight into plain
 term dicts instead, with ``_sum_terms``, and build an Element only to print
 a failure.
 
+``terms_str`` is the one printer, behind ``element_str``, ``tensor_str``
+and ``HeisenbergDouble.element_str``.  It does no scalar arithmetic: it
+reads a coefficient 1 or -1 off the canonical numerator and builds no
+scalar.
+
 ``check_bialgebra`` runs associativity and coproduct multiplicativity with
 their first factor in a generating set only, which ``generating_set`` reads
 off the cached products: x for Weyl, the power sums for the symmetric
@@ -117,9 +122,6 @@ class Element:
     @property
     def is_zero(self):
         return not self.terms
-
-    def coeff(self, key):
-        return self.terms.get(key, ZERO)
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -439,22 +441,18 @@ def tensor_str(H, u):
 def terms_str(u, unit, sort_key, text, reverse=False):
     """Printed form of u: terms in sort_key order (descending when reverse),
     each a coefficient prefix and text(key), joined by signs; the unit key
-    prints as a bare scalar."""
-    if u.is_zero:
+    prints as a bare scalar.  No scalar is built or compared: _prefix reads
+    a coefficient 1 or -1 off its canonical numerator, a Laurent polynomial
+    with the single term q^0."""
+    terms = u.terms
+    if not terms:
         return "0"
-    if set(u.terms) == {unit}:
-        return str(u.terms[unit])
+    if len(terms) == 1 and unit in terms:
+        return str(terms[unit])
     parts = []
-    for k in sorted(u.terms, key=sort_key, reverse=reverse):
-        c = u.terms[k]
-        if k == unit:
-            s = _scalar_text(c)
-        elif c == ONE:
-            s = text(k)
-        elif c == -ONE:
-            s = "-" + text(k)
-        else:
-            s = _scalar_text(c) + "*" + text(k)
+    for k in sorted(terms, key=sort_key, reverse=reverse):
+        c = terms[k]
+        s = _scalar_text(c) if k == unit else _prefix(c) + text(k)
         if not parts:
             parts.append(s)
         elif s.startswith("-"):
@@ -462,6 +460,20 @@ def terms_str(u, unit, sort_key, text, reverse=False):
         else:
             parts.append(" + " + s)
     return "".join(parts)
+
+
+def _prefix(c):
+    """The coefficient c in front of a basis text: nothing for 1, a minus
+    sign for -1, otherwise c as a printed factor and a "*"."""
+    if c.is_laurent:
+        num = c.num.items()
+        if len(num) != 1:
+            return "(%s)*" % c
+        if (0, 1) in num:
+            return ""
+        if (0, -1) in num:
+            return "-"
+    return "%s*" % c
 
 
 def _scalar_text(c):

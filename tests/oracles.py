@@ -622,3 +622,62 @@ def antipode_adjointness_check(P, N):
                 return {"labels": "%s | %s" % (P.minus.label_text(x), P.plus.label_text(a)),
                         "lhs": lhs, "rhs": rhs}
     return None
+
+
+# -- the reference printer -----------------------------------------------
+# The printer as it was before it stopped doing scalar arithmetic: it
+# compares each coefficient with ONE and with a freshly negated ONE.
+
+
+def terms_str(u, unit, sort_key, text, reverse=False):
+    """Printed form of u: terms in sort_key order (descending when reverse),
+    each a coefficient prefix and text(key), joined by signs; the unit key
+    prints as a bare scalar."""
+    if u.is_zero:
+        return "0"
+    if set(u.terms) == {unit}:
+        return str(u.terms[unit])
+    parts = []
+    for k in sorted(u.terms, key=sort_key, reverse=reverse):
+        c = u.terms[k]
+        if k == unit:
+            s = _scalar_text(c)
+        elif c == ONE:
+            s = text(k)
+        elif c == -ONE:
+            s = "-" + text(k)
+        else:
+            s = _scalar_text(c) + "*" + text(k)
+        if not parts:
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(" - " + s[1:])
+        else:
+            parts.append(" + " + s)
+    return "".join(parts)
+
+
+def _scalar_text(c):
+    """A scalar as a printed factor, re-parseable: a Laurent polynomial with
+    several terms is parenthesized (a quotient already prints as
+    (num)/(den))."""
+    if c.is_laurent and not c.is_monomial:
+        return "(%s)" % c
+    return str(c)
+
+
+def reference_element_str(H, u):
+    return terms_str(u, H.unit_label, H.label_sort_key, H.label_text)
+
+
+def reference_tensor_str(H, u):
+    return terms_str(u, None, lambda k: tuple(map(H.label_sort_key, k)),
+                     lambda k: " (x) ".join(map(H.label_text, k)))
+
+
+def reference_double_str(D, u):
+    """A normal form sorted, highest degree first, by the plus key and the
+    minus key concatenated into one tuple."""
+    return terms_str(u, (D.plus.unit_label, D.minus.unit_label),
+                     lambda p: D.plus.label_sort_key(p[0]) + D.minus.label_sort_key(p[1]),
+                     D.pair_text, reverse=True)

@@ -7,7 +7,9 @@ whose 35 x 35 Gram component is certified in F_p), `verify --json` on
 qheis A2 (N=3) and on the rank-one form (N=4, which pins the order of its
 reports and its skipped list), `fock-matrix --json` on A2, lattice I2 and
 Weyl, two `normal-order` answers on A2 (the second, of an h-word, has 84
-terms over Q(q) denominators), `info` on Weyl (text), on A2 (`--json`) and
+terms over Q(q) denominators), two on Weyl (together they take every branch
+of the printer: a quotient coefficient, a coefficient -1, a monomial -q and
+a unit term), `info` on Weyl (text), on A2 (`--json`) and
 on the shifted I2 (both; they pin the `rank: 1` line and each twisting form
 printed as its 1x1 matrix, `([c], [c])` and `[[c]]`), and the printout of
 each script in demos/.
@@ -54,6 +56,9 @@ CASES = [
      ["normal-order", "--expr", "p'[2,1] p[2,2] p'[1,2]"]),
     ("normal-order-hword-qheis-a2.txt", "qheis-a2.json",
      ["normal-order", "--expr", "h'[2,2]*h'[3,1]*h[2,2]*h[3,2]"]),
+    ("normal-order-weyl-quotient.txt", "weyl.json",
+     ["normal-order", "--expr", "(1+q)/(1-q^3)*d*x - x"]),
+    ("normal-order-weyl-minus.txt", "weyl.json", ["normal-order", "--expr=-d*x"]),
     ("info-weyl.txt", "weyl.json", ["info"]),
     ("info-qheis-a2.json", "qheis-a2.json", ["info", "--json"]),
     ("info-lattice-i2-shift.txt", "lattice-i2-shift.json", ["info"]),

@@ -67,7 +67,7 @@ def test_double_element_arithmetic(wd):
     u = wd.unit()
     v = wd.embed_plus(xel(1))
     s = u + v
-    assert s.coeff((xlab(0), xlab(0))) == ONE
+    assert s.terms.get((xlab(0), xlab(0))) == ONE
     assert (s - s).is_zero
     assert s.scale(2) == s + s
     assert (-v) + v == Element.zero()

@@ -144,8 +144,8 @@ def test_trailing_garbage_is_an_error():
 def test_evaluate_weyl_word(wd):
     u = evaluate_text(wd, "d*x")
     x = BasisLabel(1, 1)
-    assert u.coeff((x, x)) == Q
-    assert u.coeff((wd.plus.unit_label, wd.minus.unit_label)) == ONE
+    assert u.terms.get((x, x)) == Q
+    assert u.terms.get((wd.plus.unit_label, wd.minus.unit_label)) == ONE
     assert evaluate_text(wd, "d x") == u
 
 

@@ -56,7 +56,7 @@ def weyl_minus():
 
 def test_graded_element_arithmetic():
     u = xel(1) + xel(2)
-    assert u.coeff(xlab(1)) == ONE
+    assert u.terms.get(xlab(1)) == ONE
     assert (u - u).is_zero
     assert u.scale(ZERO).is_zero
     assert (-u) + u == Element.zero()

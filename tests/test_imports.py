@@ -75,13 +75,6 @@ def referenced_names(tree, skip=None):
     return out
 
 
-def attribute_names(tree, skip=None):
-    """Names read as attributes (the name in x.name) in tree outside the
-    node skip."""
-    return {node.attr for node in nodes_outside(tree, skip)
-            if isinstance(node, ast.Attribute)}
-
-
 def uncalled_definitions(source, elsewhere):
     """Top-level functions and classes of source whose names are neither in
     the set elsewhere nor read in source outside their own definition."""
@@ -117,42 +110,123 @@ def test_every_definition_has_a_caller(path):
     assert uncalled_definitions(path.read_text(), elsewhere) == []
 
 
-def uncalled_methods(source, elsewhere):
-    """Methods of the top-level classes of source, dunders aside, whose names
-    are neither in the set elsewhere nor read as an attribute in source
-    outside their own definition.  Only attribute reads count: a bare name
-    spelled like a method is something else, a local variable say."""
-    tree = ast.parse(source)
-    return sorted(
-        "%s.%s" % (cls.name, node.name)
-        for cls in tree.body if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in elsewhere
-        and node.name not in attribute_names(tree, skip=node))
+def class_methods(tree):
+    """(class, method) names of the top-level classes of tree, dunders aside."""
+    return [(cls.name, node.name)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def imported_modules(tree):
+    """The last dotted component of every module tree imports or imports
+    from, and every name it imports from one, which may be a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rsplit(".", 1)[-1])
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def attribute_reads(tree):
+    """(node, cls, method) for each attribute read x.name in tree: cls is
+    the innermost class around it, and method the (class, method) names of
+    the top-level class method it sits in; either is None outside one."""
+    def walk(node, cls, method):
+        for child in ast.iter_child_nodes(node):
+            inner_cls, inner_method = cls, method
+            if isinstance(child, ast.ClassDef):
+                inner_cls = child.name
+            elif (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and isinstance(node, ast.ClassDef) and node in tree.body):
+                inner_method = (node.name, child.name)
+            if isinstance(child, ast.Attribute):
+                yield child, cls, method
+            yield from walk(child, inner_cls, inner_method)
+
+    return walk(tree, None, None)
+
+
+def reached_methods(trees):
+    """The (module, class, method) triples that some attribute read of the
+    program reaches outside the method's own definition; trees maps each
+    module name of the program to its parsed source.
+
+    Reads resolve per class.  A read C.m, or self.m or cls.m inside class
+    C, reaches the method m of C when C defines one.  Any other read x.m
+    reaches the method m of every class defined in the reading module or in
+    a module it imports, directly or through other modules of the program:
+    the receiver's class is not known, but it is one the reader can reach."""
+    defining = {}
+    for module, tree in trees.items():
+        for cls, name in class_methods(tree):
+            defining.setdefault(name, set()).add((module, cls))
+    imports = {module: imported_modules(tree) & trees.keys()
+               for module, tree in trees.items()}
+    reached = set()
+    for module, tree in trees.items():
+        visible, todo = set(), [module]
+        while todo:
+            m = todo.pop()
+            if m not in visible:
+                visible.add(m)
+                todo.extend(imports[m])
+        for node, cls, method in attribute_reads(tree):
+            targets = defining.get(node.attr, set())
+            receiver = getattr(node.value, "id", None)
+            if receiver in ("self", "cls"):
+                receiver = cls
+            named = {t for t in targets if t[1] == receiver}
+            here = (module, *method) if method else None
+            for target in named or {t for t in targets if t[0] in visible}:
+                if (*target, node.attr) != here:
+                    reached.add((*target, node.attr))
+    return reached
+
+
+def uncalled_methods(trees, module):
+    """Methods of the top-level classes of trees[module] that no read of
+    the program reaches (reached_methods)."""
+    reached = reached_methods(trees)
+    return sorted("%s.%s" % (cls, name) for cls, name in class_methods(trees[module])
+                  if (module, cls, name) not in reached)
 
 
 def test_scanner_finds_uncalled_methods():
-    source = ("class A:\n"
+    sources = {
+        "a": ("class A:\n"
               "    def __eq__(self, other):\n        return True\n"
               "    def used(self):\n        return self.helper()\n"
               "    def helper(self):\n        return 1\n"
               "    def recursive(self):\n        return self.recursive()\n"
               "    def shift(self):\n        return 0\n"
               "    @property\n    def prop(self):\n        return 2\n"
-              "def f(x):\n    shift = x\n    return shift\n")
-    elsewhere = attribute_names(ast.parse("a.used()\nb.prop\nused = 1\n"))
-    assert uncalled_methods(source, elsewhere) == ["A.recursive", "A.shift"]
+              "    def coeff(self):\n        return 0\n"
+              "def f(x):\n    shift = x\n    return shift\n"),
+        # B.coeff shares its name with A.coeff, but every read of coeff
+        # resolves to B: by self inside B, or from a module that sees only B
+        "b": ("class B:\n"
+              "    def coeff(self):\n        return 1\n"
+              "    def scale(self):\n        return self.coeff()\n"),
+        "c": "from a import f\nx.used()\ny.prop\nused = 1\n",
+        "d": "import b\nb.B().scale()\nw.coeff()\n",
+    }
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    assert uncalled_methods(trees, "a") == ["A.coeff", "A.recursive", "A.shift"]
+    assert uncalled_methods(trees, "b") == []
+
+
+PROGRAM_TREES = {p.stem: ast.parse(p.read_text()) for p in PROGRAM}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_method_has_a_caller(path):
-    elsewhere = set()
-    for other in PROGRAM:
-        if other != path:
-            elsewhere |= attribute_names(ast.parse(other.read_text()))
-    assert uncalled_methods(path.read_text(), elsewhere) == []
+    assert uncalled_methods(PROGRAM_TREES, path.stem) == []
 
 
 def report_constructions(source):

@@ -282,8 +282,8 @@ def test_h_element_examples():
     assert h_element(1, -1, 1).is_zero
     assert h_element(1, 1, 1) == p_elt(((1,),))
     h2 = h_element(1, 2, 1)
-    assert h2.coeff(mp_label(((2,),))) == ONE / q_int_sym(2)
-    assert h2.coeff(mp_label(((1, 1),))) == ONE / 2
+    assert h2.terms.get(mp_label(((2,),))) == ONE / q_int_sym(2)
+    assert h2.terms.get(mp_label(((1, 1),))) == ONE / 2
     assert len(h2.terms) == 2
     # color placement
     assert h_element(2, 1, 2) == p_elt(smp(1, 2, 2))
