@@ -266,9 +266,23 @@ def cmd_info(args):
     return 0
 
 
+def _expr_values(argv):
+    """argv with each "--expr VALUE" written "--expr=VALUE", so a value that
+    starts with a minus sign, such as "-d*x", is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--expr":
+            value = next(tokens, None)
+            if value is not None:
+                tok = "--expr=" + value
+        out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_expr_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, ExprSyntaxError, ExprEvalError) as e:

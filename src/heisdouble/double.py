@@ -24,7 +24,10 @@ and generator elements are built on every call; a repeated text never
 reaches them.  A text that raises leaves nothing in the memo, registering a
 generator drops the whole memo, and a shifted context starts with empty
 caches; only the Gram rows of its pairing are shared, since a shift leaves
-the Gram values unchanged.
+the Gram values unchanged.  The printed text of an element is kept on the
+element, not in the context: element_str stores it there with the
+context's printer token, so it lives and dies with the element, and a
+repeated text is printed once.
 
 The commutation sweep computes its left side x(ab) with the same kernel at
 every degree, once per (a, b) for all minus generators x, and caches none
@@ -131,6 +134,9 @@ class HeisenbergDouble:
         self._generators = {}
         # text -> Element, filled and bounded by expr.evaluate_text
         self._normal_forms = {}
+        # marks the texts this double printed on Element._text; a token,
+        # not the double, so a printed element does not keep its double alive
+        self._printer = object()
         # gen_fn(N) lists the generator labels of degree <= N, one list
         # for both sides; None takes every basis label as a generator.
         self.gen_fn = None
@@ -240,9 +246,23 @@ class HeisenbergDouble:
         return self.plus.label_text(a) + "#" + self.minus.label_text(x)
 
     def element_str(self, u):
-        """Canonical printed normal form, highest-degree terms first."""
-        return terms_str(u, (self.plus.unit_label, self.minus.unit_label),
+        """Canonical printed normal form, highest-degree terms first.
+
+        The text is kept on u, in u._text with this double's printer token,
+        and returned when this double prints u again, which is right because
+        an element is immutable once built.  Another double, a shifted copy
+        included, has its own token and prints u afresh.  The text lives and
+        dies with u, so for a memo element it is bounded by the normal-form
+        memo.  The token is a bare object, not the double, so that a printed
+        element does not keep its double alive.
+        """
+        kept = getattr(u, "_text", None)
+        if kept is not None and kept[0] is self._printer:
+            return kept[1]
+        text = terms_str(u, (self.plus.unit_label, self.minus.unit_label),
                          self.pair_sort_key, self.pair_text, reverse=True)
+        u._text = (self._printer, text)
+        return text
 
     def __repr__(self):
         return "HeisenbergDouble(%s)" % self.name

@@ -21,7 +21,10 @@ products.  The memo holds at most NORMAL_FORM_CACHE_SIZE texts and drops
 its oldest entry when full; it never holds a failure, so a syntax or
 evaluation error is raised again, with its offset, on every call.  It lives
 and dies with its double: registering a generator clears it, and a shifted
-double starts with an empty one.
+double starts with an empty one.  HeisenbergDouble.element_str keeps the
+text it printed on the memo's element itself, so a repeated normal-order
+query is neither evaluated nor printed again; the texts need no table of
+their own and go when the memo drops their elements.
 """
 
 from __future__ import annotations

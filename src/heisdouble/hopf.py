@@ -91,9 +91,16 @@ class Element:
     (plus label, minus label) normal-form pairs for the double.  The term
     dict never contains zero coefficients, so ``==`` is structural equality
     of elements.
+
+    An element is immutable once built: only ``__init__`` and ``_raw`` set
+    ``terms``, and nothing changes the dict afterwards, so elements can be
+    shared and cached freely.  ``_text`` is unset until
+    ``HeisenbergDouble.element_str`` prints the element; it then holds
+    (printer token, text), which that double returns when it prints the
+    element again.  ``==`` and ``hash`` ignore it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_text")
 
     def __init__(self, terms=None):
         t = {}

@@ -9,7 +9,8 @@ reports and its skipped list), `fock-matrix --json` on A2, lattice I2 and
 Weyl, two `normal-order` answers on A2 (the second, of an h-word, has 84
 terms over Q(q) denominators), two on Weyl (together they take every branch
 of the printer: a quotient coefficient, a coefficient -1, a monomial -q and
-a unit term), `info` on Weyl (text), on A2 (`--json`) and
+a unit term; the second is also asked as `--expr -d*x`, a value that starts
+with a minus sign), `info` on Weyl (text), on A2 (`--json`) and
 on the shifted I2 (both; they pin the `rank: 1` line and each twisting form
 printed as its 1x1 matrix, `([c], [c])` and `[[c]]`), and the printout of
 each script in demos/.
@@ -72,6 +73,14 @@ def test_cli_output_matches_golden(expected, config, argv, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (GOLDEN / expected).read_text()
+
+
+def test_expr_may_start_with_a_minus_sign(capsys):
+    # "--expr -d*x", with a space: the token after --expr is its value,
+    # not an option
+    rc = cli.main(["normal-order", "--expr", "-d*x", "--instance", str(GOLDEN / "weyl.json")])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / "normal-order-weyl-minus.txt").read_text()
 
 
 SEED_CASES = [

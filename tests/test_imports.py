@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
 function, class and method a library module defines is used by the program:
-the library, the demos or the benchmark, not only by tests."""
+the library, the demos or the benchmark, not only by tests.  No library
+module changes the terms of an Element once it is built."""
 
 import ast
 import os
@@ -250,6 +251,65 @@ def test_only_the_report_module_builds_reports(path):
     # every check returns its witness and report.check builds the Report
     if path.name != "report.py":
         assert report_constructions(path.read_text()) == []
+
+
+# dict methods that change the dict they are called on
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def terms_mutations(source):
+    """Line numbers of the stores into an attribute .terms (by assignment,
+    del or setattr), of the item stores into one, and of the mutating dict
+    calls on one, in source.  Assigning .terms in Element.__init__ and
+    Element._raw is allowed."""
+    tree = ast.parse(source)
+    allowed = {id(f) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Element"
+               for f in c.body if isinstance(f, ast.FunctionDef) and f.name in ("__init__", "_raw")}
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    lines = []
+    stack = [(tree, False)]
+    while stack:
+        node, inside = stack.pop()
+        inside = inside or id(node) in allowed
+        if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            if (is_terms(node) and not inside
+                    or isinstance(node, ast.Subscript) and is_terms(node.value)):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in MUTATORS and is_terms(f.value)
+                    or getattr(f, "id", None) in ("setattr", "delattr") and len(node.args) > 1
+                    and getattr(node.args[1], "value", None) == "terms"):
+                lines.append(node.lineno)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_scanner_finds_terms_mutations():
+    source = ("class Element:\n"
+              "    def __init__(self, t):\n        self.terms = t\n"
+              "    @classmethod\n    def _raw(cls, t):\n        self.terms = t\n"
+              "    def scale(self, c):\n        self.terms = {}\n"
+              "u.terms[k] = c\n"
+              "del u.terms[k]\n"
+              "u.terms.pop(k)\n"
+              "u.terms |= {}\n"
+              "setattr(u, 'terms', {})\n"
+              "a, u.terms = 1, {}\n"
+              "x = u.terms.get(k)\n"
+              "t = dict(u.terms)\n"
+              "t.pop(k)\n")
+    assert terms_mutations(source) == [8, 9, 10, 11, 12, 13, 14]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_element_is_changed_once_built(path):
+    # HeisenbergDouble.element_str keeps an element's printed text on the
+    # element, which is right only while its terms never change
+    assert terms_mutations(path.read_text()) == []
 
 
 def test_cli_import_loads_no_introspection_modules():

@@ -7,13 +7,21 @@ are run through the three entry points, D.element_str, hopf.element_str
 and hopf.tensor_str, on random elements (every kind of coefficient; the
 unit key alone, among other terms, or absent; the zero element) and on
 every normal-order and antipode answer of both benchmark session pools.
+
+D.element_str keeps the text it printed on the element, under D's printer
+token: a repeat returns it without printing, another double prints afresh,
+the text takes no part in == or hash, and it does not keep D alive.
 """
+
+import gc
+import weakref
 
 import pytest
 
+from heisdouble import double
 from heisdouble.double import HeisenbergDouble
 from heisdouble.expr import evaluate_text, pure_minus, pure_plus
-from heisdouble.hopf import Element, antipode, element_str, tensor_str
+from heisdouble.hopf import Element, antipode, element_str, tensor_str, terms_str
 from heisdouble.instances import build_qheis, build_weyl, cartan_a
 from heisdouble.scalars import ONE, LaurentPoly, RatFunc, q_power
 
@@ -165,3 +173,74 @@ def test_printing_does_no_scalar_arithmetic(a2_answers, monkeypatch):
     for name in ("__neg__", "__eq__", "__add__", "__mul__"):
         monkeypatch.setattr(RatFunc, name, refuse)
     assert [printer(ctx, u) for printer, _, ctx, u in a2_answers] == expected
+
+
+def normal_order_answers(config):
+    """A fresh instance's double and the element of every normal-order
+    query of the benchmark pool for config, none of them printed yet."""
+    _, groups = bench_pool(config)
+    D = bench_instance(config).double
+    return D, [evaluate_text(D, q.exprs[0]) for q in groups["normal-order"]]
+
+
+@pytest.mark.parametrize("config", ["qheis-a2", "lattice-i2"])
+def test_first_and_repeated_prints_match_reference(config):
+    D, answers = normal_order_answers(config)
+    expected = [reference_double_str(D, u) for u in answers]
+    assert [D.element_str(u) for u in answers] == expected
+    assert [D.element_str(u) for u in answers] == expected
+
+
+def test_a_repeat_does_not_print(monkeypatch):
+    D, answers = normal_order_answers("qheis-a2")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return terms_str(*args, **kwargs)
+
+    monkeypatch.setattr(double, "terms_str", counted)
+    first = [D.element_str(u) for u in answers]
+    assert len(calls) == len(answers)
+    calls.clear()
+    assert [D.element_str(u) for u in answers] == first
+    assert calls == []
+
+
+def test_another_double_prints_afresh(monkeypatch):
+    D = build_qheis(cartan_a(2)).double
+    S = D.shifted(0)
+    monkeypatch.setattr(S.plus, "label_text", lambda l: "<%s>" % D.plus.label_text(l))
+    u = evaluate_text(D, "p'[2,1]*p[2,2]*p'[1,1]")
+    text = D.element_str(u)
+    assert text == reference_double_str(D, u)
+    shifted_text = S.element_str(u)
+    assert shifted_text == reference_double_str(S, u) != text
+    assert "<p[2,2]>" in shifted_text
+    assert S.element_str(u) == shifted_text
+    assert D.element_str(u) == text
+
+
+def test_the_text_takes_no_part_in_equality_or_hash():
+    D = build_weyl().double
+    u = evaluate_text(D, "d^2*x^2 - 3*q*x")
+    copy = Element(dict(u.terms))
+    D.element_str(u)
+    assert u._text[0] is D._printer
+    assert not hasattr(copy, "_text")
+    assert u == copy and copy == u
+    assert hash(u) == hash(copy)
+    assert len({u, copy}) == 1
+
+
+def test_a_printed_element_does_not_keep_its_double_alive():
+    # p-words: instances.h_element keeps the labels of every h it built
+    inst = build_qheis(cartan_a(2))
+    D = inst.double
+    u = evaluate_text(D, "p'[2,1]*p[2,2]")
+    assert D.element_str(u) == reference_double_str(D, u)
+    gone = weakref.ref(D)
+    del inst, D
+    gc.collect()
+    assert gone() is None
+    assert u._text[1]
