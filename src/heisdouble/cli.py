@@ -267,16 +267,30 @@ def cmd_info(args):
 
 
 def _expr_values(argv):
-    """argv with each "--expr VALUE" written "--expr=VALUE", so a value that
-    starts with a minus sign, such as "-d*x", is not read as an option."""
+    """argv with each "--expr -VALUE" written "--expr=-VALUE", so that an
+    expression that starts with a minus sign, such as "-d*x", is read as
+    the value of --expr and not as an option.
+
+    --expr may be abbreviated as argparse allows ("--exp -d*x").  Everything
+    else is left to argparse: a value that does not start with a minus sign
+    (argparse reads it already), one that starts with "--" (another option,
+    so "--expr --json" is still a usage error), a missing value, and every
+    token after a "--".
+    """
     out = []
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok == "--expr":
-            value = next(tokens, None)
-            if value is not None:
-                tok = "--expr=" + value
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            out.extend(argv[i:])
+            break
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (len(tok) > 2 and "--expr".startswith(tok)
+                and value.startswith("-") and not value.startswith("--")):
+            tok += "=" + value
+            i += 1
         out.append(tok)
+        i += 1
     return out
 
 

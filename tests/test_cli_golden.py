@@ -78,9 +78,24 @@ def test_cli_output_matches_golden(expected, config, argv, capsys):
 def test_expr_may_start_with_a_minus_sign(capsys):
     # "--expr -d*x", with a space: the token after --expr is its value,
     # not an option
-    rc = cli.main(["normal-order", "--expr", "-d*x", "--instance", str(GOLDEN / "weyl.json")])
-    assert rc == 0
-    assert capsys.readouterr().out == (GOLDEN / "normal-order-weyl-minus.txt").read_text()
+    for flag in ("--expr", "--exp"):
+        rc = cli.main(["normal-order", flag, "-d*x", "--instance", str(GOLDEN / "weyl.json")])
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "normal-order-weyl-minus.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--instance", str(GOLDEN / "weyl.json"), "--expr"],
+    ["--expr", "--json", "--instance", str(GOLDEN / "weyl.json")],
+    ["--instance", str(GOLDEN / "weyl.json"), "--", "--expr", "-d*x"],
+])
+def test_expr_without_a_value_is_a_usage_error(argv, capsys):
+    # a missing value, another option, or a token after "--" is not taken
+    # as the value of --expr; argparse refuses each as before
+    with pytest.raises(SystemExit) as e:
+        cli.main(["normal-order"] + argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 SEED_CASES = [

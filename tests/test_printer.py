@@ -165,14 +165,27 @@ def test_pool_answers_match_reference(config, a2_answers):
 
 
 def test_printing_does_no_scalar_arithmetic(a2_answers, monkeypatch):
-    expected = [printer(ctx, u) for printer, _, ctx, u in a2_answers]
+    # each pass prints unprinted copies: D.element_str would otherwise
+    # return the text kept on the element and print nothing
+    def print_all():
+        return [printer(ctx, Element._raw(u.terms)) for printer, _, ctx, u in a2_answers]
+
+    expected = print_all()
 
     def refuse(*args):
         raise AssertionError("the printer did scalar arithmetic")
 
+    printed = []
+
+    def counted(*args, **kwargs):
+        printed.append(args)
+        return terms_str(*args, **kwargs)
+
     for name in ("__neg__", "__eq__", "__add__", "__mul__"):
         monkeypatch.setattr(RatFunc, name, refuse)
-    assert [printer(ctx, u) for printer, _, ctx, u in a2_answers] == expected
+    monkeypatch.setattr(double, "terms_str", counted)
+    assert print_all() == expected
+    assert len(printed) == sum(p is HeisenbergDouble.element_str for p, _, _, _ in a2_answers)
 
 
 def normal_order_answers(config):
