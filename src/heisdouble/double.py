@@ -20,11 +20,12 @@ reads this one cache, as does _fock, the one Fock kernel: fock_matrix
 builds each column u(b) through it, reading actions(b) once per label b.  The
 only other cache of a context is its normal-form memo: the element each
 text given to expr.evaluate_text evaluated to.  Smash products on labels
-and generator elements are built on every call; a repeated text never
+and generator embeddings are built on every call; a repeated text never
 reaches them.  A text that raises leaves nothing in the memo, registering a
 generator drops the whole memo, and a shifted context starts with empty
-caches; only the Gram rows of its pairing are shared, since a shift leaves
-the Gram values unchanged.  The printed text of an element is kept on the
+caches; it shares only the Gram rows of its pairing, since a shift leaves
+the Gram values unchanged, and the instance's generator builders, which
+keep each h[n,i] they made.  The printed text of an element is kept on the
 element, not in the context: element_str stores it there with the
 context's printer token, so it lives and dies with the element, and a
 repeated text is printed once.

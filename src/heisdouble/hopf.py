@@ -220,7 +220,6 @@ class HopfPresentation:
         self._gens = {}  # N -> generating_set(self, N)
         self._antipode = {}
         self._text = {}
-        self._sort_key = {}
         if unit_label.degree != 0:
             raise PresentationError("unit label must sit in degree zero")
         z = self.basis(0)
@@ -262,12 +261,8 @@ class HopfPresentation:
                     % (label, self.name, label.degree))
 
     def label_sort_key(self, label):
-        """(degree, basis position), cached per label."""
-        hit = self._sort_key.get(label)
-        if hit is None:
-            hit = self._sort_key.setdefault(
-                label, (label.degree, self._positions(label.degree)[label]))
-        return hit
+        """(degree, basis position), read from the positions of its degree."""
+        return label.degree, self._positions(label.degree)[label]
 
     def labels_up_to(self, N):
         """All basis labels of degree <= N in canonical order."""

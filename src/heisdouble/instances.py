@@ -269,11 +269,9 @@ def z_quantum(lam):
     return out
 
 
-@cache
 def h_element(ncolors, n, i):
-    """Complete homogeneous element h_{n,i} = sum over lam of p_{lam,i}/Z_lam.
-
-    Cached: callers share the returned Element and must not mutate it."""
+    """Complete homogeneous element h_{n,i} = sum over lam of p_{lam,i}/Z_lam,
+    built afresh; an instance keeps the ones its h and h' builders made."""
     if n < 0:
         return Element.zero()
     if n == 0:
@@ -325,13 +323,6 @@ def _power_sum(ncolors, n, i):
     return Element.from_label(mp_label(_in_color((n,), i, ncolors)))
 
 
-# name, side, element(ncolors, n, i); qheis has all four, lattice p and p'.
-# h_element is looked up at call time, so a wrapper on it sees every call.
-_GENERATORS = (("p", "plus", _power_sum), ("p'", "minus", _power_sum),
-               ("h", "plus", lambda nc, n, i: h_element(nc, n, i)),
-               ("h'", "minus", lambda nc, n, i: h_element(nc, n, i)))
-
-
 def _generator(name, side, element, ncolors):
     def builder(args):
         if len(args) != 2:
@@ -370,7 +361,12 @@ def _sym_instance(kind, key, M, name, factor, perfect, generators):
     pairing = TwistedPairing(minus, plus, TwistingDatum(0, 0), gram_fn,
                              name=name, support=support)
     double = HeisenbergDouble(pairing, name=name, perfect=perfect)
-    for gen, side, element in generators:
+    # h[n,i] once per instance, for h and h' alike, and for shifted copies,
+    # which share the builders; a wrapper on h_element sees each miss
+    h = cache(lambda nc, n, i: h_element(nc, n, i))
+    for gen in generators:
+        side = "minus" if gen.endswith("'") else "plus"
+        element = h if gen[0] == "h" else _power_sum
         double.register_generator(gen, _generator(gen, side, element, ncolors))
     double.gen_fn = lambda N: [
         mp_label(_in_color((n,), i, ncolors))
@@ -389,7 +385,7 @@ def build_qheis(A, name=None):
     if k is not None:
         raise SingularFormError("cannot build qheis: [k<i,j>] singular at k=%d" % k)
     return _sym_instance("qheis", "cartan", A, name, q_factor(A), True,
-                         _GENERATORS)
+                         ("p", "p'", "h", "h'"))
 
 
 def build_lattice(B, name=None):
@@ -402,7 +398,7 @@ def build_lattice(B, name=None):
     perfect = not det_bareiss(
         [[RatFunc.from_int(v) for v in row] for row in B]).is_zero
     return _sym_instance("lattice", "form", B, name, lattice_factor(B), perfect,
-                         _GENERATORS[:2])
+                         ("p", "p'"))
 
 
 def shifted_instance(inst, alpha, beta=0):

@@ -8,10 +8,10 @@ drives the canonical basis order of the symmetric-algebra instances.
 
 The coproduct of a colored power sum p_lam splits each color lam_i into a
 sub-multiset mu_i and its complement.  split_table(lam_i) lists these
-splits with their sizes and counts, once per partition and cached (there
-are 139 partitions of n <= 10), and mp_sub_multisets runs over the product
-of a multipartition's tables, so a coproduct term costs no multiset
-difference and no degree sum.
+splits with their sizes and counts, once per partition in a table whose
+bound it states, and mp_sub_multisets runs over the product of a
+multipartition's tables, so a coproduct term costs no multiset difference
+and no degree sum.
 """
 
 from __future__ import annotations
@@ -153,7 +153,10 @@ def multipartitions_of(n, ncolors):
 def split_table(lam):
     """The split table of the partition lam: the tuples (mu, lam - mu, |mu|,
     ways) over sub_multisets(lam), in its order.  Made once per partition,
-    so a coproduct reads its splits instead of computing differences."""
+    so a coproduct reads its splits instead of computing differences.  The
+    process-wide table holds int tuples only, one entry per partition that
+    is one color of a label whose coproduct was built: under verify at N,
+    at most the sum of p(n) over n <= 2N (139 for n <= 10, 915 at N=8)."""
     return tuple((mu, difference(lam, mu), sum(mu), ways)
                  for mu, ways in sub_multisets(lam))
 

@@ -2,8 +2,12 @@
 
 import copy
 import gc
+import os
 import pickle
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,27 @@ def test_labels_are_interned():
     assert pickle.loads(pickle.dumps(label)) is label
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# builds A2, prints h-words on its double and on a shifted copy, drops
+# them, and prints how many labels they interned and how many are left
+QHEIS_CYCLE = """
+import gc
+from heisdouble import hopf
+from heisdouble.expr import evaluate_text
+from heisdouble.instances import build_qheis, cartan_a
+gc.collect()
+before = set(hopf._INTERNED.keys())
+inst = build_qheis(cartan_a(2))
+for D in (inst.double, inst.double.shifted(1)):
+    for text in ("h[12,1]", "h'[3,2]*h[2,1]"):
+        D.element_str(evaluate_text(D, text))
+made = set(hopf._INTERNED.keys()) - before
+del inst, D
+gc.collect()
+print(len(made), len(set(hopf._INTERNED.keys()) - before))
+"""
+
+
 def test_intern_table_drops_the_labels_of_a_dropped_instance():
     # the table is weak-valued: once an instance is dropped, no label made
     # for it alone stays interned
@@ -173,6 +198,13 @@ def test_intern_table_drops_the_labels_of_a_dropped_instance():
     held = BasisLabel("held", 7)
     gc.collect()
     assert hopf._INTERNED[("held", 7)] is held is BasisLabel("held", 7)
+    # the h generators of qheis, in a fresh process, so that no h an
+    # earlier test built is interned already
+    made, left = subprocess.run(
+        [sys.executable, "-c", QHEIS_CYCLE], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout.split()
+    assert int(made) > 77  # h[12,1] alone has one label per partition of 12
+    assert int(left) == 0
 
 
 def test_plus_and_minus_labels_with_one_key_are_one_object():

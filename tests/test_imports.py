@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, and every
 function, class and method a library module defines is used by the program:
 the library, the demos or the benchmark, not only by tests.  No library
-module changes the terms of an Element once it is built."""
+module changes the terms of an Element once it is built.  The library's
+process-wide tables are the ones listed here, each with its bound."""
 
 import ast
 import os
@@ -310,6 +311,73 @@ def test_no_element_is_changed_once_built(path):
     # HeisenbergDouble.element_str keeps an element's printed text on the
     # element, which is right only while its terms never change
     assert terms_mutations(path.read_text()) == []
+
+
+def called_name(node):
+    """The name a call or decorator node calls, unwrapping a call of a call
+    (lru_cache(maxsize=8)(f)), as a bare name or the last attribute."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+CACHES = {"cache", "lru_cache"}
+EMPTY = {"set", "dict", "list", "WeakValueDictionary"}
+
+
+def process_wide_tables(source):
+    """Module-level functions of source decorated with cache or lru_cache,
+    names bound at module level to such a call, and names bound at module
+    level to an empty container."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(called_name(d) in CACHES for d in node.decorator_list):
+                found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            v = node.value
+            if (isinstance(v, ast.Dict) and not v.keys
+                    or isinstance(v, ast.List) and not v.elts
+                    or isinstance(v, ast.Call) and called_name(v) in CACHES
+                    or isinstance(v, ast.Call) and called_name(v) in EMPTY
+                    and not v.args and not v.keywords):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_scanner_finds_process_wide_tables():
+    source = ("import functools, weakref\nfrom functools import cache, lru_cache\n"
+              "@cache\ndef a(n):\n    return n\n"
+              "@functools.lru_cache(maxsize=8)\ndef b(n):\n    return n\n"
+              "@lru_cache\ndef c(n):\n    return n\n"
+              "@staticmethod\ndef not_cached(n):\n    return n\n"
+              "d = {}\ne: list = []\nf = set()\ng = dict()\n"
+              "h = weakref.WeakValueDictionary()\ni = functools.cache(len)\nj = list()\n"
+              "full = {1: 2}\nalso_full = [1]\nfrom_items = dict(a=1)\nt = ()\n"
+              "def f2():\n    local = {}\n    return local\n"
+              "class K:\n    table = {}\n")
+    assert process_wide_tables(source) == set("abcdefghij")
+
+
+# The process-wide tables of the library, each with its bound.  A table
+# that holds labels or Elements lives on the object that owns them instead,
+# and dies with it: presentation, pairing, double, element or instance.
+PROCESS_WIDE = {
+    "scalars._canonical": "LRU of CANONICAL_CACHE_SIZE (num, den) pairs",
+    "scalars._q_factorial": "LRU of Q_FACTORIAL_CACHE_SIZE values",
+    "scalars._INTS": "one RatFunc per int in _INTERNED_RANGE",
+    "scalars._POWERS": "one RatFunc q^e per e in _INTERNED_RANGE",
+    "hopf._INTERNED": "weak-valued: a label only while something else holds it",
+    "partitions.split_table": "int tuples, one per partition that is one color "
+                              "of a label whose coproduct was built",
+}
+
+
+def test_process_wide_tables_hold_no_labels_and_are_bounded():
+    found = {"%s.%s" % (path.stem, name)
+             for path in MODULES for name in process_wide_tables(path.read_text())}
+    assert found == set(PROCESS_WIDE)
 
 
 def test_cli_import_loads_no_introspection_modules():

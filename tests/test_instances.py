@@ -290,7 +290,18 @@ def test_h_element_examples():
 
 
 def test_h_element_is_computed_once():
-    assert h_element(2, 3, 1) is h_element(2, 3, 1)
+    # once per instance: its h and h' builders and its shifted copies share
+    # one table, and another instance builds its own
+    def h(D, name):
+        return D._generators[name]([3, 1])[1]
+
+    D = build_qheis(A2).double
+    el = h(D, "h")
+    assert el == h_element(2, 3, 1)
+    assert h(D, "h") is el is h(D, "h'")
+    assert h(D.shifted(1), "h") is el is h(D.shifted(1), "h'")
+    other = h(build_qheis(A2).double, "h")
+    assert other == el and other is not el
 
 
 def test_h_newton_identity(sc, a2):

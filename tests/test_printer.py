@@ -247,13 +247,13 @@ def test_the_text_takes_no_part_in_equality_or_hash():
 
 
 def test_a_printed_element_does_not_keep_its_double_alive():
-    # p-words: instances.h_element keeps the labels of every h it built
-    inst = build_qheis(cartan_a(2))
-    D = inst.double
-    u = evaluate_text(D, "p'[2,1]*p[2,2]")
-    assert D.element_str(u) == reference_double_str(D, u)
-    gone = weakref.ref(D)
-    del inst, D
-    gc.collect()
-    assert gone() is None
-    assert u._text[1]
+    for text in ("p'[2,1]*p[2,2]", "h'[2,1]*h[2,2]"):
+        inst = build_qheis(cartan_a(2))
+        D = inst.double
+        u = evaluate_text(D, text)
+        assert D.element_str(u) == reference_double_str(D, u)
+        gone = weakref.ref(D)
+        del inst, D
+        gc.collect()
+        assert gone() is None
+        assert u._text[1]
